@@ -466,11 +466,25 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(getattr(args, "config", None))
-    if args.cap is None and "cap" in config:
-        args.cap = int(config["cap"])
     try:
+        config = _load_config(args.config)
+        if args.cap is None and "cap" in config:
+            args.cap = int(config["cap"])
+        if args.cap is not None and args.cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {args.cap}")
         lines, code = args.handler(args)
+        output = "\n".join(lines)
+        if args.manifest:
+            manifest = RunManifest(
+                command_line=tuple(argv),
+                config=tuple(sorted(config.items())),
+                deterministic=True,
+                version=__version__,
+                output_sha256=hashlib.sha256(output.encode()).hexdigest(),
+            )
+            with open(args.manifest, "w") as fh:
+                json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
+                fh.write("\n")
     except (CapExceeded, BudgetExceeded) as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)
         return 3
@@ -480,20 +494,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"parakat: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    output = "\n".join(lines)
     if output:
         print(output)
-    if getattr(args, "manifest", None):
-        manifest = RunManifest(
-            command_line=tuple(argv),
-            config=tuple(sorted(config.items())),
-            deterministic=True,
-            version=__version__,
-            output_sha256=hashlib.sha256(output.encode()).hexdigest(),
-        )
-        with open(args.manifest, "w") as fh:
-            json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     return code
 
 

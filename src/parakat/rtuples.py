@@ -469,8 +469,6 @@ def classify(t: RTuple) -> ClassificationReport:
         )
     c = critical_list(t)
     gapless = increasing and c.is_flag
-    if increasing and gapless != is_gapless_staircase(t):
-        raise AssertionError(f"gapless characterizations disagree on {t}")
     crit = {x for x, _ in c.pairs}
     shell = all(e == t.n for i, e in enumerate(t.entries, start=1) if i not in crit)
     return ClassificationReport(

@@ -16,7 +16,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
 from .rperms import RChain, RPermutation, to_chain
@@ -77,10 +77,6 @@ class Shape:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-def shape_r(shape: Shape) -> RSubset:
-    return shape.r_subset
 
 
 @dataclass(frozen=True)
@@ -259,10 +255,41 @@ def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     yield from rec([], 0)
 
 
+def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
+    """Semistandard tableaux within an entrywise box, by column-major DFS."""
+    zeta = lo.shape.column_lengths
+    ncols = len(zeta)
+
+    def rec(cols: list[list[int]], j: int, i: int) -> Iterator[Tableau]:
+        if j == ncols:
+            yield Tableau(lo.shape, tuple(tuple(c) for c in cols))
+            return
+        if i == zeta[j]:
+            yield from rec(cols, j + 1, 0)
+            return
+        lo_v = lo.columns[j][i]
+        hi_v = hi.columns[j][i]
+        if i > 0:
+            lo_v = max(lo_v, cols[j][i - 1] + 1)
+        if j > 0 and i < zeta[j - 1]:
+            lo_v = max(lo_v, cols[j - 1][i])
+        for v in range(lo_v, hi_v + 1):
+            cols[j].append(v)
+            yield from rec(cols, j, i + 1)
+            cols[j].pop()
+
+    yield from rec([[] for _ in range(ncols)], 0, 0)
+
+
+def _below(top: Tableau) -> Iterator[Tableau]:
+    """Every tableau entrywise below ``top``; the walk never dead-ends."""
+    return _between(minimal_tableau(top.shape), top)
+
+
 def materialize(
     shape: Shape, source: Iterable[Tableau], cap: int | None = None
 ) -> TableauSet:
-    """Collect tableaux into an explicit set, refusing to exceed the cap."""
+    """Collect tableaux into an explicit set of at most ``cap`` members."""
     limit = materialization_cap() if cap is None else cap
     out = []
     for t in source:
@@ -270,18 +297,6 @@ def materialize(
         if len(out) > limit:
             raise CapExceeded(f"materialization exceeds cap of {limit} tableaux")
     return TableauSet(shape, tuple(out))
-
-
-def _filtered_set(
-    shape: Shape, pred: Callable[[Tableau], bool], cap: int | None = None
-) -> TableauSet:
-    limit = materialization_cap() if cap is None else cap
-    if count_tableaux(shape) > limit:
-        # the filter may still fit, but scanning the full family would not
-        raise CapExceeded(
-            f"shape {shape} has {count_tableaux(shape)} tableaux, over the cap of {limit}"
-        )
-    return materialize(shape, (t for t in enumerate_tableaux(shape) if pred(t)), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +397,9 @@ def row_end_max(a: RTuple, shape: Shape) -> Tableau:
 
 
 def z_set(a: RTuple, shape: Shape, cap: int | None = None) -> TableauSet:
-    """All tableaux with the given row-end list."""
-    if a.r_subset != shape.r_subset:
-        raise ShapeMismatch(f"tuple over {a.r_subset.elements} does not match {shape}")
-    _require_increasing_upper(a)
-    return _filtered_set(shape, lambda t: row_end_list(t) == a, cap)
+    """All tableaux with row-end list ``a``, walked below its row-end maximum."""
+    top = row_end_max(a, shape)
+    return materialize(shape, (t for t in _below(top) if row_end_list(t) == a), cap)
 
 
 def in_row_bound_set(t: Tableau, b: RTuple) -> bool:
@@ -396,12 +409,11 @@ def in_row_bound_set(t: Tableau, b: RTuple) -> bool:
 
 
 def row_bound_set(b: RTuple, shape: Shape, cap: int | None = None) -> TableauSet:
-    """All tableaux whose row ends are bounded by the upper tuple ``b``."""
-    if b.r_subset != shape.r_subset:
-        raise ShapeMismatch(f"tuple over {b.r_subset.elements} does not match {shape}")
-    if not is_upper(b):
-        raise NotUpper(f"row bounds must be upper: {b}")
-    return _filtered_set(shape, lambda t: in_row_bound_set(t, b), cap)
+    """All tableaux whose row ends are bounded by the upper tuple ``b``.
+
+    Closed downward and under join, the set is the ideal of its maximum.
+    """
+    return ideal(row_bound_max(b, shape), cap)
 
 
 def row_bound_max(b: RTuple, shape: Shape) -> Tableau:
@@ -456,44 +468,21 @@ def in_demazure_set(t: Tableau, y: Tableau) -> bool:
 
 
 def demazure_set(p: RPermutation, shape: Shape, cap: int | None = None) -> TableauSet:
-    """All tableaux whose scanning tableau sits below the key of ``p``."""
+    """All tableaux whose scanning tableau sits below the key of ``p``.
+
+    Scanning dominates its argument, so only the key's ideal is walked.
+    """
     y = key_of_perm(p, shape)
-    return _filtered_set(shape, lambda t: in_demazure_set(t, y), cap)
+    return materialize(shape, (t for t in _below(y) if in_demazure_set(t, y)), cap)
 
 
 def ideal(t: Tableau, cap: int | None = None) -> TableauSet:
     """The principal ideal: all tableaux entrywise below ``t``."""
-    return _filtered_set(t.shape, lambda u: entrywise_le(u, t), cap)
+    return materialize(t.shape, _below(t), cap)
 
 
 # ---------------------------------------------------------------------------
 # convexity and gapless keys
-
-
-def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
-    """Semistandard tableaux within an entrywise box, by column-major DFS."""
-    zeta = lo.shape.column_lengths
-    ncols = len(zeta)
-
-    def rec(cols: list[list[int]], j: int, i: int) -> Iterator[Tableau]:
-        if j == ncols:
-            yield Tableau(lo.shape, tuple(tuple(c) for c in cols))
-            return
-        if i == zeta[j]:
-            yield from rec(cols, j + 1, 0)
-            return
-        lo_v = lo.columns[j][i]
-        hi_v = hi.columns[j][i]
-        if i > 0:
-            lo_v = max(lo_v, cols[j][i - 1] + 1)
-        if j > 0 and i < zeta[j - 1]:
-            lo_v = max(lo_v, cols[j - 1][i])
-        for v in range(lo_v, hi_v + 1):
-            cols[j].append(v)
-            yield from rec(cols, j, i + 1)
-            cols[j].pop()
-
-    yield from rec([[] for _ in range(ncols)], 0, 0)
 
 
 def is_interval_closed(ts: TableauSet) -> bool:
@@ -511,17 +500,10 @@ def is_interval_closed(ts: TableauSet) -> bool:
 def is_convex(ts: TableauSet) -> bool:
     """Convexity in the form the tableau-set dichotomy takes.
 
-    A set is accepted when it equals the principal ideal of its entrywise
-    join and is closed under taking semistandard points between members.
+    A set is accepted when it is empty or equals the principal ideal of its
+    entrywise join; an ideal holds every point between two of its members.
     """
-    if len(ts) == 0:
-        return True
-    top = ts.join_of_all()
-    if top not in ts:
-        return False
-    if ts != ideal(top):
-        return False
-    return is_interval_closed(ts)
+    return not ts or ts == ideal(ts.join_of_all())
 
 
 def is_gapless_key(y: Tableau) -> bool:

@@ -145,6 +145,8 @@ class _Run:
 
 
 def _check_suite_n(max_n: int) -> None:
+    if max_n < 1:
+        raise ValueError(f"suite range n={max_n} is empty; it must be at least 1")
     if max_n > MAX_SUITE_N:
         raise CapExceeded(f"suite range n={max_n} exceeds the cap of {MAX_SUITE_N}")
 

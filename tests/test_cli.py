@@ -194,3 +194,38 @@ def test_make_floor_and_ceiling(capsys):
     assert code == 0 and out == "(3,4,6;6,6,6,8,9;9)\n"
     code, out = run_cli(capsys, "make", "--kind", "canopy", "--critlist", payload)
     assert code == 0 and out == "(9,4,6;9,9,6,9,9;9)\n"
+
+
+IDEAL_ARGV = ["set", "ideal", "--n", "3", "--lambda", "1,1",
+              "--tab", json.dumps({"lambda": [1, 1, 0], "n": 3, "columns": [[2, 3]]})]
+
+
+@pytest.mark.parametrize(
+    "extra, config_text, expected",
+    [
+        (["--config", "{tmp}/missing.conf"], None, 64),
+        (["--config", "{tmp}/parakat.conf"], "cap=abc\n", 64),
+        (["--config", "{tmp}/parakat.conf"], "config_version=2\ncap=5\n", 65),
+        (["--config", "{tmp}/parakat.conf"], "cap=-3\n", 64),
+        (["--cap", "-1"], None, 64),
+        (["--manifest", "{tmp}/no-such-dir/run.json"], None, 64),
+    ],
+)
+def test_config_cap_and_manifest_errors_exit_cleanly(
+    tmp_path, capsys, extra, config_text, expected
+):
+    if config_text is not None:
+        (tmp_path / "parakat.conf").write_text(config_text)
+    assert main(IDEAL_ARGV + [a.format(tmp=tmp_path) for a in extra]) == expected
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+
+
+def test_empty_suite_range_is_usage_error(capsys):
+    code = main(["verify", "convexity", "--max-n", "-2", "--json"])
+    assert code == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at least 1" in captured.err
+    # a zero polynomial range stays valid: it only skips the polynomial counts
+    code, out = run_cli(capsys, "verify", "counts", "--max-n", "2", "--poly-max-n", "0", "--csv")
+    assert code == 0 and out.startswith("counts,pass,")

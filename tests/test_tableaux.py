@@ -303,6 +303,29 @@ def test_convexity_dichotomy():
                 assert row_end_max(rank_tuple(p), sh) == y
 
 
+def _brute_force_set(shape, pred):
+    return TableauSet(shape, tuple(t for t in tableaux_of(shape) if pred(t)))
+
+
+def test_builders_match_brute_force_filter():
+    # every builder walks an ideal; the oracle filters all of SSYT(shape)
+    for sh in SMALL_SHAPES:
+        r = sh.r_subset.elements
+        for b in enumerate_tuples(sh.n, r, "upper"):
+            oracle = _brute_force_set(sh, lambda t: in_row_bound_set(t, b))
+            assert row_bound_set(b, sh) == oracle
+        for a in enumerate_tuples(sh.n, r, "increasing"):
+            oracle = _brute_force_set(sh, lambda t: row_end_list(t) == a)
+            assert z_set(a, sh) == oracle
+        for p in enumerate_rperms(sh.n, r):
+            y = key_of_perm(p, sh)
+            d = demazure_set(p, sh)
+            assert d == _brute_force_set(sh, lambda t: in_demazure_set(t, y))
+            assert is_interval_closed(d) == is_convex(d)
+        for top in tableaux_of(sh):
+            assert ideal(top) == _brute_force_set(sh, lambda t: entrywise_le(t, top))
+
+
 def test_gapless_key_requires_key():
     t = Tableau(Shape.of(3, (2, 1)), ((1, 3), (2,)))
     assert not is_key(t)
@@ -343,6 +366,8 @@ def test_materialization_cap():
     sh = Shape.of(4, (3, 2, 1))
     with pytest.raises(CapExceeded):
         demazure_set(RPermutation.of(4, (1, 2, 3), (4, 3, 2, 1)), sh, cap=5)
+    # the cap counts the set's own members, not every tableau of the shape
+    assert len(demazure_set(RPermutation.of(4, (1, 2, 3), (1, 2, 3, 4)), sh, cap=1)) == 1
     with pytest.raises(CapExceeded):
         materialize(sh, enumerate_tableaux(sh), cap=3)
 

@@ -78,6 +78,16 @@ def test_suite_cap():
         suite_convexity(99, 3)
 
 
+@pytest.mark.parametrize(
+    "name", ["bijections", "counts", "convexity", "coincidence", "polynomials", "lifts", "accidental"]
+)
+def test_suite_rejects_empty_range(name):
+    # a range with no n would check nothing and still read "pass"
+    for max_n in (0, -2):
+        with pytest.raises(ValueError):
+            run_suite(name, max_n=max_n)
+
+
 def test_accidental_budget():
     with pytest.raises(BudgetExceeded):
         search_accidental(3, 3, budget=0)
