@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
@@ -81,12 +82,12 @@ class RSubset:
     def r(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def qs(self) -> tuple[int, ...]:
         """(q_0, q_1, ..., q_r, q_{r+1}) = (0, elements..., n)."""
         return (0, *self.elements, self.n)
 
-    @property
+    @cached_property
     def carrels(self) -> tuple[tuple[int, int], ...]:
         """Half-open index intervals (lo, hi], one per carrel."""
         qs = self.qs
@@ -105,6 +106,16 @@ def _carrel_text(entries: Sequence[int], qs: Sequence[int]) -> str:
     for lo, hi in zip(qs, qs[1:]):
         parts.append(",".join(str(e) for e in entries[lo:hi]))
     return "(" + ";".join(parts) + ")"
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` set and no checks run.
+
+    For builders whose own construction already guarantees the invariants.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -217,7 +228,13 @@ class CriticalList:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CriticalList":
+        if "carrels" not in d:
+            raise ValueError("critical list JSON lacks the key 'carrels'")
         carrels = tuple(tuple((x, y) for x, y in c) for c in d["carrels"])
+        # n and the divider set are read off the carrel ends, so an empty
+        # carrel is refused here, before the constructor could see it
+        if not carrels or not all(carrels):
+            raise ValueError("every carrel must carry at least one critical pair")
         n = carrels[-1][-1][0]
         elements = tuple(c[-1][0] for c in carrels[:-1])
         return cls(RSubset(n, elements), carrels)
@@ -289,19 +306,14 @@ def critical_list(t: RTuple) -> CriticalList:
     e = t.entries
     carrels = []
     for lo, hi in t.r_subset.carrels:
-        pairs = [(hi, e[hi - 1])]
-        x = hi
-        while True:
-            nxt = next(
-                (c for c in range(x - 1, lo, -1) if e[x - 1] - e[c - 1] > x - c),
-                None,
-            )
-            if nxt is None:
-                break
-            pairs.append((nxt, e[nxt - 1]))
-            x = nxt
+        x, ex = hi, e[hi - 1]
+        pairs = [(x, ex)]
+        for c in range(hi - 1, lo, -1):
+            if ex - e[c - 1] > x - c:
+                x, ex = c, e[c - 1]
+                pairs.append((x, ex))
         carrels.append(tuple(reversed(pairs)))
-    return CriticalList(t.r_subset, tuple(carrels))
+    return _unchecked(CriticalList, r_subset=t.r_subset, carrels=tuple(carrels))
 
 
 def core(t: RTuple) -> RTuple:
@@ -358,15 +370,17 @@ def from_critical_list(c: CriticalList, kind: str) -> RTuple:
                 for i in range(prev + 1, x):
                     entries[i - 1] = y - (x - i)
             prev = x
-    return RTuple(c.r_subset, tuple(entries))
+    return _unchecked(RTuple, r_subset=c.r_subset, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
 # family predicates built on critical lists
 
 
-def _critical_indices(t: RTuple) -> set[int]:
-    return {x for x, _ in critical_list(t).pairs}
+def _is_shell_over(t: RTuple, c: CriticalList) -> bool:
+    """Every entry of ``t`` off the critical indices of ``c`` equals n."""
+    crit = {x for x, _ in c.pairs}
+    return all(e == t.n for i, e in enumerate(t.entries, start=1) if i not in crit)
 
 
 def is_gapless_core(t: RTuple) -> bool:
@@ -406,14 +420,14 @@ def is_gapless_staircase(t: RTuple) -> bool:
 
 def is_shell(t: RTuple) -> bool:
     """Upper with every non-critical entry equal to n."""
-    if not is_upper(t):
-        return False
-    crit = _critical_indices(t)
-    return all(e == t.n for i, e in enumerate(t.entries, start=1) if i not in crit)
+    return is_upper(t) and _is_shell_over(t, critical_list(t))
 
 
 def is_canopy(t: RTuple) -> bool:
-    return is_shell(t) and critical_list(t).is_flag
+    if not is_upper(t):
+        return False
+    c = critical_list(t)
+    return c.is_flag and _is_shell_over(t, c)
 
 
 def is_floor_flag(t: RTuple) -> bool:
@@ -469,8 +483,7 @@ def classify(t: RTuple) -> ClassificationReport:
         )
     c = critical_list(t)
     gapless = increasing and c.is_flag
-    crit = {x for x, _ in c.pairs}
-    shell = all(e == t.n for i, e in enumerate(t.entries, start=1) if i not in crit)
+    shell = _is_shell_over(t, c)
     return ClassificationReport(
         upper=True,
         flag=flag,
@@ -564,20 +577,9 @@ def _iter_entries_increasing(
             yield from rec(acc)
             acc.pop()
 
+    if any(b <= a for i, (a, b) in enumerate(zip(prefix, prefix[1:]), 1) if i not in starts):
+        return
     yield from rec(list(prefix))
-
-
-_FAMILY_PREDICATES = {
-    "upper": is_upper,
-    "flag": is_upper_flag,
-    "increasing": lambda t: is_upper(t) and is_r_increasing(t),
-    "gapless": is_gapless,
-    "gapless-core": is_gapless_core,
-    "floor": is_floor_flag,
-    "ceiling": is_ceiling_flag,
-    "shell": is_shell,
-    "canopy": is_canopy,
-}
 
 
 def enumerate_tuples(
@@ -589,7 +591,9 @@ def enumerate_tuples(
     """All members of a family, each once, in lexicographic entry order.
 
     ``prefix`` restricts to tuples whose first entries equal it, which lets
-    callers shard an enumeration by lexicographic prefix.
+    callers shard an enumeration by lexicographic prefix.  Each base walk
+    yields only upper tuples of its own kind that extend the prefix, so the
+    tuples are built unchecked and the family predicate alone decides.
 
     >>> sum(1 for _ in enumerate_tuples(4, (1, 2, 3), "gapless"))
     14
@@ -598,7 +602,7 @@ def enumerate_tuples(
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     r = RSubset(n, tuple(r_elements))
     pre = tuple(prefix)
-    if len(pre) > n or any(pre[i] < i + 1 for i in range(len(pre))):
+    if len(pre) > n or any(not i <= v <= n for i, v in enumerate(pre, 1)):
         return
 
     if family in ("increasing", "gapless"):
@@ -615,13 +619,8 @@ def enumerate_tuples(
             "shell": is_shell,
             "canopy": is_canopy,
         }[family]
-    if pre:
-        # a sharding prefix may itself break the family condition, so fall back
-        # to the full membership predicate
-        pred = _FAMILY_PREDICATES[family]
-
     for entries in base:
-        t = RTuple(r, entries)
+        t = _unchecked(RTuple, r_subset=r, entries=entries)
         if pred is None or pred(t):
             yield t
 

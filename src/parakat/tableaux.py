@@ -16,11 +16,12 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
 from .rperms import RChain, RPermutation, to_chain
-from .rtuples import RSubset, RTuple, core, is_r_increasing, is_upper
+from .rtuples import RSubset, RTuple, _unchecked, core, is_r_increasing, is_upper
 
 DEFAULT_CAP = 10_000_000
 
@@ -59,13 +60,13 @@ class Shape:
         padded = tuple(parts) + (0,) * (n - len(parts))
         return cls(n, padded)
 
-    @property
+    @cached_property
     def column_lengths(self) -> tuple[int, ...]:
         return tuple(
             sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
         )
 
-    @property
+    @cached_property
     def r_subset(self) -> RSubset:
         """Distinct non-trivial column lengths, as a divider set."""
         lengths = sorted({z for z in self.column_lengths if z < self.n})
@@ -136,6 +137,9 @@ class Tableau:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Tableau":
+        for key in ("n", "lambda", "columns"):
+            if key not in d:
+                raise ValueError(f"tableau JSON lacks the key {key!r}")
         shape = Shape.of(d["n"], tuple(d["lambda"]))
         return cls(shape, tuple(tuple(c) for c in d["columns"]))
 
@@ -155,7 +159,7 @@ def tableau_meet(t: Tableau, u: Tableau) -> Tableau:
     cols = tuple(
         tuple(min(a, b) for a, b in zip(tc, uc)) for tc, uc in zip(t.columns, u.columns)
     )
-    return Tableau(t.shape, cols)
+    return _unchecked(Tableau, shape=t.shape, columns=cols)
 
 
 def tableau_join(t: Tableau, u: Tableau) -> Tableau:
@@ -164,14 +168,13 @@ def tableau_join(t: Tableau, u: Tableau) -> Tableau:
     cols = tuple(
         tuple(max(a, b) for a, b in zip(tc, uc)) for tc, uc in zip(t.columns, u.columns)
     )
-    return Tableau(t.shape, cols)
+    return _unchecked(Tableau, shape=t.shape, columns=cols)
 
 
 def minimal_tableau(shape: Shape) -> Tableau:
     """Every value equals its row index."""
-    return Tableau(
-        shape, tuple(tuple(range(1, z + 1)) for z in shape.column_lengths)
-    )
+    cols = tuple(tuple(range(1, z + 1)) for z in shape.column_lengths)
+    return _unchecked(Tableau, shape=shape, columns=cols)
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,12 @@ def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     zeta = shape.column_lengths
     n = shape.n
     if not zeta:
-        yield Tableau(shape, ())
+        yield _unchecked(Tableau, shape=shape, columns=())
         return
 
     def rec(cols: list[tuple[int, ...]], j: int) -> Iterator[Tableau]:
         if j == len(zeta):
-            yield Tableau(shape, tuple(cols))
+            yield _unchecked(Tableau, shape=shape, columns=tuple(cols))
             return
         prev = cols[j - 1] if j else None
         for col in itertools.combinations(range(1, n + 1), zeta[j]):
@@ -262,7 +265,7 @@ def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
 
     def rec(cols: list[list[int]], j: int, i: int) -> Iterator[Tableau]:
         if j == ncols:
-            yield Tableau(lo.shape, tuple(tuple(c) for c in cols))
+            yield _unchecked(Tableau, shape=lo.shape, columns=tuple(tuple(c) for c in cols))
             return
         if i == zeta[j]:
             yield from rec(cols, j + 1, 0)
@@ -329,7 +332,7 @@ def key_of_chain(chain: RChain, shape: Shape) -> Tableau:
         copies = parts[qs[h] - 1] - parts[qs[h + 1] - 1]
         col = tuple(sorted(chain.level(h)))
         cols.extend([col] * copies)
-    return Tableau(shape, tuple(cols))
+    return _unchecked(Tableau, shape=shape, columns=tuple(cols))
 
 
 def key_of_perm(p: RPermutation, shape: Shape) -> Tableau:
@@ -352,7 +355,7 @@ def row_end_list(t: Tableau) -> RTuple:
         t.columns[parts[i - 1] - 1][i - 1] if parts[i - 1] else i
         for i in range(1, t.n + 1)
     )
-    return RTuple(t.shape.r_subset, entries)
+    return _unchecked(RTuple, r_subset=t.shape.r_subset, entries=entries)
 
 
 def content(t: Tableau) -> tuple[int, ...]:
@@ -393,7 +396,7 @@ def row_end_max(a: RTuple, shape: Shape) -> Tableau:
                 if i < z:
                     v = min(v, cols[j - 1][i] - 1)
                 cols[j - 1][i - 1] = v
-    return Tableau(shape, tuple(tuple(c) for c in cols))
+    return _unchecked(Tableau, shape=shape, columns=tuple(tuple(c) for c in cols))
 
 
 def z_set(a: RTuple, shape: Shape, cap: int | None = None) -> TableauSet:
@@ -459,7 +462,7 @@ def scanning(t: Tableau) -> Tableau:
                 avail[k] = a - 1
             col_out[i] = v
         out.append(tuple(col_out))
-    return Tableau(t.shape, tuple(out))
+    return _unchecked(Tableau, shape=t.shape, columns=tuple(out))
 
 
 def in_demazure_set(t: Tableau, y: Tableau) -> bool:

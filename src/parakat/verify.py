@@ -48,7 +48,6 @@ from .tableaux import (
     content,
     count_tableaux,
     demazure_set,
-    ideal,
     is_convex,
     is_key,
     key_of_perm,
@@ -315,7 +314,7 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
             dset = demazure_set(p, shape)
             avoiding = is_r312_avoiding(p)
             convex = is_convex(dset)
-            is_ideal = dset == ideal(y)
+            is_ideal = convex and dset.join_of_all() == y
             run.check(
                 convex == avoiding == is_ideal,
                 {

@@ -229,3 +229,25 @@ def test_empty_suite_range_is_usage_error(capsys):
     # a zero polynomial range stays valid: it only skips the polynomial counts
     code, out = run_cli(capsys, "verify", "counts", "--max-n", "2", "--poly-max-n", "0", "--csv")
     assert code == 0 and out.startswith("counts,pass,")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["set", "ideal", "--n", "3", "--lambda", "1,1", "--tab",
+          '{"lambda": [1, 1, 0], "columns": [[2, 3]]}'], "tableau JSON lacks the key 'n'"),
+        (["tab", "scan", "--n", "3", "--lambda", "1,1", "--tab",
+          '{"n": 3, "lambda": [1, 1, 0]}'], "tableau JSON lacks the key 'columns'"),
+        (["tab", "scan", "--n", "3", "--lambda", "1,1", "--tab", "[1, 2]"],
+         "tableau JSON lacks the key 'n'"),
+        (["make", "--kind", "increasing", "--critlist", "{}"],
+         "critical list JSON lacks the key 'carrels'"),
+        (["make", "--kind", "increasing", "--critlist", '{"carrels": [[[1, 2]], []]}'],
+         "every carrel must carry at least one critical pair"),
+    ],
+)
+def test_incomplete_json_names_what_is_missing(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == f"parakat: error: {message}\n"

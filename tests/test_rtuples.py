@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from parakat.errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
 from parakat.rtuples import (
+    CONSTRUCTION_KINDS,
+    FAMILIES,
     CriticalList,
     RSubset,
     RTuple,
@@ -185,11 +188,20 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 
 def test_prefix_sharding_partitions_enumeration():
-    full = [t.entries for t in enumerate_tuples(4, (2,), "gapless")]
-    sharded = []
-    for first in range(1, 5):
-        sharded += [t.entries for t in enumerate_tuples(4, (2,), "gapless", prefix=(first,))]
-    assert sharded == full
+    # a prefix shard is the filter of the whole enumeration by that prefix,
+    # also for prefixes that break the family or leave [i, n]
+    for n in range(1, 5):
+        for r in all_r_subsets(n):
+            for family in FAMILIES:
+                full = [t.entries for t in enumerate_tuples(n, r, family)]
+                for k in range(3):
+                    sharded = []
+                    for pre in itertools.product(range(n + 2), repeat=k):
+                        shard = [t.entries for t in enumerate_tuples(n, r, family, prefix=pre)]
+                        assert shard == [e for e in full if e[:k] == pre]
+                        sharded += shard
+                    if k <= n:
+                        assert sharded == full
 
 
 def test_critical_list_enumeration_counts():
@@ -263,6 +275,33 @@ def test_construction_round_trips():
                             "ceiling": "ceiling_flag",
                         }[kind]
                     ]
+
+
+def test_trusted_tuples_pass_the_public_checks(rebuilt):
+    # the enumeration, critical_list and from_critical_list build unchecked
+    for n in range(1, 6):
+        for r in all_r_subsets(n):
+            for family in FAMILIES:
+                for t in enumerate_tuples(n, r, family):
+                    assert rebuilt(t) == t
+            for t in enumerate_tuples(n, r, "upper"):
+                c = critical_list(t)
+                assert rebuilt(c) == c
+                kinds = CONSTRUCTION_KINDS if c.is_flag else ("increasing", "shell")
+                for u in (core(t), *(from_critical_list(c, kind) for kind in kinds)):
+                    assert rebuilt(u) == u
+
+
+def test_cached_carrel_data_is_invisible():
+    fresh, filled = RSubset(9, (3, 8)), RSubset(9, (3, 8))
+    assert filled.qs == (0, 3, 8, 9)
+    assert filled.carrels == ((0, 3), (3, 8), (8, 9))
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == "RSubset(n=9, elements=(3, 8))"
+    assert filled.to_json_dict() == fresh.to_json_dict()
+    assert dataclasses.replace(filled) == fresh
+    moved = dataclasses.replace(filled, elements=(4,))
+    assert moved == RSubset(9, (4,)) and moved.carrels == ((0, 4), (4, 9))
 
 
 def test_floor_ceiling_bound_flags():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -41,6 +42,7 @@ from parakat.tableaux import (
     tableau_join,
     tableau_meet,
     z_set,
+    _between,
 )
 
 SMALL_SHAPES = [
@@ -346,8 +348,40 @@ def test_meet_join_are_semistandard():
     sh = Shape.of(4, (3, 2, 1))
     ts = tableaux_of(sh)
     for t, u in itertools.islice(itertools.combinations(ts, 2), 300):
-        tableau_meet(t, u)
-        tableau_join(t, u)
+        for m in (tableau_meet(t, u), tableau_join(t, u)):
+            assert Tableau(m.shape, m.columns) == m
+
+
+def test_trusted_tableaux_pass_the_public_checks(rebuilt):
+    # every builder below constructs its tableaux unchecked
+    for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
+        r = sh.r_subset.elements
+        ts = tableaux_of(sh)
+        lo, top = minimal_tableau(sh), functools.reduce(tableau_join, ts)
+        built = [lo, top, *ts, *_between(lo, top)]
+        built += [scanning(t) for t in ts]
+        built += [tableau_meet(t, u) for t, u in zip(ts, ts[::-1])]
+        built += [key_of_perm(p, sh) for p in enumerate_rperms(sh.n, r)]
+        built += [row_end_max(a, sh) for a in enumerate_tuples(sh.n, r, "increasing")]
+        built += [row_bound_max(b, sh) for b in enumerate_tuples(sh.n, r, "upper")]
+        for t in built:
+            assert rebuilt(t) == t
+        for t in ts:
+            ends = row_end_list(t)
+            assert rebuilt(ends) == ends
+
+
+def test_cached_shape_data_is_invisible():
+    fresh, filled = Shape.of(4, (3, 1)), Shape.of(4, (3, 1))
+    assert filled.column_lengths == (2, 1, 1) and filled.r_subset.elements == (1, 2)
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh) == "Shape(n=4, parts=(3, 1, 0, 0))"
+    t = Tableau(filled, ((1, 2), (2,), (3,)))
+    assert t.to_json_dict() == Tableau(fresh, t.columns).to_json_dict()
+    assert dataclasses.replace(filled) == fresh
+    moved = dataclasses.replace(filled, parts=(2, 2, 0, 0))
+    assert moved == Shape.of(4, (2, 2)) and moved.column_lengths == (2, 2)
+    assert moved.r_subset.elements == (2,)
 
 
 def test_ideals_are_convex():
