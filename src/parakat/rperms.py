@@ -6,8 +6,9 @@ these are the minimal-length coset representatives for the parabolic quotient
 of the symmetric group cut out by R.  The 312 pattern generalizes to carrels:
 a witness needs its first position in some carrel h, its second in carrel
 h + 1, and its third anywhere later.  The number of R-312-avoiding
-R-permutations is the parabolic Catalan number, computed here by direct
-filtering.
+R-permutations is the parabolic Catalan number; :func:`count_cnr` computes it
+carrel by carrel from the gapless tuples, and filtering the enumeration with
+``avoiding_only=True`` is kept as its oracle.
 """
 
 from __future__ import annotations
@@ -477,12 +478,38 @@ def enumerate_rperms(
 def count_cnr(n: int, r_elements: Sequence[int]) -> int:
     """The parabolic Catalan number: |R-312-avoiding R-permutations|.
 
+    Counts the gapless R-tuples instead, which :func:`pi_map` puts in
+    bijection with the avoiding permutations, position by position with the
+    boundary rule of ``rtuples.is_gapless_staircase``: entries are upper and
+    strictly increasing within a carrel, and where the entry drops from a to
+    b at a boundary the next carrel opens with the run b, b + 1, ..., a.  The
+    only state carried across a boundary is the number of prefixes ending in
+    each value, so the count takes O(n^2) steps;
+    ``enumerate_rperms(..., avoiding_only=True)`` stays as the oracle.
+
     >>> count_cnr(4, (1, 2, 3))
     14
     >>> count_cnr(4, ())
     1
     """
-    return sum(1 for _ in enumerate_rperms(n, r_elements, avoiding_only=True))
+    r = RSubset(n, tuple(r_elements))
+    # counts[v]: prefixes whose entry at the current position is v; the empty
+    # prefix ends at 0, below every entry
+    counts = [1] + [0] * n
+    for lo, hi in r.carrels:
+        last = counts
+        for p in range(lo + 1, hi + 1):
+            # nxt[v] = (prefixes ending below v) + last[v].  At p = lo + 1 the
+            # terms are the previous carrel's last entries a < v and a = v;
+            # later, last[v] counts the run b, ..., v that a drop from v at
+            # the boundary forces, which opened at b = v - (p - lo) + 1 > lo
+            below = sum(counts[:p])
+            nxt = [0] * (n + 1)
+            for v in range(p, n + 1):
+                nxt[v] = below + last[v]
+                below += counts[v]
+            counts = nxt
+    return sum(counts)
 
 
 def count_total(n: int) -> int:

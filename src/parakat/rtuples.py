@@ -108,6 +108,19 @@ def _carrel_text(entries: Sequence[int], qs: Sequence[int]) -> str:
     return "(" + ";".join(parts) + ")"
 
 
+def _is_int_array(value, depth: int) -> bool:
+    """An integer for ``depth`` 0, else an array of ``depth - 1`` such values.
+
+    Lets ``from_json_dict`` refuse a decoded JSON value of the wrong type with
+    a ValueError naming its key, before any arithmetic meets it.
+    """
+    if depth == 0:
+        return isinstance(value, int)
+    return isinstance(value, (list, tuple)) and all(
+        _is_int_array(v, depth - 1) for v in value
+    )
+
+
 def _unchecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` set and no checks run.
 
@@ -228,8 +241,15 @@ class CriticalList:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CriticalList":
-        if "carrels" not in d:
+        if not isinstance(d, dict) or "carrels" not in d:
             raise ValueError("critical list JSON lacks the key 'carrels'")
+        if not (
+            _is_int_array(d["carrels"], 3)
+            and all(len(pair) == 2 for c in d["carrels"] for pair in c)
+        ):
+            raise ValueError(
+                "critical list JSON key 'carrels' must hold arrays of [x, y] integer pairs"
+            )
         carrels = tuple(tuple((x, y) for x, y in c) for c in d["carrels"])
         # n and the divider set are read off the carrel ends, so an empty
         # carrel is refused here, before the constructor could see it

@@ -21,7 +21,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
 from .rperms import RChain, RPermutation, to_chain
-from .rtuples import RSubset, RTuple, _unchecked, core, is_r_increasing, is_upper
+from .rtuples import (
+    RSubset,
+    RTuple,
+    _is_int_array,
+    _unchecked,
+    core,
+    is_r_increasing,
+    is_upper,
+)
 
 DEFAULT_CAP = 10_000_000
 
@@ -137,9 +145,17 @@ class Tableau:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Tableau":
-        for key in ("n", "lambda", "columns"):
-            if key not in d:
+        expected = (
+            ("n", 0, "an integer"),
+            ("lambda", 1, "an array of integers"),
+            ("columns", 2, "an array of arrays of integers"),
+        )
+        for key, _, _ in expected:
+            if not isinstance(d, dict) or key not in d:
                 raise ValueError(f"tableau JSON lacks the key {key!r}")
+        for key, depth, what in expected:
+            if not _is_int_array(d[key], depth):
+                raise ValueError(f"tableau JSON key {key!r} must hold {what}")
         shape = Shape.of(d["n"], tuple(d["lambda"]))
         return cls(shape, tuple(tuple(c) for c in d["columns"]))
 

@@ -20,7 +20,7 @@ from .polys import compose_alpha, demazure_poly_dd, gen_fn
 from .rperms import (
     RPermutation,
     RSubset,
-    count_cnr,
+    count_total,
     enumerate_rperms,
     inversions,
     is_312_avoiding,
@@ -228,15 +228,16 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
 
     Tuple-level families run to max_n; the polynomial-level counts (distinct
     Demazure and flag Schur polynomials, coincident pairs) are far costlier
-    and run to poly_max_n on the canonical shape of each carrel set.
+    and run to poly_max_n on the canonical shape of each carrel set.  Every
+    family is compared with the avoidance filter's count for its R, and each
+    n's total over all R with the transfer-matrix :func:`count_total`.
     """
     _check_suite_n(max_n)
     run = _Run("counts", max_n=max_n, poly_max_n=poly_max_n)
     for n in range(1, max_n + 1):
         total_by_filter = 0
-        total_by_gapless = 0
         for r_elements in subsets_of_interval(n):
-            cnr = count_cnr(n, r_elements)
+            cnr = sum(1 for _ in enumerate_rperms(n, r_elements, avoiding_only=True))
             total_by_filter += cnr
             base = {"n": n, "R": list(r_elements), "cnr": cnr}
             counts = {
@@ -254,7 +255,6 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                     enumerate_tuples(n, r_elements, "flag")
                 ),
             }
-            total_by_gapless += counts["gapless"]
             for family, value in counts.items():
                 run.check(value == cnr, {**base, "family": family, "count": value})
             if r_elements == tuple(range(1, n)):
@@ -292,13 +292,14 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                     coincident == cnr,
                     {**base, "family": "coincident_pairs", "count": coincident},
                 )
+        total_by_transfer = count_total(n)
         run.check(
-            total_by_filter == total_by_gapless,
+            total_by_filter == total_by_transfer,
             {
                 "n": n,
                 "family": "total_two_routes",
                 "by_avoidance_filter": total_by_filter,
-                "by_gapless_enumeration": total_by_gapless,
+                "by_transfer_matrix": total_by_transfer,
             },
         )
     return run.report()

@@ -1,8 +1,18 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from parakat.cli import main
+from parakat.rtuples import CONSTRUCTION_KINDS, enumerate_critical_lists
+from parakat.tableaux import Shape, enumerate_tableaux
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +254,19 @@ def test_empty_suite_range_is_usage_error(capsys):
          "critical list JSON lacks the key 'carrels'"),
         (["make", "--kind", "increasing", "--critlist", '{"carrels": [[[1, 2]], []]}'],
          "every carrel must carry at least one critical pair"),
+        (["set", "ideal", "--n", "3", "--lambda", "1,1", "--tab",
+          '{"n":3,"lambda":5,"columns":[]}'], "tableau JSON key 'lambda' must hold an array of integers"),
+        (["tab", "scan", "--n", "3", "--tab", '{"n":"3","lambda":[1],"columns":[[1]]}'],
+         "tableau JSON key 'n' must hold an integer"),
+        (["tab", "scan", "--n", "3", "--tab", '{"n":3,"lambda":[1],"columns":[1]}'],
+         "tableau JSON key 'columns' must hold an array of arrays of integers"),
+        (["tab", "scan", "--n", "3", "--tab", "5"], "tableau JSON lacks the key 'n'"),
+        (["make", "--kind", "increasing", "--critlist", '{"carrels":[[1,2]]}'],
+         "critical list JSON key 'carrels' must hold arrays of [x, y] integer pairs"),
+        (["make", "--kind", "increasing", "--critlist", '{"carrels":[[[1,2,3]]]}'],
+         "critical list JSON key 'carrels' must hold arrays of [x, y] integer pairs"),
+        (["make", "--kind", "increasing", "--critlist", "null"],
+         "critical list JSON lacks the key 'carrels'"),
     ],
 )
 def test_incomplete_json_names_what_is_missing(capsys, argv, message):
@@ -251,3 +274,92 @@ def test_incomplete_json_names_what_is_missing(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 64 and captured.out == ""
     assert captured.err == f"parakat: error: {message}\n"
+
+
+# Integers stay small: a large n or part makes the shape allocate in
+# proportion to it, which this test is not about.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "lambda", "columns", "carrels", "x"]), inner, max_size=3),
+    max_leaves=10,
+)
+_SMALL = st.integers(-1, 4)
+_VALID_TABS = [
+    t.to_json_dict()
+    for parts in [(1,), (2, 1), (2, 2, 1)]
+    for t in enumerate_tableaux(Shape.of(3, parts))
+]
+_VALID_CRITLISTS = [
+    c.to_json_dict()
+    for n in range(1, 4)
+    for r in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n), k) for k in range(n)
+    )
+    for c in enumerate_critical_lists(n, r)
+]
+_TAB_JSON = st.one_of(
+    _JSON,
+    st.sampled_from(_VALID_TABS),
+    st.fixed_dictionaries({"n": _JSON, "lambda": _JSON, "columns": _JSON}),
+    st.fixed_dictionaries({
+        "n": _SMALL,
+        "lambda": st.lists(_SMALL, max_size=3),
+        "columns": st.lists(st.lists(_SMALL, max_size=3), max_size=3),
+    }),
+)
+_CRITLIST_JSON = st.one_of(
+    _JSON,
+    st.sampled_from(_VALID_CRITLISTS),
+    st.fixed_dictionaries({"carrels": _JSON}),
+    st.fixed_dictionaries(
+        {"carrels": st.lists(st.lists(st.lists(_SMALL, max_size=3), max_size=3), max_size=3)}
+    ),
+)
+
+
+def _json_text(values):
+    """JSON text of a drawn value, whole or cut short."""
+    return st.tuples(values, st.integers(0, 40), st.booleans()).map(
+        lambda t: json.dumps(t[0]) if t[2] else json.dumps(t[0])[: t[1]]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    argv=st.one_of(
+        _json_text(_TAB_JSON).map(lambda s: ["tab", "scan", "--n", "3", "--tab=" + s]),
+        _json_text(_TAB_JSON).map(
+            lambda s: ["set", "ideal", "--n", "3", "--lambda", "1,1", "--tab=" + s]
+        ),
+        st.tuples(st.sampled_from(CONSTRUCTION_KINDS), _json_text(_CRITLIST_JSON)).map(
+            lambda t: ["make", "--kind", t[0], "--critlist=" + t[1]]
+        ),
+    ),
+    fmt=st.sampled_from(["--text", "--json"]),
+)
+def test_json_arguments_never_escape_the_exit_codes(argv, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + [fmt])
+    assert code in (0, 64, 65), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def test_count_total_json_reaches_n9(capsys):
+    code, out = run_cli(capsys, "count", "total", "--n", "9", "--json")
+    assert code == 0 and out == '{"count": 275808}\n'
+
+
+def test_catalan_table_script_totals():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    )}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "catalan_table.py"), "--max-n", "9"],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "  total over all R: 275808"
+    assert proc.stderr == ""

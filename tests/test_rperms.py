@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from parakat.rperms import (
     to_chain,
 )
 from parakat.rtuples import RTuple, enumerate_tuples
+from parakat.verify import catalan
 
 
 def all_r_subsets(n):
@@ -206,11 +208,21 @@ def test_projection_of_avoiding_is_avoiding():
 
 def test_catalan_sequence():
     assert [count_cnr(n, tuple(range(1, n))) for n in range(1, 6)] == [1, 2, 5, 14, 42]
+    for n in range(1, 17):
+        assert count_cnr(n, tuple(range(1, n))) == catalan(n), n
 
 
 def test_trivial_case_counts_one():
-    for n in range(1, 7):
+    for n in range(1, 15):
         assert count_cnr(n, ()) == 1
+
+
+def test_one_divider_counts_the_first_carrel():
+    # every R-permutation avoids (a witness spans three carrels) and is fixed
+    # by the content of its first carrel
+    for n in range(2, 15):
+        for k in range(1, n):
+            assert count_cnr(n, (k,)) == math.comb(n, k), (n, k)
 
 
 def test_count_cnr_frozen_value_n4():
@@ -230,9 +242,28 @@ def test_count_total_two_routes():
         assert count_total(n) == by_gapless
 
 
-def test_enumerate_rperms_lex_and_sizes():
-    import math
+def test_count_cnr_matches_the_avoidance_filter():
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            by_filter = sum(1 for _ in enumerate_rperms(n, r, avoiding_only=True))
+            assert count_cnr(n, r) == by_filter, (n, r)
 
+
+def test_count_total_known_values():
+    assert count_total(9) == 275_808
+    assert count_total(12) == 58_510_912
+
+
+def test_count_cnr_validates_r_like_the_constructor():
+    for n, r in [(0, ()), (4, (0,)), (4, (4,)), (4, (2, 2)), (4, (3, 1))]:
+        with pytest.raises(ValueError) as expected:
+            RSubset(n, r)
+        with pytest.raises(ValueError) as got:
+            count_cnr(n, r)
+        assert str(got.value) == str(expected.value)
+
+
+def test_enumerate_rperms_lex_and_sizes():
     for n in range(1, 6):
         for r in all_r_subsets(n):
             perms = [p.entries for p in enumerate_rperms(n, r)]

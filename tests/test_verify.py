@@ -127,3 +127,13 @@ def test_dimension_tables():
     sizes = {row["pi"]: row["size"] for row in tables["demazure"]}
     assert sizes["(3;1;2)"] == 5
     assert max(row["size"] for row in tables["row_bound"]) == 8
+
+
+def test_counts_total_route_catches_a_wrong_transfer_count(monkeypatch):
+    from parakat import rperms, verify
+
+    monkeypatch.setattr(verify, "count_total", lambda n: rperms.count_total(n) + (n == 3))
+    report = suite_counts(3, poly_max_n=0)
+    assert report.counterexamples == (
+        {"n": 3, "family": "total_two_routes", "by_avoidance_filter": 12, "by_transfer_matrix": 13},
+    )
