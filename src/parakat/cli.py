@@ -66,7 +66,6 @@ DOMAIN_EXIT = 65
 class RunManifest:
     command_line: tuple[str, ...]
     config: tuple[tuple[str, object], ...]
-    deterministic: bool
     version: str
     output_sha256: str
 
@@ -74,7 +73,6 @@ class RunManifest:
         return {
             "command_line": list(self.command_line),
             "config": dict(self.config),
-            "deterministic": self.deterministic,
             "version": self.version,
             "output_sha256": self.output_sha256,
         }
@@ -478,7 +476,6 @@ def main(argv: list[str] | None = None) -> int:
             manifest = RunManifest(
                 command_line=tuple(argv),
                 config=tuple(sorted(config.items())),
-                deterministic=True,
                 version=__version__,
                 output_sha256=hashlib.sha256(output.encode()).hexdigest(),
             )

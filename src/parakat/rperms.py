@@ -14,11 +14,17 @@ carrel by carrel from the gapless tuples, and filtering the enumeration with
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import NotAvoiding, NotGapless
-from .rtuples import RSubset, RTuple, core, is_gapless, rank_from_largest
+from .rtuples import RSubset, RTuple, _unchecked, core, is_gapless, rank_from_largest
+
+
+def _require_permutation(entries: Sequence[int], n: int) -> None:
+    if sorted(entries) != list(range(1, n + 1)):
+        raise ValueError(f"entries are not a permutation of [{n}]: {tuple(entries)}")
 
 
 @dataclass(frozen=True)
@@ -30,9 +36,7 @@ class RPermutation:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        n = self.r_subset.n
-        if sorted(self.entries) != list(range(1, n + 1)):
-            raise ValueError(f"entries are not a permutation of [{n}]: {self.entries}")
+        _require_permutation(self.entries, self.r_subset.n)
         for lo, hi in self.r_subset.carrels:
             seg = self.entries[lo:hi]
             if any(a >= b for a, b in zip(seg, seg[1:])):
@@ -209,7 +213,9 @@ def r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
     entries: list[int] = []
     for lo, hi in r_subset.carrels:
         entries.extend(sorted(sigma[lo:hi]))
-    return RPermutation(r_subset, tuple(entries))
+    # sorting makes every carrel increase; only the permutation check is left
+    _require_permutation(entries, r_subset.n)
+    return _unchecked(RPermutation, r_subset=r_subset, entries=tuple(entries))
 
 
 def is_r312_avoiding(p: RPermutation) -> bool:
@@ -243,7 +249,7 @@ def from_chain(chain: RChain) -> RPermutation:
     entries: list[int] = []
     for h in range(1, chain.r_subset.r + 2):
         entries.extend(sorted(chain.level(h) - chain.level(h - 1)))
-    return RPermutation(chain.r_subset, tuple(entries))
+    return _unchecked(RPermutation, r_subset=chain.r_subset, entries=tuple(entries))
 
 
 def is_rightmost_clump_deleting(chain: RChain) -> bool:
@@ -339,7 +345,7 @@ def pi_map(g: RTuple) -> RPermutation:
         pool = sorted(v for v in range(1, e[q - 1] + 1) if v not in used)
         entries.extend(pool[len(pool) - s :])
         entries.extend(e[q + s : q_next])
-    return RPermutation(g.r_subset, tuple(entries))
+    return _unchecked(RPermutation, r_subset=g.r_subset, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +476,7 @@ def enumerate_rperms(
             yield from rec(left, acc + combo, h + 1)
 
     for entries in rec(tuple(range(1, n + 1)), (), 0):
-        p = RPermutation(r, entries)
+        p = _unchecked(RPermutation, r_subset=r, entries=entries)
         if not avoiding_only or is_r312_avoiding(p):
             yield p
 
@@ -484,7 +490,8 @@ def count_cnr(n: int, r_elements: Sequence[int]) -> int:
     strictly increasing within a carrel, and where the entry drops from a to
     b at a boundary the next carrel opens with the run b, b + 1, ..., a.  The
     only state carried across a boundary is the number of prefixes ending in
-    each value, so the count takes O(n^2) steps;
+    each value, so the count takes O(n^2) steps.  The first carrel is filled
+    in closed form, so the empty R takes O(n);
     ``enumerate_rperms(..., avoiding_only=True)`` stays as the oracle.
 
     >>> count_cnr(4, (1, 2, 3))
@@ -493,10 +500,14 @@ def count_cnr(n: int, r_elements: Sequence[int]) -> int:
     1
     """
     r = RSubset(n, tuple(r_elements))
-    # counts[v]: prefixes whose entry at the current position is v; the empty
-    # prefix ends at 0, below every entry
-    counts = [1] + [0] * n
-    for lo, hi in r.carrels:
+    # counts[v]: prefixes whose entry at the current position is v.  The first
+    # carrel is any q_1-subset of [n], sorted, as that is always upper, so
+    # comb(v - 1, q_1 - 1) of them end at v
+    q1 = r.qs[1]
+    counts = [0] * (n + 1)
+    for v in range(q1, n + 1):
+        counts[v] = math.comb(v - 1, q1 - 1)
+    for lo, hi in r.carrels[1:]:
         last = counts
         for p in range(lo + 1, hi + 1):
             # nxt[v] = (prefixes ending below v) + last[v].  At p = lo + 1 the

@@ -226,9 +226,12 @@ class CriticalList:
 
     @property
     def is_flag(self) -> bool:
-        """True when the critical entries are weakly increasing left to right."""
-        ys = [y for _, y in self.pairs]
-        return all(a <= b for a, b in zip(ys, ys[1:]))
+        """True when the critical entries are weakly increasing left to right.
+
+        The gap condition makes them strictly rise inside each carrel, so only
+        each carrel's last entry and the next carrel's first are compared.
+        """
+        return all(a[-1][1] <= b[0][1] for a, b in zip(self.carrels, self.carrels[1:]))
 
     def __str__(self) -> str:
         carrel_strs = (
@@ -312,6 +315,24 @@ def _require_upper(t: RTuple) -> None:
         raise NotUpper(f"tuple is not upper: {t}")
 
 
+def _critical_pairs(seg: Sequence[int], lo: int) -> tuple[tuple[int, int], ...]:
+    """Critical pairs of one carrel, whose entries ``seg`` sit at lo + 1, lo + 2, ...
+
+    Found right to left: the last position is critical, and from a critical
+    index x the next critical index to its left is the largest x' with
+    ``entry(x) - entry(x') > x - x'``.  So the critical entries strictly rise.
+    """
+    k = len(seg) - 1
+    top = seg[k]
+    pairs = [(lo + k + 1, top)]
+    for j in range(k - 1, -1, -1):
+        if top - seg[j] > k - j:
+            k, top = j, seg[j]
+            pairs.append((lo + j + 1, top))
+    pairs.reverse()
+    return tuple(pairs)
+
+
 def critical_list(t: RTuple) -> CriticalList:
     """Critical pairs of an upper tuple, found right-to-left in each carrel.
 
@@ -324,16 +345,8 @@ def critical_list(t: RTuple) -> CriticalList:
     """
     _require_upper(t)
     e = t.entries
-    carrels = []
-    for lo, hi in t.r_subset.carrels:
-        x, ex = hi, e[hi - 1]
-        pairs = [(x, ex)]
-        for c in range(hi - 1, lo, -1):
-            if ex - e[c - 1] > x - c:
-                x, ex = c, e[c - 1]
-                pairs.append((x, ex))
-        carrels.append(tuple(reversed(pairs)))
-    return _unchecked(CriticalList, r_subset=t.r_subset, carrels=tuple(carrels))
+    carrels = tuple(_critical_pairs(e[lo:hi], lo) for lo, hi in t.r_subset.carrels)
+    return _unchecked(CriticalList, r_subset=t.r_subset, carrels=carrels)
 
 
 def core(t: RTuple) -> RTuple:
@@ -397,10 +410,16 @@ def from_critical_list(c: CriticalList, kind: str) -> RTuple:
 # family predicates built on critical lists
 
 
-def _is_shell_over(t: RTuple, c: CriticalList) -> bool:
-    """Every entry of ``t`` off the critical indices of ``c`` equals n."""
-    crit = {x for x, _ in c.pairs}
-    return all(e == t.n for i, e in enumerate(t.entries, start=1) if i not in crit)
+def _is_shell_over(
+    entries: Sequence[int], pairs: Sequence[tuple[int, int]], n: int, lo: int = 0
+) -> bool:
+    """Every entry off the critical indices of ``pairs`` equals n.
+
+    ``entries`` sit at positions lo + 1, lo + 2, ...: a whole tuple, or one
+    carrel of it.
+    """
+    crit = {x for x, _ in pairs}
+    return all(e == n for i, e in enumerate(entries, lo + 1) if i not in crit)
 
 
 def is_gapless_core(t: RTuple) -> bool:
@@ -440,14 +459,14 @@ def is_gapless_staircase(t: RTuple) -> bool:
 
 def is_shell(t: RTuple) -> bool:
     """Upper with every non-critical entry equal to n."""
-    return is_upper(t) and _is_shell_over(t, critical_list(t))
+    return is_upper(t) and _is_shell_over(t.entries, critical_list(t).pairs, t.n)
 
 
 def is_canopy(t: RTuple) -> bool:
     if not is_upper(t):
         return False
     c = critical_list(t)
-    return c.is_flag and _is_shell_over(t, c)
+    return c.is_flag and _is_shell_over(t.entries, c.pairs, t.n)
 
 
 def is_floor_flag(t: RTuple) -> bool:
@@ -503,7 +522,7 @@ def classify(t: RTuple) -> ClassificationReport:
         )
     c = critical_list(t)
     gapless = increasing and c.is_flag
-    shell = _is_shell_over(t, c)
+    shell = _is_shell_over(t.entries, c.pairs, t.n)
     return ClassificationReport(
         upper=True,
         flag=flag,
@@ -556,50 +575,54 @@ def ceiling_map(g: RTuple) -> RTuple:
 # enumeration
 
 
-def _iter_entries_upper(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    ranges = [range(i, n + 1) for i in range(len(prefix) + 1, n + 1)]
-    for rest in itertools.product(*ranges):
-        yield prefix + rest
+# family: (segment kind, boundary rule, shell, per-tuple predicate).  A
+# segment is the entries of one carrel, each at least its position, of any
+# order ("upper"), weakly increasing ("weak") or strictly increasing
+# ("strict").  The boundary rule keeps a segment only if its first entry
+# ("first") or its first critical entry ("critical") is at least the previous
+# carrel's last entry: that makes the tuple weakly increasing, or its critical
+# list a flag, as critical entries strictly rise inside a carrel.  A shell
+# family keeps only segments whose non-critical entries are all n.
+_WALKS = {
+    "upper": ("upper", None, False, None),
+    "flag": ("weak", "first", False, None),
+    "increasing": ("strict", None, False, None),
+    "gapless": ("strict", "critical", False, None),
+    "gapless-core": ("upper", "critical", False, None),
+    "floor": ("weak", "first", False, is_floor_flag),
+    "ceiling": ("weak", "first", False, is_ceiling_flag),
+    "shell": ("upper", None, True, None),
+    "canopy": ("upper", "critical", True, None),
+}
 
 
-def _iter_entries_upper_flag(n: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    def rec(acc: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(acc)
-        if i == n:
-            yield tuple(acc)
-            return
-        lo = max(i + 1, acc[-1] if acc else 1)
-        for v in range(lo, n + 1):
-            acc.append(v)
-            yield from rec(acc)
-            acc.pop()
-
-    if any(b < a for a, b in zip(prefix, prefix[1:])):
-        return
-    yield from rec(list(prefix))
-
-
-def _iter_entries_increasing(
-    n: int, r: RSubset, prefix: tuple[int, ...]
+def _carrel_entries(
+    n: int, lo: int, hi: int, kind: str, head: tuple[int, ...]
 ) -> Iterator[tuple[int, ...]]:
-    starts = {lo for lo, _ in r.carrels}
+    """The segments of a kind on carrel (lo, hi] that begin with ``head``.
+
+    They come in lexicographic order.  ``head`` is the part of the prefix
+    inside the carrel; each of its entries already lies between its position
+    and n.
+    """
+    if kind == "upper":
+        ranges = (range(i, n + 1) for i in range(lo + len(head) + 1, hi + 1))
+        return (head + tail for tail in itertools.product(*ranges))
+    step = 0 if kind == "weak" else 1
+    if any(b < a + step for a, b in zip(head, head[1:])):
+        return iter(())
 
     def rec(acc: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(acc)
-        if i == n:
+        i = lo + len(acc) + 1
+        if i > hi:
             yield tuple(acc)
             return
-        lo = i + 1
-        if i not in starts and acc:
-            lo = max(lo, acc[-1] + 1)
-        for v in range(lo, n + 1):
+        for v in range(max(i, acc[-1] + step) if acc else i, n + 1):
             acc.append(v)
             yield from rec(acc)
             acc.pop()
 
-    if any(b <= a for i, (a, b) in enumerate(zip(prefix, prefix[1:]), 1) if i not in starts):
-        return
-    yield from rec(list(prefix))
+    return rec(list(head))
 
 
 def enumerate_tuples(
@@ -611,9 +634,12 @@ def enumerate_tuples(
     """All members of a family, each once, in lexicographic entry order.
 
     ``prefix`` restricts to tuples whose first entries equal it, which lets
-    callers shard an enumeration by lexicographic prefix.  Each base walk
-    yields only upper tuples of its own kind that extend the prefix, so the
-    tuples are built unchecked and the family predicate alone decides.
+    callers shard an enumeration by lexicographic prefix.  The walk goes
+    carrel by carrel (see ``_WALKS``): the first carrel's segments stream,
+    each later carrel's segments that extend the prefix are listed once, and
+    a later segment follows a tuple's start only where the family's boundary
+    rule admits it.  Every tuple built is an upper tuple, so it is built
+    unchecked; the floor and ceiling families then test each one.
 
     >>> sum(1 for _ in enumerate_tuples(4, (1, 2, 3), "gapless"))
     14
@@ -624,22 +650,43 @@ def enumerate_tuples(
     pre = tuple(prefix)
     if len(pre) > n or any(not i <= v <= n for i, v in enumerate(pre, 1)):
         return
+    kind, rule, shell, pred = _WALKS[family]
 
-    if family in ("increasing", "gapless"):
-        base = _iter_entries_increasing(n, r, pre)
-        pred = None if family == "increasing" else (lambda t: critical_list(t).is_flag)
-    elif family in ("flag", "floor", "ceiling"):
-        base = _iter_entries_upper_flag(n, pre)
-        pred = {"flag": None, "floor": is_floor_flag, "ceiling": is_ceiling_flag}[family]
-    else:
-        base = _iter_entries_upper(n, pre)
-        pred = {
-            "upper": None,
-            "gapless-core": lambda t: critical_list(t).is_flag,
-            "shell": is_shell,
-            "canopy": is_canopy,
-        }[family]
-    for entries in base:
+    def segments(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        segs = _carrel_entries(n, lo, hi, kind, pre[lo:hi])
+        if shell:
+            return (s for s in segs if _is_shell_over(s, _critical_pairs(s, lo), n, lo))
+        return segs
+
+    def boundary_key(seg: tuple[int, ...], lo: int) -> int:
+        # without a rule every key is 0 and extend asks for keys >= 0, so one
+        # list of a carrel's segments serves every start
+        if rule is None:
+            return 0
+        return seg[0] if rule == "first" else _critical_pairs(seg, lo)[0][1]
+
+    # an upper tuple meets no condition tied to its carrels, so the upper
+    # family walks [n] as one carrel
+    first, *rest = ((0, n),) if family == "upper" else r.carrels
+    later = [[(s, boundary_key(s, lo)) for s in segments(lo, hi)] for lo, hi in rest]
+    admissible: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in later]
+
+    def extend(h: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        a = acc[-1] if rule else 0
+        segs = admissible[h].get(a)
+        if segs is None:
+            segs = admissible[h][a] = [s for s, key in later[h] if key >= a]
+        if h == len(later) - 1:
+            for seg in segs:
+                yield acc + seg
+        else:
+            for seg in segs:
+                yield from extend(h + 1, acc + seg)
+
+    walk = segments(*first)
+    if later:
+        walk = itertools.chain.from_iterable(extend(0, s) for s in walk)
+    for entries in walk:
         t = _unchecked(RTuple, r_subset=r, entries=entries)
         if pred is None or pred(t):
             yield t

@@ -215,6 +215,8 @@ def test_catalan_sequence():
 def test_trivial_case_counts_one():
     for n in range(1, 15):
         assert count_cnr(n, ()) == 1
+    # the first carrel is filled in closed form, so a lone carrel costs O(n)
+    assert count_cnr(3000, ()) == 1
 
 
 def test_one_divider_counts_the_first_carrel():
@@ -223,6 +225,7 @@ def test_one_divider_counts_the_first_carrel():
     for n in range(2, 15):
         for k in range(1, n):
             assert count_cnr(n, (k,)) == math.comb(n, k), (n, k)
+    assert count_cnr(3000, (2999,)) == 3000
 
 
 def test_count_cnr_frozen_value_n4():
@@ -275,6 +278,22 @@ def test_enumerate_rperms_lex_and_sizes():
             assert len(perms) == expected
 
 
+def test_trusted_rperms_pass_the_public_checks(rebuilt):
+    # the enumeration, r_projection, pi_map and from_chain build unchecked
+    for n in range(1, 6):
+        for r in all_r_subsets(n):
+            rs = RSubset(n, r)
+            for p in enumerate_rperms(n, r):
+                assert rebuilt(p) == p
+                assert rebuilt(from_chain(to_chain(p))) == p
+            for w in itertools.permutations(range(1, n + 1)):
+                q = r_projection(w, rs)
+                assert rebuilt(q) == q
+            for g in enumerate_tuples(n, r, "gapless"):
+                q = pi_map(g)
+                assert rebuilt(q) == q
+
+
 # ---------------------------------------------------------------------------
 # helpers
 
@@ -300,6 +319,10 @@ def test_validation():
         RPermutation.of(3, (), (1, 1, 2))
     with pytest.raises(ValueError):
         RPermutation.of(3, (1,), (2, 3, 1))  # second carrel (3, 1) not increasing
+    # r_projection takes a word from outside and checks it as the constructor does
+    for word in [(1, 1, 2), (1, 2), (2, 3, 4)]:
+        with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
+            r_projection(word, RSubset(3, (1,)))
 
 
 @st.composite

@@ -21,10 +21,16 @@ from parakat.rtuples import (
     equivalent,
     floor_map,
     from_critical_list,
+    is_canopy,
+    is_ceiling_flag,
+    is_floor_flag,
     is_gapless,
+    is_gapless_core,
     is_gapless_staircase,
     is_r_increasing,
+    is_shell,
     is_upper,
+    is_upper_flag,
 )
 
 T38 = lambda entries: RTuple.of(9, (3, 8), entries)
@@ -204,6 +210,36 @@ def test_prefix_sharding_partitions_enumeration():
                         assert sharded == full
 
 
+FAMILY_PREDICATES = {
+    "upper": is_upper,
+    "flag": is_upper_flag,
+    "increasing": is_r_increasing,
+    "gapless": is_gapless,
+    "gapless-core": is_gapless_core,
+    "floor": is_floor_flag,
+    "ceiling": is_ceiling_flag,
+    "shell": is_shell,
+    "canopy": is_canopy,
+}
+
+
+def test_carrel_walk_matches_the_brute_filter():
+    # the public predicates over every upper tuple, in lexicographic order
+    assert set(FAMILY_PREDICATES) == set(FAMILIES)
+    for n in range(1, 7):
+        families = FAMILIES if n <= 5 else ("gapless-core", "shell", "canopy")
+        for r in all_r_subsets(n):
+            uppers = [
+                RTuple.of(n, r, e)
+                for e in itertools.product(*(range(i, n + 1) for i in range(1, n + 1)))
+            ]
+            for family in families:
+                pred = FAMILY_PREDICATES[family]
+                assert list(enumerate_tuples(n, r, family)) == [
+                    t for t in uppers if pred(t)
+                ], (n, r, family)
+
+
 def test_critical_list_enumeration_counts():
     import math
 
@@ -253,6 +289,14 @@ def test_gapless_characterizations_agree_n6():
         for r in all_r_subsets(n):
             for t in enumerate_tuples(n, r, "increasing"):
                 assert is_gapless(t) == is_gapless_staircase(t)
+
+
+def test_is_flag_compares_all_critical_entries():
+    for n in range(1, 7):
+        for r in all_r_subsets(n):
+            for c in enumerate_critical_lists(n, r):
+                ys = [y for _, y in c.pairs]
+                assert c.is_flag == all(a <= b for a, b in zip(ys, ys[1:]))
 
 
 def test_construction_round_trips():
