@@ -12,10 +12,10 @@ exceeded, 64 usage error, 65 any other domain error (its name is echoed).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -348,6 +348,9 @@ def _cmd_verify(args) -> tuple[list[str], int]:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     jobs = [(name, _suite_kwargs(name, args)) for name in names]
     if args.jobs > 1 and len(jobs) > 1:
+        # imported here: it loads multiprocessing, which other commands never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_run_named_suite, jobs))
     else:
@@ -370,6 +373,7 @@ def _cmd_verify(args) -> tuple[list[str], int]:
 
 
 def build_parser() -> _Parser:
+    """A new parser for the whole command line; ``main`` reuses one."""
     parser = _Parser(prog="parakat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"parakat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -460,10 +464,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser ``main`` uses, built on its first call and kept.
+
+    Parsing leaves the parser as it was: each call gets a fresh namespace, and
+    every default is immutable.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         if args.cap is None and "cap" in config:

@@ -344,9 +344,23 @@ def critical_list(t: RTuple) -> CriticalList:
     '({(1,2),(3,5)};{(6,6),(8,9)};{(9,9)})'
     """
     _require_upper(t)
+    return _upper_critical_list(t)
+
+
+def _upper_critical_list(t: RTuple) -> CriticalList:
+    """:func:`critical_list` of a tuple already known to be upper."""
     e = t.entries
     carrels = tuple(_critical_pairs(e[lo:hi], lo) for lo, hi in t.r_subset.carrels)
     return _unchecked(CriticalList, r_subset=t.r_subset, carrels=carrels)
+
+
+def _gapless_critical_list(g: RTuple) -> CriticalList:
+    """The critical list of a gapless tuple, computed once; NotGapless otherwise."""
+    if is_upper(g) and is_r_increasing(g):
+        c = _upper_critical_list(g)
+        if c.is_flag:
+            return c
+    raise NotGapless(f"tuple is not gapless: {g}")
 
 
 def core(t: RTuple) -> RTuple:
@@ -424,12 +438,12 @@ def _is_shell_over(
 
 def is_gapless_core(t: RTuple) -> bool:
     """Upper with a flag critical list."""
-    return is_upper(t) and critical_list(t).is_flag
+    return is_upper(t) and _upper_critical_list(t).is_flag
 
 
 def is_gapless(t: RTuple) -> bool:
     """Increasing on each carrel, upper, with a flag critical list."""
-    return is_upper(t) and is_r_increasing(t) and critical_list(t).is_flag
+    return is_upper(t) and is_r_increasing(t) and _upper_critical_list(t).is_flag
 
 
 def is_gapless_staircase(t: RTuple) -> bool:
@@ -459,13 +473,13 @@ def is_gapless_staircase(t: RTuple) -> bool:
 
 def is_shell(t: RTuple) -> bool:
     """Upper with every non-critical entry equal to n."""
-    return is_upper(t) and _is_shell_over(t.entries, critical_list(t).pairs, t.n)
+    return is_upper(t) and _is_shell_over(t.entries, _upper_critical_list(t).pairs, t.n)
 
 
 def is_canopy(t: RTuple) -> bool:
     if not is_upper(t):
         return False
-    c = critical_list(t)
+    c = _upper_critical_list(t)
     return c.is_flag and _is_shell_over(t.entries, c.pairs, t.n)
 
 
@@ -492,7 +506,7 @@ def is_ceiling_flag(t: RTuple) -> bool:
         return False
     e = t.entries
     prev = 0
-    for x, y in critical_list(t).pairs:
+    for x, y in _upper_critical_list(t).pairs:
         if any(e[i - 1] != y for i in range(prev + 1, x + 1)):
             return False
         prev = x
@@ -520,7 +534,7 @@ def classify(t: RTuple) -> ClassificationReport:
             floor_flag=False,
             ceiling_flag=False,
         )
-    c = critical_list(t)
+    c = _upper_critical_list(t)
     gapless = increasing and c.is_flag
     shell = _is_shell_over(t.entries, c.pairs, t.n)
     return ClassificationReport(
@@ -559,16 +573,12 @@ def class_interval(t: RTuple) -> tuple[RTuple, RTuple]:
 
 def floor_map(g: RTuple) -> RTuple:
     """The floor flag sharing a critical list with a gapless tuple."""
-    if not is_gapless(g):
-        raise NotGapless(f"tuple is not gapless: {g}")
-    return from_critical_list(critical_list(g), "floor")
+    return from_critical_list(_gapless_critical_list(g), "floor")
 
 
 def ceiling_map(g: RTuple) -> RTuple:
     """The ceiling flag sharing a critical list with a gapless tuple."""
-    if not is_gapless(g):
-        raise NotGapless(f"tuple is not gapless: {g}")
-    return from_critical_list(critical_list(g), "ceiling")
+    return from_critical_list(_gapless_critical_list(g), "ceiling")
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
+import argparse
 import contextlib
 import io
 import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parakat.cli import main
+from parakat.cli import _shared_parser, build_parser, main
 from parakat.rtuples import CONSTRUCTION_KINDS, enumerate_critical_lists
 from parakat.tableaux import Shape, enumerate_tableaux
+from parakat.verify import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -350,15 +354,213 @@ def test_count_total_json_reaches_n9(capsys):
     assert code == 0 and out == '{"count": 275808}\n'
 
 
-def test_catalan_table_script_totals():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     )}
+
+
+def test_catalan_table_script_totals():
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "catalan_table.py"), "--max-n", "9"],
-        capture_output=True, text=True, env=env, check=True, timeout=120,
+        [sys.executable, str(ROOT / "scripts" / "catalan_table.py"), "--max-n", "9"],
+        capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
     )
     lines = proc.stdout.splitlines()
     assert lines[-1] == "  total over all R: 275808"
     assert proc.stderr == ""
+
+
+def _captured(call, *args):
+    """(result or SystemExit code, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(*args)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _parsed(parser, argv):
+    result, out, err = _captured(parser.parse_args, argv)
+    return (vars(result) if isinstance(result, argparse.Namespace) else result), out, err
+
+
+_PARSE_CORPUS = [
+    ["classify", "--n", "9", "--R", "3,8", "--tuple", "2,4,6,4,5,6,7,9,9", "--json"],
+    ["critlist", "--n", "3", "--R", "2", "--tuple", "3,3,3", "--csv"],
+    ["core", "--n", "3", "--tuple", "3,3,3", "--cap", "4", "--config", "missing.conf"],
+    ["core", "--n", "3", "--tuple", "3,3,3"],
+    ["make", "--kind", "floor", "--critlist", "{}", "--manifest", "make.json"],
+    ["map", "psi", "--n", "4", "--perm", "2,4,1,3", "--text"],
+    ["map", "pi", "--n", "4", "--R", "2", "--tuple", "2,4,3,4"],
+    ["perm", "lifts", "--n", "4", "--R", "2", "--perm", "2,4,1,3", "--json"],
+    ["tab", "scan", "--n", "3", "--lambda", "2,1",
+     "--tab", json.dumps({"lambda": [2, 1, 0], "n": 3, "columns": [[1, 3], [2]]})],
+    ["set", "demazure", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2", "--stream"],
+    ["set", "demazure", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2"],
+    ["set", "z", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3", "--cap", "0", "--csv"],
+    ["poly", "compare", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3", "--perm", "2,3,1"],
+    ["count", "cnr", "--n", "4", "--R", "1,2,3", "--manifest", "count.json"],
+    ["count", "total", "--n", "4"],
+    ["verify", "counts", "--max-n", "2", "--poly-max-n", "0", "--jobs", "2"],
+    ["verify", "all", "--max-n", "2", "--all-shapes", "--max-col", "2", "--budget", "5", "--json"],
+    ["verify", "convexity", "--max-n", "2"],
+    # usage errors (exit 64) and --version between the valid calls
+    ["core", "--n", "9"],
+    ["set", "demazure", "--json", "--csv", "--n", "3"],
+    ["count", "bogus", "--n", "3"],
+    ["verify", "all", "--max-n", "x"],
+    [],
+    ["--version"],
+]
+
+
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the corpus's config and manifest paths
+    parser = _shared_parser()
+    assert parser is _shared_parser() and build_parser() is not build_parser()
+    seen = []
+    parse = parser.parse_args
+
+    def spy(*args, **kwargs):
+        namespace = parse(*args, **kwargs)
+        seen.append(dict(vars(namespace)))
+        return namespace
+
+    monkeypatch.setattr(parser, "parse_args", spy)
+    rng = random.Random(20171)
+    for _ in range(3):
+        for argv in rng.sample(_PARSE_CORPUS, len(_PARSE_CORPUS)):
+            seen.clear()
+            code, out, err = _captured(main, argv)
+            fresh = _parsed(build_parser(), argv)
+            if seen:  # main parsed, then ran the command
+                assert seen == [fresh[0]], argv
+                assert code in (0, 3, 64), argv
+            else:  # the parser exited: usage error or --version
+                assert (code, out, err) == fresh, argv
+
+
+def test_import_builds_no_parser_and_loads_no_process_pool():
+    probe = (
+        "import sys, parakat.cli as cli; "
+        "print(cli._shared_parser.cache_info().currsize, 'concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_src_env(), check=True
+    )
+    assert proc.stdout == "0 False\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["set", "--help"], ["--version"], ["core", "--n", "9"]]
+)
+def test_main_matches_a_fresh_process(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    _captured(main, ["count", "cnr", "--n", "3"])  # the shared parser has served a call
+    code, out, err = _captured(main, argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "parakat", *argv],
+        capture_output=True, text=True, env={**_src_env(), "COLUMNS": "80"},
+    )
+    assert (code or 0, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+
+_COMMANDS = [
+    *([name] for name in ("classify", "critlist", "core", "make")),
+    *(["map", a] for a in ("psi", "pi", "floor", "ceiling")),
+    *(["perm", a] for a in ("project", "lift", "lifts", "avoiding")),
+    *(["tab", a] for a in ("key", "rowendmax", "rowboundmax", "scan")),
+    *(["set", a] for a in ("rowbound", "demazure", "ideal", "z")),
+    *(["poly", a] for a in ("rowboundsum", "demazure", "dd", "compare")),
+    *(["count", a] for a in ("cnr", "total", "ui")),
+]
+_ACCEPTS = {
+    **dict.fromkeys(("classify", "critlist", "core"), ("--n", "--R", "--tuple")),
+    "make": ("--kind", "--critlist"),
+    "map": ("--n", "--R", "--perm", "--tuple"),
+    "perm": ("--n", "--R", "--perm"),
+    **dict.fromkeys(("tab", "set"), ("--n", "--lambda", "--perm", "--tuple", "--tab")),
+    "poly": ("--n", "--lambda", "--perm", "--tuple"),
+    "count": ("--n", "--R"),
+}
+# Integers stay in -1..6: a huge n or part still allocates in proportion to
+# it before anything bounds it, which this test is not about.
+_INT = st.integers(-1, 6)
+_JUNK_INTS = st.one_of(
+    st.lists(_INT, max_size=7).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["a", "1,,2", " ", "1.5"]),
+)
+
+
+def _option_values(n):
+    """A strategy per option: a value near-valid for ``--n=n``, or junk."""
+    k = max(n, 1)
+
+    def ints(values):
+        near = values.map(lambda v: ",".join(map(str, v)))
+        return st.sampled_from([near, near, near, _JUNK_INTS]).flatmap(lambda s: s)
+
+    return {
+        "--n": st.sampled_from([str(n), "x"]),
+        "--R": ints(st.lists(st.integers(1, max(k - 1, 1)), max_size=k - 1, unique=True).map(sorted)),
+        "--tuple": ints(st.tuples(*(st.integers(i, k) for i in range(1, k + 1)))),
+        "--perm": ints(st.permutations(range(1, k + 1))),
+        "--lambda": ints(st.lists(st.integers(0, 3), max_size=k).map(lambda v: sorted(v, reverse=True))),
+        "--cap": _INT.map(str),
+        "--kind": st.sampled_from([*CONSTRUCTION_KINDS, "upper"]),
+        "--critlist": _json_text(_CRITLIST_JSON),
+        "--tab": _json_text(_TAB_JSON),
+    }
+
+
+def _options(strategies):
+    """Shuffled ``--flag=value`` arguments for ``strategies`` less a few."""
+    names = sorted(strategies)
+    kept = st.lists(st.sampled_from(names), max_size=3, unique=True).map(
+        lambda dropped: {k: strategies[k] for k in names if k not in dropped}
+    )
+    return kept.flatmap(st.fixed_dictionaries).flatmap(
+        lambda d: st.permutations([f"{k}={v}" for k, v in d.items()])
+    )
+
+
+def _command_argv(command):
+    def options(n):
+        values = _option_values(n)
+        return _options({o: values[o] for o in (*_ACCEPTS[command[0]], "--cap")})
+
+    return _INT.flatmap(options).map(lambda args: command + args)
+
+
+# verify runs whole suites, so its ranges stay at n <= 3 and col <= 3
+_VERIFY_ARGV = st.tuples(
+    st.sampled_from([["verify", s] for s in (*SUITE_NAMES, "all")]),
+    st.integers(-1, 3).map(lambda n: [f"--max-n={n}"]),
+    _options(
+        {
+            "--poly-max-n": st.integers(-1, 3).map(str),
+            "--max-col": st.integers(-1, 3).map(str),
+            "--budget": _INT.map(str),
+            "--cap": _INT.map(str),
+            "--all-shapes": st.just(None),
+        }
+    ).map(lambda args: [a.removesuffix("=None") for a in args]),
+).map(lambda t: t[0] + t[1] + t[2])
+_FORMATS = st.sampled_from([[], ["--text"], ["--json"], ["--csv"], ["--stream"], ["--json", "--csv"]])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.sampled_from(_COMMANDS).flatmap(_command_argv) | _VERIFY_ARGV, fmt=_FORMATS)
+def test_every_command_keeps_its_exit_codes(argv, fmt):
+    # a small default cap keeps the drawn n = 6 shapes fast; exit 3 is allowed
+    with mock.patch.dict(os.environ, {"PARAKAT_CAP": "2000"}):
+        code, _, err = _captured(main, argv + fmt)
+    assert code in (0, 2, 3, 64, 65), (argv + fmt, code, err)
+    assert "Traceback" not in err

@@ -377,6 +377,24 @@ def test_not_gapless_errors():
         ceiling_map(t)
 
 
+def test_gapless_maps_match_their_two_step_definition():
+    # floor_map and ceiling_map compute the critical list once; the definition
+    # tests gaplessness, then builds from a second critical list
+    for n in range(1, 6):
+        for r in all_r_subsets(n):
+            for entries in itertools.product(range(1, n + 1), repeat=n):
+                t = RTuple.of(n, r, entries)
+                gapless = is_upper(t) and is_r_increasing(t) and critical_list(t).is_flag
+                assert is_gapless(t) == gapless
+                for kind, fmap in (("floor", floor_map), ("ceiling", ceiling_map)):
+                    if gapless:
+                        assert fmap(t) == from_critical_list(critical_list(t), kind)
+                    else:
+                        with pytest.raises(NotGapless) as exc:
+                            fmap(t)
+                        assert str(exc.value) == f"tuple is not gapless: {t}"
+
+
 def test_validation_rejects_bad_inputs():
     with pytest.raises(ValueError):
         RSubset(4, (3, 1))
