@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .errors import BudgetExceeded, CapExceeded, ParakatError
@@ -34,6 +34,7 @@ from .rperms import (
     rank_tuple,
 )
 from .rtuples import (
+    CONSTRUCTION_KINDS,
     CriticalList,
     RTuple,
     ceiling_map,
@@ -56,26 +57,10 @@ from .tableaux import (
     scanning,
     z_set,
 )
-from .verify import SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, SUITES, run_suite
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 65
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command_line: tuple[str, ...]
-    config: tuple[tuple[str, object], ...]
-    version: str
-    output_sha256: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command_line": list(self.command_line),
-            "config": dict(self.config),
-            "version": self.version,
-            "output_sha256": self.output_sha256,
-        }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,23 +305,9 @@ def _cmd_count(args) -> tuple[list[str], int]:
 
 
 def _suite_kwargs(name: str, args) -> dict:
-    """Per-suite keyword arguments; None flags defer to the suite's default."""
-    kwargs: dict = {}
-    if name in ("bijections", "lifts"):
-        kwargs["max_n"] = args.max_n
-    elif name == "counts":
-        kwargs["max_n"] = args.max_n
-        kwargs["poly_max_n"] = args.poly_max_n
-    elif name in ("convexity", "coincidence", "polynomials"):
-        kwargs.update(max_n=args.max_n, max_col=args.max_col, all_shapes=args.all_shapes)
-    elif name == "accidental":
-        kwargs.update(
-            max_n=args.max_n,
-            max_col=args.max_col,
-            budget=args.budget,
-            all_shapes=args.all_shapes,
-        )
-    return {k: v for k, v in kwargs.items() if v is not None}
+    """The flags the suite's signature names; None flags defer to its default."""
+    params = inspect.signature(SUITES[name]).parameters
+    return {k: getattr(args, k) for k in params if getattr(args, k) is not None}
 
 
 def _run_named_suite(item: tuple[str, dict]):
@@ -345,6 +316,11 @@ def _run_named_suite(item: tuple[str, dict]):
 
 
 def _cmd_verify(args) -> tuple[list[str], int]:
+    if args.cap is not None:
+        # no suite takes a cap, so a flag or config cap would go unheeded
+        raise ValueError(
+            "verify reads its cap only from PARAKAT_CAP, not from --cap or a config file"
+        )
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     jobs = [(name, _suite_kwargs(name, args)) for name in names]
     if args.jobs > 1 and len(jobs) > 1:
@@ -400,8 +376,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("make")
     common(p, need_n=False, need_r=False)
-    p.add_argument("--kind", required=True,
-                   choices=["increasing", "shell", "gapless", "canopy", "floor", "ceiling"])
+    p.add_argument("--kind", required=True, choices=CONSTRUCTION_KINDS)
     p.add_argument("--critlist", required=True, help="critical list as JSON")
     p.set_defaults(handler=_cmd_make)
 
@@ -486,14 +461,14 @@ def main(argv: list[str] | None = None) -> int:
         lines, code = args.handler(args)
         output = "\n".join(lines)
         if args.manifest:
-            manifest = RunManifest(
-                command_line=tuple(argv),
-                config=tuple(sorted(config.items())),
-                version=__version__,
-                output_sha256=hashlib.sha256(output.encode()).hexdigest(),
-            )
+            manifest = {
+                "command_line": argv,
+                "config": config,
+                "version": __version__,
+                "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
+            }
             with open(args.manifest, "w") as fh:
-                json.dump(manifest.to_json_dict(), fh, indent=2, sort_keys=True)
+                json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
     except (CapExceeded, BudgetExceeded) as exc:
         print(f"{exc.name}: {exc}", file=sys.stderr)

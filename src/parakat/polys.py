@@ -152,7 +152,6 @@ class GFHandle:
 
     poly: Polynomial
     shape: Shape
-    label: str
     tableau_set: TableauSet
 
     def __str__(self) -> str:
@@ -170,18 +169,18 @@ def weight(t: Tableau) -> Polynomial:
     return Polynomial.monomial(t.n, content(t))
 
 
-def gen_fn(ts: TableauSet, label: str = "set") -> GFHandle:
+def gen_fn(ts: TableauSet) -> GFHandle:
     """Sum of tableau weights over an explicit set."""
     acc: dict[tuple[int, ...], int] = {}
     for t in ts:
         exp = content(t)
         acc[exp] = acc.get(exp, 0) + 1
-    return GFHandle(Polynomial(ts.shape.n, acc), ts.shape, label, ts)
+    return GFHandle(Polynomial(ts.shape.n, acc), ts.shape, ts)
 
 
 def row_bound_sum(b: RTuple, shape: Shape, cap: int | None = None) -> GFHandle:
     """Generating polynomial of the tableaux with row ends bounded by ``b``."""
-    return gen_fn(row_bound_set(b, shape, cap), label=f"s{shape}({b})")
+    return gen_fn(row_bound_set(b, shape, cap))
 
 
 def flag_schur_poly(phi: RTuple, shape: Shape, cap: int | None = None) -> GFHandle:
@@ -200,7 +199,7 @@ def gapless_core_schur_poly(eta: RTuple, shape: Shape, cap: int | None = None) -
 
 def demazure_poly(p: RPermutation, shape: Shape, cap: int | None = None) -> GFHandle:
     """Generating polynomial of the scanning-defined Demazure tableau set."""
-    return gen_fn(demazure_set(p, shape, cap), label=f"d{shape}({p})")
+    return gen_fn(demazure_set(p, shape, cap))
 
 
 def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:

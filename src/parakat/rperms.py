@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import NotAvoiding, NotGapless
-from .rtuples import RSubset, RTuple, _unchecked, core, is_gapless, rank_from_largest
+from .rtuples import RSubset, RTuple, _check_size, _unchecked, core, is_gapless
 
 
 def _require_permutation(entries: Sequence[int], n: int) -> None:
@@ -242,7 +242,7 @@ def to_chain(p: RPermutation) -> RChain:
     for (lo, hi), q in zip(p.r_subset.carrels, p.r_subset.elements):
         acc.update(p.entries[lo:hi])
         sets.append(frozenset(acc))
-    return RChain(p.r_subset, tuple(sets))
+    return _unchecked(RChain, r_subset=p.r_subset, sets=tuple(sets))
 
 
 def from_chain(chain: RChain) -> RPermutation:
@@ -313,14 +313,11 @@ def rank_tuple(p: RPermutation) -> RTuple:
     >>> str(rank_tuple(RPermutation.of(9, (3, 8), (2, 4, 6, 1, 5, 7, 8, 9, 3))))
     '(2,4,6;5,6,7,8,9;9)'
     """
-    chain = to_chain(p)
-    entries = [0] * p.n
-    qs = p.r_subset.qs
-    for h in range(1, p.r_subset.r + 2):
-        bh = chain.level(h)
-        for i in range(qs[h - 1] + 1, qs[h] + 1):
-            entries[i - 1] = rank_from_largest(bh, qs[h] - i + 1)
-    return RTuple(p.r_subset, tuple(entries))
+    entries: list[int] = []
+    for lo, hi in p.r_subset.carrels:
+        # the (hi - i + 1)-th largest of the first hi entries is the i-th smallest
+        entries.extend(sorted(p.entries[:hi])[lo:hi])
+    return _unchecked(RTuple, r_subset=p.r_subset, entries=tuple(entries))
 
 
 def pi_map(g: RTuple) -> RPermutation:
@@ -449,29 +446,17 @@ def all_lifts(p: RPermutation) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_rperms(
-    n: int,
-    r_elements: Sequence[int],
-    avoiding_only: bool = False,
-    first_carrel: Sequence[int] = (),
+    n: int, r_elements: Sequence[int], avoiding_only: bool = False
 ) -> Iterator[RPermutation]:
-    """All R-permutations in lexicographic one-line order.
-
-    ``first_carrel`` pins the content of the first carrel, so a sweep can be
-    sharded across its possible values.
-    """
+    """All R-permutations in lexicographic one-line order."""
     r = RSubset(n, tuple(r_elements))
     sizes = r.block_sizes
-    pin = tuple(sorted(first_carrel))
-    if pin and len(pin) != sizes[0]:
-        return
 
     def rec(remaining: tuple[int, ...], acc: tuple[int, ...], h: int) -> Iterator[tuple[int, ...]]:
         if h == len(sizes):
             yield acc
             return
         for combo in itertools.combinations(remaining, sizes[h]):
-            if h == 0 and pin and combo != pin:
-                continue
             left = tuple(v for v in remaining if v not in combo)
             yield from rec(left, acc + combo, h + 1)
 
@@ -492,13 +477,15 @@ def count_cnr(n: int, r_elements: Sequence[int]) -> int:
     only state carried across a boundary is the number of prefixes ending in
     each value, so the count takes O(n^2) steps.  The first carrel is filled
     in closed form, so the empty R takes O(n);
-    ``enumerate_rperms(..., avoiding_only=True)`` stays as the oracle.
+    ``enumerate_rperms(..., avoiding_only=True)`` stays as the oracle.  An n
+    above ``MAX_SIZE`` is refused before the table is allocated.
 
     >>> count_cnr(4, (1, 2, 3))
     14
     >>> count_cnr(4, ())
     1
     """
+    _check_size("n", n)
     r = RSubset(n, tuple(r_elements))
     # counts[v]: prefixes whose entry at the current position is v.  The first
     # carrel is any q_1-subset of [n], sorted, as that is always upper, so

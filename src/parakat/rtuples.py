@@ -26,33 +26,16 @@ from typing import Iterator, Sequence
 
 from .errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
 
-FAMILIES = (
-    "upper",
-    "flag",
-    "increasing",
-    "gapless",
-    "gapless-core",
-    "floor",
-    "ceiling",
-    "shell",
-    "canopy",
-)
+# The largest n, and the largest part of a shape, that the library takes:
+# padding a shape, its column lengths and count_cnr's table grow with them
+# before any other check could refuse them, and count_cnr(4096, R) with
+# R = {1, ..., 4095} already takes about 5 s.
+MAX_SIZE = 4096
 
 CONSTRUCTION_KINDS = ("increasing", "shell", "gapless", "canopy", "floor", "ceiling")
 
 # Constructions that only make sense for flag critical lists.
 _FLAG_ONLY_KINDS = frozenset(("gapless", "canopy", "floor", "ceiling"))
-
-
-def rank_from_largest(values, d: int) -> int:
-    """The d-th largest element of a set of integers (d = 1 gives the max).
-
-    >>> rank_from_largest({1, 4, 7}, 1)
-    7
-    >>> rank_from_largest({1, 4, 7}, 3)
-    1
-    """
-    return sorted(values, reverse=True)[d - 1]
 
 
 @dataclass(frozen=True)
@@ -106,6 +89,11 @@ def _carrel_text(entries: Sequence[int], qs: Sequence[int]) -> str:
     for lo, hi in zip(qs, qs[1:]):
         parts.append(",".join(str(e) for e in entries[lo:hi]))
     return "(" + ";".join(parts) + ")"
+
+
+def _check_size(name: str, value: int) -> None:
+    if value > MAX_SIZE:
+        raise ValueError(f"{name}={value} exceeds the size bound of {MAX_SIZE}")
 
 
 def _is_int_array(value, depth: int) -> bool:
@@ -605,22 +593,14 @@ _WALKS = {
     "canopy": ("upper", "critical", True, None),
 }
 
+FAMILIES = tuple(_WALKS)
 
-def _carrel_entries(
-    n: int, lo: int, hi: int, kind: str, head: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """The segments of a kind on carrel (lo, hi] that begin with ``head``.
 
-    They come in lexicographic order.  ``head`` is the part of the prefix
-    inside the carrel; each of its entries already lies between its position
-    and n.
-    """
+def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, ...]]:
+    """The segments of a kind on carrel (lo, hi], in lexicographic order."""
     if kind == "upper":
-        ranges = (range(i, n + 1) for i in range(lo + len(head) + 1, hi + 1))
-        return (head + tail for tail in itertools.product(*ranges))
+        return itertools.product(*(range(i, n + 1) for i in range(lo + 1, hi + 1)))
     step = 0 if kind == "weak" else 1
-    if any(b < a + step for a, b in zip(head, head[1:])):
-        return iter(())
 
     def rec(acc: list[int]) -> Iterator[tuple[int, ...]]:
         i = lo + len(acc) + 1
@@ -632,22 +612,15 @@ def _carrel_entries(
             yield from rec(acc)
             acc.pop()
 
-    return rec(list(head))
+    return rec([])
 
 
-def enumerate_tuples(
-    n: int,
-    r_elements: Sequence[int],
-    family: str,
-    prefix: Sequence[int] = (),
-) -> Iterator[RTuple]:
+def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:
     """All members of a family, each once, in lexicographic entry order.
 
-    ``prefix`` restricts to tuples whose first entries equal it, which lets
-    callers shard an enumeration by lexicographic prefix.  The walk goes
-    carrel by carrel (see ``_WALKS``): the first carrel's segments stream,
-    each later carrel's segments that extend the prefix are listed once, and
-    a later segment follows a tuple's start only where the family's boundary
+    The walk goes carrel by carrel (see ``_WALKS``): the first carrel's
+    segments stream, each later carrel's segments are listed once, and a
+    later segment follows a tuple's start only where the family's boundary
     rule admits it.  Every tuple built is an upper tuple, so it is built
     unchecked; the floor and ceiling families then test each one.
 
@@ -657,13 +630,10 @@ def enumerate_tuples(
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     r = RSubset(n, tuple(r_elements))
-    pre = tuple(prefix)
-    if len(pre) > n or any(not i <= v <= n for i, v in enumerate(pre, 1)):
-        return
     kind, rule, shell, pred = _WALKS[family]
 
     def segments(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        segs = _carrel_entries(n, lo, hi, kind, pre[lo:hi])
+        segs = _carrel_entries(n, lo, hi, kind)
         if shell:
             return (s for s in segs if _is_shell_over(s, _critical_pairs(s, lo), n, lo))
         return segs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -24,6 +24,7 @@ from .rperms import RChain, RPermutation, to_chain
 from .rtuples import (
     RSubset,
     RTuple,
+    _check_size,
     _is_int_array,
     _unchecked,
     core,
@@ -56,15 +57,19 @@ class Shape:
         object.__setattr__(self, "parts", tuple(self.parts))
         if self.n < 1:
             raise ValueError("n must be positive")
+        _check_size("n", self.n)
         if len(self.parts) != self.n:
             raise ValueError(f"expected {self.n} parts (pad with zeros), got {self.parts}")
         if any(p < 0 for p in self.parts):
             raise ValueError(f"parts must be nonnegative: {self.parts}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError(f"parts must weakly decrease: {self.parts}")
+        # column_lengths builds one entry per column of the first row
+        _check_size("parts[0]", self.parts[0])
 
     @classmethod
     def of(cls, n: int, parts: Sequence[int]) -> "Shape":
+        _check_size("n", n)  # before the padding allocates n entries
         padded = tuple(parts) + (0,) * (n - len(parts))
         return cls(n, padded)
 
@@ -199,7 +204,6 @@ class TableauSet:
 
     shape: Shape
     tableaux: tuple[Tableau, ...]
-    _index: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for t in self.tableaux:
@@ -207,7 +211,10 @@ class TableauSet:
                 raise ShapeMismatch("all members must share the set's shape")
         ordered = tuple(sorted(set(self.tableaux), key=lambda t: t.columns))
         object.__setattr__(self, "tableaux", ordered)
-        object.__setattr__(self, "_index", frozenset(ordered))
+
+    @cached_property
+    def _index(self) -> frozenset:
+        return frozenset(self.tableaux)
 
     def __contains__(self, t: Tableau) -> bool:
         return t in self._index
@@ -308,14 +315,18 @@ def _below(top: Tableau) -> Iterator[Tableau]:
 def materialize(
     shape: Shape, source: Iterable[Tableau], cap: int | None = None
 ) -> TableauSet:
-    """Collect tableaux into an explicit set of at most ``cap`` members."""
+    """Collect tableaux into an explicit set of at most ``cap`` members.
+
+    ``source`` yields distinct tableaux of ``shape`` in canonical order, as
+    the walks below a maximum do, so the set is built unchecked.
+    """
     limit = materialization_cap() if cap is None else cap
     out = []
     for t in source:
         out.append(t)
         if len(out) > limit:
             raise CapExceeded(f"materialization exceeds cap of {limit} tableaux")
-    return TableauSet(shape, tuple(out))
+    return _unchecked(TableauSet, shape=shape, tableaux=tuple(out))
 
 
 # ---------------------------------------------------------------------------

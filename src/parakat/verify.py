@@ -59,17 +59,6 @@ from .tableaux import (
 MAX_SUITE_N = 8
 DEFAULT_BUDGET = 1_000_000
 
-SUITE_NAMES = (
-    "tables",
-    "bijections",
-    "counts",
-    "convexity",
-    "coincidence",
-    "polynomials",
-    "lifts",
-    "accidental",
-)
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -143,11 +132,15 @@ class _Run:
         )
 
 
-def _check_suite_n(max_n: int) -> None:
+def _check_ranges(max_n: int, **bounds: int) -> None:
+    """Refuse an empty n range, one past the cap, and a negative bound."""
     if max_n < 1:
         raise ValueError(f"suite range n={max_n} is empty; it must be at least 1")
     if max_n > MAX_SUITE_N:
         raise CapExceeded(f"suite range n={max_n} exceeds the cap of {MAX_SUITE_N}")
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def subsets_of_interval(n: int):
@@ -196,7 +189,7 @@ def catalan(n: int) -> int:
 
 def suite_bijections(max_n: int = 6) -> SuiteReport:
     """Rank tuple vs its inverse, and core vs floor/ceiling, are mutual inverses."""
-    _check_suite_n(max_n)
+    _check_ranges(max_n)
     run = _Run("bijections", max_n=max_n)
     for n in range(1, max_n + 1):
         for r_elements in subsets_of_interval(n):
@@ -232,7 +225,7 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
     family is compared with the avoidance filter's count for its R, and each
     n's total over all R with the transfer-matrix :func:`count_total`.
     """
-    _check_suite_n(max_n)
+    _check_ranges(max_n, poly_max_n=poly_max_n)
     run = _Run("counts", max_n=max_n, poly_max_n=poly_max_n)
     for n in range(1, max_n + 1):
         total_by_filter = 0
@@ -307,7 +300,7 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
 
 def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) -> SuiteReport:
     """Demazure sets are convex exactly for avoiding indexes, exactly as ideals."""
-    _check_suite_n(max_n)
+    _check_ranges(max_n, max_col=max_col)
     run = _Run("convexity", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         for p in enumerate_rperms(shape.n, shape.r_subset.elements):
@@ -337,7 +330,7 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     index is the image of the core, the maxima agree, and no other index
     matches; otherwise no index matches at all.
     """
-    _check_suite_n(max_n)
+    _check_ranges(max_n, max_col=max_col)
     run = _Run("coincidence", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         r_elements = shape.r_subset.elements
@@ -376,7 +369,7 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) -> SuiteReport:
     """Polynomial-level laws: oracle agreement, set-level coincidences,
     injectivity of the two indexings, and content shape-detection."""
-    _check_suite_n(max_n)
+    _check_ranges(max_n, max_col=max_col)
     run = _Run("polynomials", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     s_poly_owner: dict = {}
     d_poly_owner: dict = {}
@@ -384,7 +377,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         r_elements = shape.r_subset.elements
         shape_key = (shape.n, shape.parts)
         perms = list(enumerate_rperms(shape.n, r_elements))
-        d_handles = {p: gen_fn(demazure_set(p, shape), label=f"d({p})") for p in perms}
+        d_handles = {p: gen_fn(demazure_set(p, shape)) for p in perms}
         base = {"shape": list(shape.parts), "n": shape.n}
 
         for p in perms:
@@ -405,7 +398,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
         cores = list(enumerate_tuples(shape.n, r_elements, "increasing"))
         s_handles = {
-            delta.entries: gen_fn(row_bound_set(delta, shape), label=f"s({delta})")
+            delta.entries: gen_fn(row_bound_set(delta, shape))
             for delta in cores
         }
         for b in enumerate_tuples(shape.n, r_elements, "upper"):
@@ -486,7 +479,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
 def suite_lifts(max_n: int = 5) -> SuiteReport:
     """Minimal and general 312-avoiding lifts of avoiding carrel permutations."""
-    _check_suite_n(max_n)
+    _check_ranges(max_n)
     run = _Run("lifts", max_n=max_n)
     for n in range(1, max_n + 1):
         perms312 = [
@@ -538,8 +531,8 @@ def search_accidental(
     runs over non-gapless cores; a find is reported as a counterexample
     payload (it would answer an open search, so it is never suppressed).
     """
-    _check_suite_n(max_n)
     limit = DEFAULT_BUDGET if budget is None else budget
+    _check_ranges(max_n, max_col=max_col, budget=limit)
     run = _Run("accidental", max_n=max_n, max_col=max_col, budget=limit, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         if count_tableaux(shape) > limit:
@@ -645,18 +638,22 @@ def dimension_tables(shape: Shape) -> dict:
     }
 
 
+SUITES = {
+    "tables": suite_tables,
+    "bijections": suite_bijections,
+    "counts": suite_counts,
+    "convexity": suite_convexity,
+    "coincidence": suite_coincidence,
+    "polynomials": suite_polynomials,
+    "lifts": suite_lifts,
+    "accidental": search_accidental,
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
 def run_suite(name: str, **kwargs) -> SuiteReport:
     """Dispatch a suite by name with its keyword parameters."""
-    table = {
-        "tables": suite_tables,
-        "bijections": suite_bijections,
-        "counts": suite_counts,
-        "convexity": suite_convexity,
-        "coincidence": suite_coincidence,
-        "polynomials": suite_polynomials,
-        "lifts": suite_lifts,
-        "accidental": search_accidental,
-    }
-    if name not in table:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    return table[name](**kwargs)
+    return SUITES[name](**kwargs)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -8,11 +9,13 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parakat import verify
 from parakat.cli import _shared_parser, build_parser, main
 from parakat.rtuples import CONSTRUCTION_KINDS, enumerate_critical_lists
 from parakat.tableaux import Shape, enumerate_tableaux
@@ -242,6 +245,66 @@ def test_empty_suite_range_is_usage_error(capsys):
     # a zero polynomial range stays valid: it only skips the polynomial counts
     code, out = run_cli(capsys, "verify", "counts", "--max-n", "2", "--poly-max-n", "0", "--csv")
     assert code == 0 and out.startswith("counts,pass,")
+
+
+def test_verify_refuses_a_cap_it_would_not_heed(tmp_path, capsys):
+    # the suites build their sets under PARAKAT_CAP alone; any other cap would go unheeded
+    cfg = tmp_path / "parakat.conf"
+    cfg.write_text("cap=1\n")
+    for extra in (["--cap", "1"], ["--config", str(cfg)]):
+        assert main(["verify", "convexity", "--max-n", "3", "--csv", *extra]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "PARAKAT_CAP" in captured.err
+
+
+def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
+    got = {}
+
+    def recorder(name, suite):
+        @functools.wraps(suite)  # the CLI reads the flags off the signature
+        def record(**kwargs):
+            got[name] = kwargs
+            return verify._Run(name).report()
+
+        return record
+
+    for name, suite in verify.SUITES.items():
+        monkeypatch.setitem(verify.SUITES, name, recorder(name, suite))
+    argv = ["verify", "all", "--max-n", "2", "--max-col", "1", "--poly-max-n", "0",
+            "--budget", "7", "--all-shapes"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    shape_flags = {"max_n": 2, "max_col": 1, "all_shapes": True}
+    assert got == {
+        "tables": {},
+        "bijections": {"max_n": 2},
+        "counts": {"max_n": 2, "poly_max_n": 0},
+        "convexity": shape_flags,
+        "coincidence": shape_flags,
+        "polynomials": shape_flags,
+        "lifts": {"max_n": 2},
+        "accidental": {**shape_flags, "budget": 7},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tab", "scan", "--n", "3", "--tab", '{"n":1000000000,"lambda":[1],"columns":[[1]]}'],
+        ["tab", "scan", "--n", "3", "--tab", '{"n":3,"lambda":[1000000000],"columns":[[1]]}'],
+        ["count", "cnr", "--n", "1000000000"],
+        ["count", "cnr", "--n", "1000000000", "--R", "1"],
+        ["set", "ideal", "--n", "1000000000", "--lambda", "1", "--tab", "{}"],
+        ["poly", "dd", "--n", "1000000000", "--lambda", "1", "--perm", "1"],
+    ],
+)
+def test_sizes_past_the_bound_are_usage_errors(capsys, argv):
+    started = time.perf_counter()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "exceeds the size bound of 4096" in captured.err and "Traceback" not in captured.err
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize(
@@ -490,8 +553,8 @@ _ACCEPTS = {
     "poly": ("--n", "--lambda", "--perm", "--tuple"),
     "count": ("--n", "--R"),
 }
-# Integers stay in -1..6: a huge n or part still allocates in proportion to
-# it before anything bounds it, which this test is not about.
+# Integers stay in -1..6 so that drawn shapes stay small; sizes past the
+# bound are tested in test_sizes_past_the_bound_are_usage_errors.
 _INT = st.integers(-1, 6)
 _JUNK_INTS = st.one_of(
     st.lists(_INT, max_size=7).map(lambda v: ",".join(map(str, v))),

@@ -353,10 +353,20 @@ def test_rank_tuple_lands_in_increasing_upper_random(p):
         assert pi_map(psi) == p
 
 
-def test_first_carrel_sharding_partitions_enumeration():
-    full = [p.entries for p in enumerate_rperms(5, (2,))]
-    sharded = []
-    for pin in itertools.combinations(range(1, 6), 2):
-        sharded += [p.entries for p in enumerate_rperms(5, (2,), first_carrel=pin)]
-    assert sorted(sharded) == full
-    assert [] == list(enumerate_rperms(5, (2,), first_carrel=(1, 2, 3)))
+def test_rank_tuples_and_chains_pass_the_public_checks(rebuilt):
+    # rank_tuple and to_chain build unchecked; the rank tuple is checked
+    # against its definition, the d-th largest of each carrel's prefix
+    for n in range(1, 6):
+        for r in all_r_subsets(n):
+            qs = RSubset(n, r).qs
+            for p in enumerate_rperms(n, r):
+                chain = to_chain(p)
+                assert rebuilt(chain) == chain
+                psi = rank_tuple(p)
+                assert rebuilt(psi) == psi
+                expected = [
+                    sorted(p.entries[:q], reverse=True)[q - i]
+                    for lo, q in zip(qs, qs[1:])
+                    for i in range(lo + 1, q + 1)
+                ]
+                assert list(psi.entries) == expected

@@ -193,23 +193,6 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
         assert seen == sorted(set(seen))
 
 
-def test_prefix_sharding_partitions_enumeration():
-    # a prefix shard is the filter of the whole enumeration by that prefix,
-    # also for prefixes that break the family or leave [i, n]
-    for n in range(1, 5):
-        for r in all_r_subsets(n):
-            for family in FAMILIES:
-                full = [t.entries for t in enumerate_tuples(n, r, family)]
-                for k in range(3):
-                    sharded = []
-                    for pre in itertools.product(range(n + 2), repeat=k):
-                        shard = [t.entries for t in enumerate_tuples(n, r, family, prefix=pre)]
-                        assert shard == [e for e in full if e[:k] == pre]
-                        sharded += shard
-                    if k <= n:
-                        assert sharded == full
-
-
 FAMILY_PREDICATES = {
     "upper": is_upper,
     "flag": is_upper_flag,

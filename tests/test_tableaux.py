@@ -13,7 +13,7 @@ from parakat.rperms import (
     rank_tuple,
     to_chain,
 )
-from parakat.rtuples import RTuple, enumerate_tuples, equivalent
+from parakat.rtuples import MAX_SIZE, RTuple, enumerate_tuples, equivalent
 from parakat.tableaux import (
     Shape,
     Tableau,
@@ -369,6 +369,33 @@ def test_trusted_tableaux_pass_the_public_checks(rebuilt):
         for t in ts:
             ends = row_end_list(t)
             assert rebuilt(ends) == ends
+
+
+def test_trusted_sets_pass_the_public_checks(rebuilt):
+    # the set builders collect their walks unchecked, in canonical order
+    for sh in SMALL_SHAPES:
+        r = sh.r_subset.elements
+        ts = tableaux_of(sh)
+        built = [demazure_set(p, sh) for p in enumerate_rperms(sh.n, r)]
+        built += [row_bound_set(b, sh) for b in enumerate_tuples(sh.n, r, "upper")]
+        built += [ideal(t) for t in ts]
+        built += [z_set(a, sh) for a in enumerate_tuples(sh.n, r, "increasing")]
+        for s in built:
+            again = rebuilt(s)
+            assert again == s and again.tableaux == s.tableaux
+            assert all(t in s for t in s)
+            assert sum(t in s for t in ts) == len(s)
+
+
+def test_sizes_past_the_bound_are_refused_before_allocation():
+    for make in (
+        lambda: Shape.of(10**9, (1,)),
+        lambda: Shape.of(3, (10**9,)),
+        lambda: Shape(MAX_SIZE + 1, (0,) * (MAX_SIZE + 1)),
+    ):
+        with pytest.raises(ValueError, match="exceeds the size bound of 4096"):
+            make()
+    assert Shape.of(MAX_SIZE, (MAX_SIZE,)).size == MAX_SIZE
 
 
 def test_cached_shape_data_is_invisible():

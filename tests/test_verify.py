@@ -86,11 +86,20 @@ def test_suite_rejects_empty_range(name):
     for max_n in (0, -2):
         with pytest.raises(ValueError):
             run_suite(name, max_n=max_n)
+    # so would a negative column or polynomial range
+    negative = {"counts": "poly_max_n", "convexity": "max_col", "coincidence": "max_col",
+                "polynomials": "max_col", "accidental": "max_col"}
+    if name in negative:
+        with pytest.raises(ValueError, match=f"{negative[name]} must be nonnegative"):
+            run_suite(name, max_n=3, **{negative[name]: -1})
 
 
 def test_accidental_budget():
     with pytest.raises(BudgetExceeded):
         search_accidental(3, 3, budget=0)
+    # a negative budget is a bad argument, as a negative cap is
+    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
+        search_accidental(3, 3, budget=-1)
 
 
 def test_report_invariant_enforced():
