@@ -3,7 +3,11 @@
 Every value command supports ``--json``, ``--csv``, and ``--text`` (default)
 renderings; output ordering is canonical everywhere and nothing is
 randomized, so identical invocations produce identical bytes.  ``--manifest``
-records the invocation and a checksum of the produced output.
+records the invocation and a checksum of the produced output (for ``verify``,
+of the output with every wall time set to zero, so that a rerun reproduces
+it).  ``map``, ``tab``, ``set`` and ``poly`` take their actions from one
+table each, which also names the input option each action reads.  Only
+``set`` and ``poly`` build tableau sets, so only they take ``--cap``.
 
 Exit codes: 0 success, 2 a verification suite failed, 3 cap or budget
 exceeded, 64 usage error, 65 any other domain error (its name is echoed).
@@ -12,6 +16,7 @@ exceeded, 64 usage error, 65 any other domain error (its name is echoed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -77,37 +82,30 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _need(args, *names: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n if n != "lambda" else "lam") in (None, "")]
+    missing = [f"--{n}" for n in names if getattr(args, n) in (None, "")]
     if missing:
         raise ValueError(f"missing required arguments: {', '.join(missing)}")
 
 
-def _load_config(path: str | None) -> dict:
-    config: dict = {}
-    if path:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                config[key.strip()] = value.strip()
-        version = config.pop("config_version", "1")
-        if version != "1":
-            raise ParakatError(f"unsupported config_version {version}")
-    return config
+def _read(args, option: str, r_elements: tuple[int, ...] | None = None):
+    """The value of ``--tuple`` or ``--perm`` over ``r_elements`` (``--R`` if
+    None), or the tableau of ``--tab``."""
+    text = getattr(args, option)
+    if option == "tab":
+        return Tableau.from_json_dict(json.loads(text))
+    if r_elements is None:
+        r_elements = _parse_ints(args.R)
+    cls = RTuple if option == "tuple" else RPermutation
+    return cls.of(args.n, r_elements, _parse_ints(text))
 
 
-def _tuple_arg(args) -> RTuple:
-    return RTuple.of(args.n, _parse_ints(args.R), _parse_ints(args.tuple))
-
-
-def _perm_arg(args) -> RPermutation:
-    return RPermutation.of(args.n, _parse_ints(args.R), _parse_ints(args.perm))
-
-
-def _shape_arg(args) -> Shape:
-    return Shape.of(args.n, _parse_ints(getattr(args, "lam")))
+def _run_steps(args, steps, *extra) -> list:
+    """Check every step's input option, read the shape, then run each
+    ``(option, call)`` step in order as ``call(value, shape, *extra)``."""
+    _need(args, *(option for option, _ in steps))
+    shape = Shape.of(args.n, _parse_ints(args.lam))
+    r_elements = shape.r_subset.elements
+    return [call(_read(args, option, r_elements), shape, *extra) for option, call in steps]
 
 
 def _render_tuple(t, fmt: str) -> str:
@@ -139,21 +137,70 @@ def _render_poly(p, fmt: str) -> str:
     return str(p)
 
 
+def _render_flags(flags: dict[str, bool], fmt: str) -> list[str]:
+    if fmt == "json":
+        return [json.dumps(flags, sort_keys=True)]
+    if fmt == "csv":
+        return [f"{k},{str(v).lower()}" for k, v in flags.items()]
+    return [" ".join(f"{k}={str(v).lower()}" for k, v in flags.items())]
+
+
+def _render_reports(reports, fmt: str) -> list[str]:
+    if fmt == "json":
+        return [json.dumps([r.to_json_dict() for r in reports], sort_keys=True)]
+    if fmt == "csv":
+        return [f"{r.suite},{r.verdict},{r.instances},{r.wall_time:.3f}" for r in reports]
+    return [r.to_text() for r in reports]
+
+
 # ---------------------------------------------------------------------------
-# command handlers: each returns (lines, exit_code)
+# action tables: their keys are the parser's choices.  Each call is a lambda,
+# so it looks its library function up here when it runs (a tracer rebinds it).
+
+# map: action -> (the input option it reads, the library call)
+_MAP_ACTIONS = {
+    "psi": ("perm", lambda p: rank_tuple(p)),
+    "pi": ("tuple", lambda t: pi_map(t)),
+    "floor": ("tuple", lambda t: floor_map(t)),
+    "ceiling": ("tuple", lambda t: ceiling_map(t)),
+}
+
+# tab, set, poly: action -> its (input option, library call) steps, in order
+_TAB_ACTIONS = {
+    "key": [("perm", lambda p, shape: key_of_perm(p, shape))],
+    "rowendmax": [("tuple", lambda a, shape: row_end_max(a, shape))],
+    "rowboundmax": [("tuple", lambda b, shape: row_bound_max(b, shape))],
+    "scan": [("tab", lambda t, shape: scanning(t))],
+}
+_SET_ACTIONS = {
+    "rowbound": [("tuple", lambda b, shape, cap: row_bound_set(b, shape, cap))],
+    "demazure": [("perm", lambda p, shape, cap: demazure_set(p, shape, cap))],
+    "ideal": [("tab", lambda t, shape, cap: ideal(t, cap))],
+    "z": [("tuple", lambda a, shape, cap: z_set(a, shape, cap))],
+}
+_POLY_ACTIONS = {
+    "rowboundsum": [("tuple", lambda b, shape, cap: row_bound_sum(b, shape, cap).poly)],
+    "demazure": [("perm", lambda p, shape, cap: demazure_poly(p, shape, cap).poly)],
+    "dd": [("perm", lambda p, shape, cap: demazure_poly_dd(p, shape))],
+    # two steps, whose sets are compared; the tuple is read and its sum built first
+    "compare": [
+        ("tuple", lambda b, shape, cap: row_bound_sum(b, shape, cap)),
+        ("perm", lambda p, shape, cap: demazure_poly(p, shape, cap)),
+    ],
+}
+
+
+# ---------------------------------------------------------------------------
+# command handlers: each returns (lines, exit_code); verify adds the lines
+# with every wall time zeroed, which the manifest checksums instead
 
 
 def _cmd_classify(args) -> tuple[list[str], int]:
-    report = classify(_tuple_arg(args)).as_dict()
-    if args.format == "json":
-        return [json.dumps(report, sort_keys=True)], 0
-    if args.format == "csv":
-        return [f"{k},{str(v).lower()}" for k, v in report.items()], 0
-    return [" ".join(f"{k}={str(v).lower()}" for k, v in report.items())], 0
+    return _render_flags(classify(_read(args, "tuple")).as_dict(), args.format), 0
 
 
 def _cmd_critlist(args) -> tuple[list[str], int]:
-    c = critical_list(_tuple_arg(args))
+    c = critical_list(_read(args, "tuple"))
     if args.format == "json":
         return [json.dumps(c.to_json_dict(), sort_keys=True)], 0
     if args.format == "csv":
@@ -167,7 +214,7 @@ def _cmd_critlist(args) -> tuple[list[str], int]:
 
 
 def _cmd_core(args) -> tuple[list[str], int]:
-    return [_render_tuple(core(_tuple_arg(args)), args.format)], 0
+    return [_render_tuple(core(_read(args, "tuple")), args.format)], 0
 
 
 def _cmd_make(args) -> tuple[list[str], int]:
@@ -176,16 +223,9 @@ def _cmd_make(args) -> tuple[list[str], int]:
 
 
 def _cmd_map(args) -> tuple[list[str], int]:
-    _need(args, "perm" if args.map == "psi" else "tuple")
-    if args.map == "psi":
-        out = rank_tuple(_perm_arg(args))
-    elif args.map == "pi":
-        out = pi_map(_tuple_arg(args))
-    elif args.map == "floor":
-        out = floor_map(_tuple_arg(args))
-    else:
-        out = ceiling_map(_tuple_arg(args))
-    return [_render_tuple(out, args.format)], 0
+    option, call = _MAP_ACTIONS[args.map]
+    _need(args, option)
+    return [_render_tuple(call(_read(args, option)), args.format)], 0
 
 
 def _cmd_perm(args) -> tuple[list[str], int]:
@@ -193,55 +233,29 @@ def _cmd_perm(args) -> tuple[list[str], int]:
     if args.action == "project":
         word = _parse_ints(args.perm)
         return [_render_tuple(r_projection(word, rs), args.format)], 0
-    p = _perm_arg(args)
+    p = _read(args, "perm", rs.elements)
     if args.action == "avoiding":
         value = is_r312_avoiding(p)
         if args.format == "json":
             return [json.dumps({"avoiding": value})], 0
         return [str(value).lower()], 0
-    if args.action == "lift":
-        word = minimal_lift(p)
+
+    def render(word) -> str:
         if args.format == "json":
-            return [json.dumps({"n": args.n, "one_line": list(word)})], 0
-        return [",".join(str(v) for v in word)], 0
-    lines = []
-    for word in all_lifts(p):
-        if args.format == "json":
-            lines.append(json.dumps({"n": args.n, "one_line": list(word)}))
-        else:
-            lines.append(",".join(str(v) for v in word))
-    return lines, 0
+            return json.dumps({"n": args.n, "one_line": list(word)})
+        return ",".join(str(v) for v in word)
+
+    words = [minimal_lift(p)] if args.action == "lift" else all_lifts(p)
+    return [render(word) for word in words], 0
 
 
 def _cmd_tab(args) -> tuple[list[str], int]:
-    _need(args, {"key": "perm", "rowendmax": "tuple", "rowboundmax": "tuple", "scan": "tab"}[args.action])
-    shape = _shape_arg(args)
-    r_elements = shape.r_subset.elements
-    if args.action == "key":
-        p = RPermutation.of(args.n, r_elements, _parse_ints(args.perm))
-        out = key_of_perm(p, shape)
-    elif args.action == "rowendmax":
-        out = row_end_max(RTuple.of(args.n, r_elements, _parse_ints(args.tuple)), shape)
-    elif args.action == "rowboundmax":
-        out = row_bound_max(RTuple.of(args.n, r_elements, _parse_ints(args.tuple)), shape)
-    else:  # scan
-        out = scanning(Tableau.from_json_dict(json.loads(args.tab)))
+    (out,) = _run_steps(args, _TAB_ACTIONS[args.action])
     return [_render_tableau(out, args.format)], 0
 
 
 def _cmd_set(args) -> tuple[list[str], int]:
-    _need(args, {"rowbound": "tuple", "demazure": "perm", "ideal": "tab", "z": "tuple"}[args.action])
-    shape = _shape_arg(args)
-    r_elements = shape.r_subset.elements
-    cap = args.cap
-    if args.action == "rowbound":
-        ts = row_bound_set(RTuple.of(args.n, r_elements, _parse_ints(args.tuple)), shape, cap)
-    elif args.action == "demazure":
-        ts = demazure_set(RPermutation.of(args.n, r_elements, _parse_ints(args.perm)), shape, cap)
-    elif args.action == "ideal":
-        ts = ideal(Tableau.from_json_dict(json.loads(args.tab)), cap)
-    else:  # z
-        ts = z_set(RTuple.of(args.n, r_elements, _parse_ints(args.tuple)), shape, cap)
+    (ts,) = _run_steps(args, _SET_ACTIONS[args.action], args.cap)
     if args.stream:
         return [json.dumps(t.to_json_dict(), sort_keys=True) for t in ts], 0
     if args.format == "json":
@@ -256,39 +270,12 @@ def _cmd_set(args) -> tuple[list[str], int]:
 
 
 def _cmd_poly(args) -> tuple[list[str], int]:
-    needed = {"rowboundsum": ("tuple",), "demazure": ("perm",), "dd": ("perm",), "compare": ("tuple", "perm")}[args.action]
-    _need(args, *needed)
-    shape = _shape_arg(args)
-    r_elements = shape.r_subset.elements
-    if args.action == "rowboundsum":
-        p = row_bound_sum(
-            RTuple.of(args.n, r_elements, _parse_ints(args.tuple)), shape, args.cap
-        ).poly
-    elif args.action == "demazure":
-        p = demazure_poly(
-            RPermutation.of(args.n, r_elements, _parse_ints(args.perm)), shape, args.cap
-        ).poly
-    elif args.action == "dd":
-        p = demazure_poly_dd(
-            RPermutation.of(args.n, r_elements, _parse_ints(args.perm)), shape
-        )
-    else:  # compare
-        a = row_bound_sum(
-            RTuple.of(args.n, r_elements, _parse_ints(args.tuple)), shape, args.cap
-        )
-        b = demazure_poly(
-            RPermutation.of(args.n, r_elements, _parse_ints(args.perm)), shape, args.cap
-        )
-        result = {
-            "poly_eq": poly_eq(a, b),
-            "gf_identical": a.tableau_set == b.tableau_set,
-        }
-        if args.format == "json":
-            return [json.dumps(result, sort_keys=True)], 0
-        if args.format == "csv":
-            return [f"{k},{str(v).lower()}" for k, v in result.items()], 0
-        return [" ".join(f"{k}={str(v).lower()}" for k, v in result.items())], 0
-    return [_render_poly(p, args.format)], 0
+    results = _run_steps(args, _POLY_ACTIONS[args.action], args.cap)
+    if len(results) == 1:
+        return [_render_poly(results[0], args.format)], 0
+    a, b = results
+    flags = {"poly_eq": poly_eq(a, b), "gf_identical": a.tableau_set == b.tableau_set}
+    return _render_flags(flags, args.format), 0
 
 
 def _cmd_count(args) -> tuple[list[str], int]:
@@ -315,12 +302,7 @@ def _run_named_suite(item: tuple[str, dict]):
     return run_suite(name, **kwargs)
 
 
-def _cmd_verify(args) -> tuple[list[str], int]:
-    if args.cap is not None:
-        # no suite takes a cap, so a flag or config cap would go unheeded
-        raise ValueError(
-            "verify reads its cap only from PARAKAT_CAP, not from --cap or a config file"
-        )
+def _cmd_verify(args) -> tuple[list[str], int, list[str]]:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     jobs = [(name, _suite_kwargs(name, args)) for name in names]
     if args.jobs > 1 and len(jobs) > 1:
@@ -331,17 +313,9 @@ def _cmd_verify(args) -> tuple[list[str], int]:
             reports = list(pool.map(_run_named_suite, jobs))
     else:
         reports = [_run_named_suite(job) for job in jobs]
-    lines: list[str] = []
-    if args.format == "json":
-        lines.append(json.dumps([r.to_json_dict() for r in reports], sort_keys=True))
-    elif args.format == "csv":
-        lines += [
-            f"{r.suite},{r.verdict},{r.instances},{r.wall_time:.3f}" for r in reports
-        ]
-    else:
-        lines += [r.to_text() for r in reports]
     code = 0 if all(r.passed for r in reports) else 2
-    return lines, code
+    timeless = [dataclasses.replace(r, wall_time=0.0) for r in reports]
+    return _render_reports(reports, args.format), code, _render_reports(timeless, args.format)
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +328,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"parakat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True, need_r=True):
+    def common(p, need_n=True, need_r=True, cap=False):
         group = p.add_mutually_exclusive_group()
         group.add_argument("--json", dest="format", action="store_const", const="json")
         group.add_argument("--csv", dest="format", action="store_const", const="csv")
         group.add_argument("--text", dest="format", action="store_const", const="text")
         p.set_defaults(format="text")
-        p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--manifest", default=None, help="write a run manifest here")
-        p.add_argument("--cap", type=int, default=None, help="materialization cap")
+        if cap:
+            p.add_argument("--cap", type=int, default=None, help="materialization cap")
         if need_n:
             p.add_argument("--n", type=int, required=True)
         if need_r:
@@ -381,10 +355,11 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_make)
 
     p = sub.add_parser("map")
-    p.add_argument("map", choices=["psi", "pi", "floor", "ceiling"])
+    p.add_argument("map", choices=_MAP_ACTIONS)
     common(p)
-    p.add_argument("--perm", help="one-line entries (for psi)")
-    p.add_argument("--tuple", help="tuple entries (for pi, floor, ceiling)")
+    for option, what in (("perm", "one-line entries"), ("tuple", "tuple entries")):
+        users = ", ".join(a for a, (o, _) in _MAP_ACTIONS.items() if o == option)
+        p.add_argument(f"--{option}", help=f"{what} (for {users})")
     p.set_defaults(handler=_cmd_map)
 
     p = sub.add_parser("perm")
@@ -394,7 +369,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_perm)
 
     p = sub.add_parser("tab")
-    p.add_argument("action", choices=["key", "rowendmax", "rowboundmax", "scan"])
+    p.add_argument("action", choices=_TAB_ACTIONS)
     common(p, need_r=False)
     p.add_argument("--lambda", dest="lam", default="", help="partition, comma-separated")
     p.add_argument("--perm")
@@ -403,8 +378,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_tab)
 
     p = sub.add_parser("set")
-    p.add_argument("action", choices=["rowbound", "demazure", "ideal", "z"])
-    common(p, need_r=False)
+    p.add_argument("action", choices=_SET_ACTIONS)
+    common(p, need_r=False, cap=True)
     p.add_argument("--lambda", dest="lam", default="")
     p.add_argument("--perm")
     p.add_argument("--tuple")
@@ -413,8 +388,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_set)
 
     p = sub.add_parser("poly")
-    p.add_argument("action", choices=["rowboundsum", "demazure", "dd", "compare"])
-    common(p, need_r=False)
+    p.add_argument("action", choices=_POLY_ACTIONS)
+    common(p, need_r=False, cap=True)
     p.add_argument("--lambda", dest="lam", default="")
     p.add_argument("--perm")
     p.add_argument("--tuple")
@@ -453,29 +428,24 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _shared_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        if args.cap is None and "cap" in config:
-            args.cap = int(config["cap"])
-        if args.cap is not None and args.cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {args.cap}")
-        lines, code = args.handler(args)
+        cap = getattr(args, "cap", None)  # only set and poly take --cap
+        if cap is not None and cap < 0:
+            raise ValueError(f"cap must be nonnegative, got {cap}")
+        lines, code, *checksummed = args.handler(args)
         output = "\n".join(lines)
         if args.manifest:
+            stable = "\n".join(checksummed[0]) if checksummed else output
             manifest = {
                 "command_line": argv,
-                "config": config,
                 "version": __version__,
-                "output_sha256": hashlib.sha256(output.encode()).hexdigest(),
+                "output_sha256": hashlib.sha256(stable.encode()).hexdigest(),
             }
             with open(args.manifest, "w") as fh:
                 json.dump(manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    except (CapExceeded, BudgetExceeded) as exc:
-        print(f"{exc.name}: {exc}", file=sys.stderr)
-        return 3
     except ParakatError as exc:
-        print(f"{exc.name}: {exc}", file=sys.stderr)
-        return DOMAIN_EXIT
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, (CapExceeded, BudgetExceeded)) else DOMAIN_EXIT
     except (ValueError, KeyError, OSError) as exc:
         print(f"parakat: error: {exc}", file=sys.stderr)
         return USAGE_EXIT

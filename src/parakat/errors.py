@@ -1,65 +1,46 @@
 """Domain errors shared across the package.
 
-Every error carries a stable ``name`` used by the CLI when echoing domain
-failures (exit code 65).
+The CLI echoes a domain failure as its class name and message (exit code
+65, or 3 for ``CapExceeded`` and ``BudgetExceeded``), so the class names are
+part of its output.
 """
 
 
 class ParakatError(Exception):
     """Base class for all domain errors raised by this package."""
 
-    name = "ParakatError"
-
 
 class NotUpper(ParakatError):
     """An operation required an upper tuple (entry at position i must be >= i)."""
-
-    name = "NotUpper"
 
 
 class NotIncreasingUpper(ParakatError):
     """An operation required an increasing upper tuple."""
 
-    name = "NotIncreasingUpper"
-
 
 class NotGapless(ParakatError):
     """An operation required a gapless tuple."""
-
-    name = "NotGapless"
 
 
 class NotFlagCriticalList(ParakatError):
     """A construction required a flag critical list."""
 
-    name = "NotFlagCriticalList"
-
 
 class NotAvoiding(ParakatError):
     """An operation required a 312-avoiding input."""
-
-    name = "NotAvoiding"
 
 
 class DomainMismatch(ParakatError):
     """Two values were combined that live over different n or carrel sets."""
 
-    name = "DomainMismatch"
-
 
 class ShapeMismatch(ParakatError):
     """A tableau-side operation was given inputs whose carrel sets disagree."""
-
-    name = "ShapeMismatch"
 
 
 class CapExceeded(ParakatError):
     """A materialization or suite range exceeded the configured cap."""
 
-    name = "CapExceeded"
-
 
 class BudgetExceeded(ParakatError):
     """A search exceeded its configured budget."""
-
-    name = "BudgetExceeded"

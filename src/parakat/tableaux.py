@@ -75,9 +75,12 @@ class Shape:
 
     @cached_property
     def column_lengths(self) -> tuple[int, ...]:
-        return tuple(
-            sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)
-        )
+        lengths: list[int] = []
+        # one pass up the weakly decreasing parts: the columns past the
+        # previous part, up to part i, have exactly i boxes
+        for i in range(self.n, 0, -1):
+            lengths += [i] * (self.parts[i - 1] - len(lengths))
+        return tuple(lengths)
 
     @cached_property
     def r_subset(self) -> RSubset:
@@ -120,12 +123,6 @@ class Tableau:
     @property
     def n(self) -> int:
         return self.shape.n
-
-    def entry(self, j: int, i: int) -> int:
-        """Value in column j, row i (1-based); column 0 is the latent column."""
-        if j == 0:
-            return i
-        return self.columns[j - 1][i - 1]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         out = []

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import hashlib
 import io
 import itertools
 import json
@@ -10,12 +11,13 @@ import random
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parakat import verify
+from parakat import cli, verify
 from parakat.cli import _shared_parser, build_parser, main
 from parakat.rtuples import CONSTRUCTION_KINDS, enumerate_critical_lists
 from parakat.tableaux import Shape, enumerate_tableaux
@@ -138,28 +140,33 @@ def test_cap_error_exit_3(capsys):
     code = main(["set", "demazure", "--n", "4", "--lambda", "3,2,1", "--perm", "4,3,2,1", "--cap", "5"])
     assert code == 3
     assert capsys.readouterr().err.startswith("CapExceeded")
-
-
-def test_manifest_written_and_reproducible(tmp_path, capsys):
-    m1 = tmp_path / "run1.json"
-    m2 = tmp_path / "run2.json"
-    argv = ["core", "--n", "9", "--R", "3,8", "--tuple", "7,9,6,5,5,9,8,9,9"]
-    assert main(argv + ["--manifest", str(m1)]) == 0
-    assert main(argv + ["--manifest", str(m2)]) == 0
-    capsys.readouterr()
-    a = json.loads(m1.read_text())
-    b = json.loads(m2.read_text())
-    assert a["output_sha256"] == b["output_sha256"]
-    assert a["version"]
-
-
-def test_config_file_cap(tmp_path, capsys):
-    cfg = tmp_path / "parakat.conf"
-    cfg.write_text("# comment\nconfig_version=1\ncap=5\n")
-    code = main(["set", "demazure", "--n", "4", "--lambda", "3,2,1", "--perm", "4,3,2,1",
-                 "--config", str(cfg)])
+    # compare builds the tuple's sum before it reads the permutation
+    code = main(["poly", "compare", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3",
+                 "--perm", "q", "--cap", "0"])
     assert code == 3
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("CapExceeded")
+
+
+def test_manifest_written_and_reproducible(tmp_path, monkeypatch, capsys):
+    # a clock whose steps grow, so every verify run reports another wall time
+    ticks = itertools.accumulate(itertools.count(1))
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    core = ["core", "--n", "9", "--R", "3,8", "--tuple", "7,9,6,5,5,9,8,9,9"]
+    for argv in [core, *(["verify", "tables", fmt] for fmt in ("--text", "--csv", "--json"))]:
+        m1 = tmp_path / "run1.json"
+        m2 = tmp_path / "run2.json"
+        assert main(argv + ["--manifest", str(m1)]) == 0
+        out1 = capsys.readouterr().out
+        assert main(argv + ["--manifest", str(m2)]) == 0
+        out2 = capsys.readouterr().out
+        a = json.loads(m1.read_text())
+        b = json.loads(m2.read_text())
+        assert a["output_sha256"] == b["output_sha256"], argv
+        assert sorted(a) == ["command_line", "output_sha256", "version"] and a["version"]
+        if argv is core:  # any other command checksums exactly what it prints
+            assert a["output_sha256"] == hashlib.sha256(out1.removesuffix("\n").encode()).hexdigest()
+        else:
+            assert out1 != out2, argv
 
 
 def test_csv_rendering(capsys):
@@ -169,10 +176,36 @@ def test_csv_rendering(capsys):
     assert code == 0 and out == "1,2,3\n2,3,3\n"
 
 
+_MISSING_INPUTS = {
+    ("map", "psi"): "--perm",
+    ("map", "pi"): "--tuple",
+    ("map", "floor"): "--tuple",
+    ("map", "ceiling"): "--tuple",
+    ("tab", "key"): "--perm",
+    ("tab", "rowendmax"): "--tuple",
+    ("tab", "rowboundmax"): "--tuple",
+    ("tab", "scan"): "--tab",
+    ("set", "rowbound"): "--tuple",
+    ("set", "demazure"): "--perm",
+    ("set", "ideal"): "--tab",
+    ("set", "z"): "--tuple",
+    ("poly", "rowboundsum"): "--tuple",
+    ("poly", "demazure"): "--perm",
+    ("poly", "dd"): "--perm",
+    ("poly", "compare"): "--tuple, --perm",
+}
+
+
 def test_missing_value_argument_is_usage_error(capsys):
-    code = main(["map", "psi", "--n", "9", "--R", "3,8"])
-    assert code == 64
-    assert "perm" in capsys.readouterr().err
+    for (command, action), missing in _MISSING_INPUTS.items():
+        shape = [] if command == "map" else ["--lambda", "1,1"]
+        code = main([command, action, "--n", "3", *shape])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == "", (command, action)
+        assert captured.err == f"parakat: error: missing required arguments: {missing}\n"
+    # the inputs are checked before the shape is read
+    assert main(["poly", "compare", "--n", "3", "--lambda", "x", "--tuple", "3,3,3"]) == 64
+    assert capsys.readouterr().err == "parakat: error: missing required arguments: --perm\n"
     code = main(["core", "--n", "3", "--tuple", "a,b,c"])
     assert code == 64
     capsys.readouterr()
@@ -216,23 +249,44 @@ IDEAL_ARGV = ["set", "ideal", "--n", "3", "--lambda", "1,1",
               "--tab", json.dumps({"lambda": [1, 1, 0], "n": 3, "columns": [[2, 3]]})]
 
 
-@pytest.mark.parametrize(
-    "extra, config_text, expected",
-    [
-        (["--config", "{tmp}/missing.conf"], None, 64),
-        (["--config", "{tmp}/parakat.conf"], "cap=abc\n", 64),
-        (["--config", "{tmp}/parakat.conf"], "config_version=2\ncap=5\n", 65),
-        (["--config", "{tmp}/parakat.conf"], "cap=-3\n", 64),
-        (["--cap", "-1"], None, 64),
-        (["--manifest", "{tmp}/no-such-dir/run.json"], None, 64),
-    ],
-)
-def test_config_cap_and_manifest_errors_exit_cleanly(
-    tmp_path, capsys, extra, config_text, expected
-):
-    if config_text is not None:
-        (tmp_path / "parakat.conf").write_text(config_text)
-    assert main(IDEAL_ARGV + [a.format(tmp=tmp_path) for a in extra]) == expected
+_SHAPE = ["--n", "2", "--lambda", "1"]
+_TAB1 = json.dumps({"lambda": [1, 0], "n": 2, "columns": [[1]]})
+_ACTION_CALLS = [
+    (["map", "psi", "--n", "1", "--perm", "1"], ["rank_tuple"]),
+    (["map", "pi", "--n", "1", "--tuple", "1"], ["pi_map"]),
+    (["map", "floor", "--n", "1", "--tuple", "1"], ["floor_map"]),
+    (["map", "ceiling", "--n", "1", "--tuple", "1"], ["ceiling_map"]),
+    (["tab", "key", *_SHAPE, "--perm", "1,2"], ["key_of_perm"]),
+    (["tab", "rowendmax", *_SHAPE, "--tuple", "1,2"], ["row_end_max"]),
+    (["tab", "rowboundmax", *_SHAPE, "--tuple", "1,2"], ["row_bound_max"]),
+    (["tab", "scan", *_SHAPE, "--tab", _TAB1], ["scanning"]),
+    (["set", "rowbound", *_SHAPE, "--tuple", "1,2"], ["row_bound_set"]),
+    (["set", "demazure", *_SHAPE, "--perm", "1,2"], ["demazure_set"]),
+    (["set", "ideal", *_SHAPE, "--tab", _TAB1], ["ideal"]),
+    (["set", "z", *_SHAPE, "--tuple", "1,2"], ["z_set"]),
+    (["poly", "rowboundsum", *_SHAPE, "--tuple", "1,2"], ["row_bound_sum"]),
+    (["poly", "demazure", *_SHAPE, "--perm", "1,2"], ["demazure_poly"]),
+    (["poly", "dd", *_SHAPE, "--perm", "1,2"], ["demazure_poly_dd"]),
+    (["poly", "compare", *_SHAPE, "--tuple", "1,2", "--perm", "1,2"], ["row_bound_sum", "demazure_poly"]),
+]
+
+
+def test_each_action_looks_its_library_call_up_when_it_runs(monkeypatch, capsys):
+    # perfbench's tracer rebinds these names in parakat.cli and must see every call
+    for argv, names in _ACTION_CALLS:
+        seen = []
+        with monkeypatch.context() as m:
+            for name in names:
+                fn = getattr(cli, name)
+                m.setattr(cli, name, lambda *a, _fn=fn, _name=name: seen.append(_name) or _fn(*a))
+            assert main(argv) == 0, argv
+        assert seen == names, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [["--cap", "-1"], ["--manifest", "{tmp}/no-such-dir/run.json"]])
+def test_cap_and_manifest_errors_exit_cleanly(tmp_path, capsys, extra):
+    assert main(IDEAL_ARGV + [a.format(tmp=tmp_path) for a in extra]) == 64
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
 
@@ -247,14 +301,29 @@ def test_empty_suite_range_is_usage_error(capsys):
     assert code == 0 and out.startswith("counts,pass,")
 
 
-def test_verify_refuses_a_cap_it_would_not_heed(tmp_path, capsys):
-    # the suites build their sets under PARAKAT_CAP alone; any other cap would go unheeded
-    cfg = tmp_path / "parakat.conf"
-    cfg.write_text("cap=1\n")
-    for extra in (["--cap", "1"], ["--config", str(cfg)]):
-        assert main(["verify", "convexity", "--max-n", "3", "--csv", *extra]) == 64
-        captured = capsys.readouterr()
-        assert captured.out == "" and "PARAKAT_CAP" in captured.err
+_BUILDS_NO_SET = [
+    ["classify", "--n", "3", "--tuple", "3,3,3"],
+    ["critlist", "--n", "3", "--tuple", "3,3,3"],
+    ["core", "--n", "3", "--tuple", "3,3,3"],
+    ["make", "--kind", "floor", "--critlist", '{"carrels": [[[3, 3]]]}'],
+    ["map", "psi", "--n", "3", "--R", "2", "--perm", "1,3,2"],
+    ["perm", "avoiding", "--n", "3", "--perm", "1,2,3"],
+    ["tab", "key", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2"],
+    ["count", "cnr", "--n", "3"],
+    ["verify", "tables", "--csv"],
+]
+
+
+def test_cap_is_refused_where_no_set_is_built():
+    # the suites build their sets under PARAKAT_CAP alone, and the rest build none
+    for argv in _BUILDS_NO_SET:
+        assert _captured(main, argv)[0] == 0, argv
+        code, out, err = _captured(main, argv + ["--cap", "1"])
+        assert (code, out) == (64, ""), argv
+        assert err.endswith("error: unrecognized arguments: --cap 1\n") and "Traceback" not in err
+    # set and poly take it, poly dd included, which builds no set either
+    dd = ["poly", "dd", "--n", "3", "--lambda", "1,1", "--perm", "2,3,1", "--cap", "1"]
+    assert _captured(main, dd)[0] == 0
 
 
 def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
@@ -456,7 +525,6 @@ def _parsed(parser, argv):
 _PARSE_CORPUS = [
     ["classify", "--n", "9", "--R", "3,8", "--tuple", "2,4,6,4,5,6,7,9,9", "--json"],
     ["critlist", "--n", "3", "--R", "2", "--tuple", "3,3,3", "--csv"],
-    ["core", "--n", "3", "--tuple", "3,3,3", "--cap", "4", "--config", "missing.conf"],
     ["core", "--n", "3", "--tuple", "3,3,3"],
     ["make", "--kind", "floor", "--critlist", "{}", "--manifest", "make.json"],
     ["map", "psi", "--n", "4", "--perm", "2,4,1,3", "--text"],
@@ -475,6 +543,7 @@ _PARSE_CORPUS = [
     ["verify", "convexity", "--max-n", "2"],
     # usage errors (exit 64) and --version between the valid calls
     ["core", "--n", "9"],
+    ["core", "--n", "3", "--tuple", "3,3,3", "--cap", "4", "--config", "missing.conf"],
     ["set", "demazure", "--json", "--csv", "--n", "3"],
     ["count", "bogus", "--n", "3"],
     ["verify", "all", "--max-n", "x"],
@@ -484,7 +553,7 @@ _PARSE_CORPUS = [
 
 
 def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the corpus's config and manifest paths
+    monkeypatch.chdir(tmp_path)  # the corpus's manifest paths
     parser = _shared_parser()
     assert parser is _shared_parser() and build_parser() is not build_parser()
     seen = []
@@ -549,8 +618,9 @@ _ACCEPTS = {
     "make": ("--kind", "--critlist"),
     "map": ("--n", "--R", "--perm", "--tuple"),
     "perm": ("--n", "--R", "--perm"),
-    **dict.fromkeys(("tab", "set"), ("--n", "--lambda", "--perm", "--tuple", "--tab")),
-    "poly": ("--n", "--lambda", "--perm", "--tuple"),
+    "tab": ("--n", "--lambda", "--perm", "--tuple", "--tab"),
+    "set": ("--n", "--lambda", "--perm", "--tuple", "--tab", "--cap"),
+    "poly": ("--n", "--lambda", "--perm", "--tuple", "--cap"),
     "count": ("--n", "--R"),
 }
 # Integers stay in -1..6 so that drawn shapes stay small; sizes past the
@@ -597,7 +667,7 @@ def _options(strategies):
 def _command_argv(command):
     def options(n):
         values = _option_values(n)
-        return _options({o: values[o] for o in (*_ACCEPTS[command[0]], "--cap")})
+        return _options({o: values[o] for o in _ACCEPTS[command[0]]})
 
     return _INT.flatmap(options).map(lambda args: command + args)
 
@@ -611,7 +681,6 @@ _VERIFY_ARGV = st.tuples(
             "--poly-max-n": st.integers(-1, 3).map(str),
             "--max-col": st.integers(-1, 3).map(str),
             "--budget": _INT.map(str),
-            "--cap": _INT.map(str),
             "--all-shapes": st.just(None),
         }
     ).map(lambda args: [a.removesuffix("=None") for a in args]),

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,21 @@ def test_strict_iff_full_divider_set():
             sh = Shape(n, parts)
             strict = all(a > b for a, b in zip(parts, parts[1:]))
             assert (sh.r_subset.elements == tuple(range(1, n))) == strict
+
+
+def test_column_lengths_match_their_counting_definition():
+    for n in range(1, 7):
+        for parts in itertools.combinations_with_replacement(range(5, -1, -1), n):
+            counted = tuple(sum(p >= j for p in parts) for j in range(1, parts[0] + 1))
+            assert Shape(n, parts).column_lengths == counted, parts
+
+
+def test_column_lengths_of_the_largest_shape_take_one_pass():
+    start = time.perf_counter()
+    lengths = Shape.of(MAX_SIZE, (MAX_SIZE,) * MAX_SIZE).column_lengths
+    assert time.perf_counter() - start < 0.2  # the per-column count took about 1 s
+    assert lengths == (MAX_SIZE,) * MAX_SIZE
+    assert Shape.of(MAX_SIZE, range(MAX_SIZE, 0, -1)).column_lengths == tuple(range(MAX_SIZE, 0, -1))
 
 
 def test_shape_validation():
