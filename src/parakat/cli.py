@@ -99,13 +99,20 @@ def _read(args, option: str, r_elements: tuple[int, ...] | None = None):
     return cls.of(args.n, r_elements, _parse_ints(text))
 
 
+def _read_on(args, option: str, shape: Shape):
+    """The input of ``option`` over ``shape``; a tableau must have that shape."""
+    value = _read(args, option, shape.r_subset.elements)
+    if option == "tab" and value.shape != shape:
+        raise ValueError(f"--tab has shape {value.shape}, but --n and --lambda give {shape}")
+    return value
+
+
 def _run_steps(args, steps, *extra) -> list:
     """Check every step's input option, read the shape, then run each
     ``(option, call)`` step in order as ``call(value, shape, *extra)``."""
     _need(args, *(option for option, _ in steps))
     shape = Shape.of(args.n, _parse_ints(args.lam))
-    r_elements = shape.r_subset.elements
-    return [call(_read(args, option, r_elements), shape, *extra) for option, call in steps]
+    return [call(_read_on(args, option, shape), shape, *extra) for option, call in steps]
 
 
 def _render_tuple(t, fmt: str) -> str:

@@ -17,6 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
@@ -445,11 +446,15 @@ def row_bound_set(b: RTuple, shape: Shape, cap: int | None = None) -> TableauSet
 
 def row_bound_max(b: RTuple, shape: Shape) -> Tableau:
     """The largest tableau obeying the row bounds: row-end max of the core."""
+    _require_bound(b, shape)
+    return row_end_max(core(b), shape)
+
+
+def _require_bound(b: RTuple, shape: Shape) -> None:
     if b.r_subset != shape.r_subset:
         raise ShapeMismatch(f"tuple over {b.r_subset.elements} does not match {shape}")
     if not is_upper(b):
         raise NotUpper(f"row bounds must be upper: {b}")
-    return row_end_max(core(b), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +511,74 @@ def demazure_set(p: RPermutation, shape: Shape, cap: int | None = None) -> Table
 def ideal(t: Tableau, cap: int | None = None) -> TableauSet:
     """The principal ideal: all tableaux entrywise below ``t``."""
     return materialize(t.shape, _below(t), cap)
+
+
+# ---------------------------------------------------------------------------
+# every set of one shape, from one walk
+
+
+class ShapeTableaux:
+    """SSYT(shape), walked once and grouped two ways.
+
+    Tableaux that share a right key (their scanning tableau) form a Demazure
+    atom, and a Demazure set is the union of the atoms whose key lies below
+    its own.  Tableaux that share a row-end list form a class, and a
+    row-bound set is the union of the classes whose row ends lie below the
+    bound; that union never goes through ``core``.  The sets equal those of
+    the walks below a maximum (:func:`demazure_set`, :func:`row_bound_set`),
+    which stay the route for a single set.
+
+    >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
+    >>> len(atlas.atoms), len(atlas.classes)
+    (6, 6)
+    """
+
+    def __init__(self, shape: Shape, cap: int | None = None):
+        limit = materialization_cap() if cap is None else cap
+        total = count_tableaux(shape)
+        if total > limit:
+            raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")
+        self.shape = shape
+        self.tableaux = tuple(enumerate_tableaux(shape))
+
+    # each grouping is made on first use; its groups keep the walk's order
+
+    @cached_property
+    def atoms(self) -> dict[tuple[int, ...], list[Tableau]]:
+        """Right key, read column by column -> the tableaux scanning to it."""
+        return _group(self.tableaux, lambda t: _flat(scanning(t)))
+
+    @cached_property
+    def classes(self) -> dict[tuple[int, ...], list[Tableau]]:
+        """Row-end list -> the tableaux ending their rows there."""
+        return _group(self.tableaux, lambda t: row_end_list(t).entries)
+
+    def _union(self, groups: dict, top: tuple[int, ...]) -> TableauSet:
+        """The groups whose index lies entrywise below ``top``, merged."""
+        members = [t for key, group in groups.items() if all(map(le, key, top)) for t in group]
+        members.sort(key=lambda t: t.columns)
+        return _unchecked(TableauSet, shape=self.shape, tableaux=tuple(members))
+
+    def demazure_set(self, p: RPermutation) -> TableauSet:
+        """The atoms whose key lies entrywise below the key of ``p``."""
+        return self._union(self.atoms, _flat(key_of_perm(p, self.shape)))
+
+    def row_bound_set(self, b: RTuple) -> TableauSet:
+        """The classes whose row-end list lies entrywise below ``b``."""
+        _require_bound(b, self.shape)
+        return self._union(self.classes, b.entries)
+
+
+def _group(tableaux: Iterable[Tableau], key) -> dict:
+    out: dict = {}
+    for t in tableaux:
+        out.setdefault(key(t), []).append(t)
+    return out
+
+
+def _flat(t: Tableau) -> tuple[int, ...]:
+    """The entries of ``t`` column by column."""
+    return tuple(itertools.chain.from_iterable(t.columns))
 
 
 # ---------------------------------------------------------------------------

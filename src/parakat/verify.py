@@ -45,14 +45,13 @@ from .rtuples import (
 )
 from .tableaux import (
     Shape,
+    ShapeTableaux,
     content,
     count_tableaux,
-    demazure_set,
     is_convex,
     is_key,
     key_of_perm,
     row_bound_max,
-    row_bound_set,
     row_end_max,
 )
 
@@ -255,17 +254,15 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                     cnr == catalan(n), {**base, "family": "catalan", "count": cnr}
                 )
             if n <= poly_max_n:
-                shape = canonical_shape(n, r_elements)
-                avoiding = [
-                    p for p in enumerate_rperms(n, r_elements) if is_r312_avoiding(p)
-                ]
-                d_polys = {gen_fn(demazure_set(p, shape)).poly for p in avoiding}
+                atlas = ShapeTableaux(canonical_shape(n, r_elements))
+                dsets = {p: atlas.demazure_set(p) for p in enumerate_rperms(n, r_elements)}
+                d_polys = {gen_fn(dsets[p]).poly for p in dsets if is_r312_avoiding(p)}
                 run.check(
                     len(d_polys) == cnr,
                     {**base, "family": "demazure_polynomials", "count": len(d_polys)},
                 )
                 flag_polys = {
-                    gen_fn(row_bound_set(phi, shape)).poly
+                    gen_fn(atlas.row_bound_set(phi)).poly
                     for phi in enumerate_tuples(n, r_elements, "flag")
                 }
                 run.check(
@@ -273,14 +270,10 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                     {**base, "family": "flag_schur_polynomials", "count": len(flag_polys)},
                 )
                 s_sets = {
-                    row_bound_set(delta, shape).tableaux
+                    atlas.row_bound_set(delta).tableaux
                     for delta in enumerate_tuples(n, r_elements, "increasing")
                 }
-                d_sets = {
-                    demazure_set(p, shape).tableaux
-                    for p in enumerate_rperms(n, r_elements)
-                }
-                coincident = len(s_sets & d_sets)
+                coincident = len(s_sets & {d.tableaux for d in dsets.values()})
                 run.check(
                     coincident == cnr,
                     {**base, "family": "coincident_pairs", "count": coincident},
@@ -303,9 +296,10 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
     _check_ranges(max_n, max_col=max_col)
     run = _Run("convexity", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
+        atlas = ShapeTableaux(shape)
         for p in enumerate_rperms(shape.n, shape.r_subset.elements):
             y = key_of_perm(p, shape)
-            dset = demazure_set(p, shape)
+            dset = atlas.demazure_set(p)
             avoiding = is_r312_avoiding(p)
             convex = is_convex(dset)
             is_ideal = convex and dset.join_of_all() == y
@@ -334,13 +328,16 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     run = _Run("coincidence", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         r_elements = shape.r_subset.elements
-        perms = list(enumerate_rperms(shape.n, r_elements))
-        dsets = {p: demazure_set(p, shape) for p in perms}
+        atlas = ShapeTableaux(shape)
+        # each Demazure set -> the permutations indexing it, in enumeration order
+        indexing: dict = {}
+        for p in enumerate_rperms(shape.n, r_elements):
+            indexing.setdefault(atlas.demazure_set(p).tableaux, []).append(p)
         gapless_images = {}
         for b in enumerate_tuples(shape.n, r_elements, "upper"):
-            sset = row_bound_set(b, shape)
+            sset = atlas.row_bound_set(b)
             delta = core(b)
-            matches = [p for p in perms if dsets[p] == sset]
+            matches = indexing.get(sset.tableaux, [])
             payload = {
                 "shape": list(shape.parts),
                 "n": shape.n,
@@ -376,8 +373,9 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         r_elements = shape.r_subset.elements
         shape_key = (shape.n, shape.parts)
+        atlas = ShapeTableaux(shape)
         perms = list(enumerate_rperms(shape.n, r_elements))
-        d_handles = {p: gen_fn(demazure_set(p, shape)) for p in perms}
+        d_handles = {p: gen_fn(atlas.demazure_set(p)) for p in perms}
         base = {"shape": list(shape.parts), "n": shape.n}
 
         for p in perms:
@@ -397,14 +395,12 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             )
 
         cores = list(enumerate_tuples(shape.n, r_elements, "increasing"))
-        s_handles = {
-            delta.entries: gen_fn(row_bound_set(delta, shape))
-            for delta in cores
-        }
+        s_handles = {delta.entries: gen_fn(atlas.row_bound_set(delta)) for delta in cores}
         for b in enumerate_tuples(shape.n, r_elements, "upper"):
-            # every bound's set is its core's set, so the core scan is exhaustive
+            # every bound's set is its core's set, so the core scan is exhaustive;
+            # the bound's set is read off its row ends, never through its core
             run.check(
-                row_bound_set(b, shape) == s_handles[core(b).entries].tableau_set,
+                atlas.row_bound_set(b) == s_handles[core(b).entries].tableau_set,
                 {**base, "beta": str(b), "law": "bounds and their core agree"},
             )
         for delta in cores:
@@ -424,13 +420,13 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         for p in avoiding:
             gamma = rank_tuple(p)
             run.check(
-                d_handles[p].tableau_set == row_bound_set(gamma, shape),
+                d_handles[p].tableau_set == atlas.row_bound_set(gamma),
                 {**base, "pi": str(p), "law": "avoiding index matches its rank bounds"},
             )
         for eta in enumerate_tuples(shape.n, r_elements, "gapless-core"):
             p = pi_map(core(eta))
             run.check(
-                row_bound_set(eta, shape) == d_handles[p].tableau_set,
+                atlas.row_bound_set(eta) == d_handles[p].tableau_set,
                 {**base, "eta": str(eta), "law": "gapless-core bounds match an index"},
             )
 
@@ -490,16 +486,22 @@ def suite_lifts(max_n: int = 5) -> SuiteReport:
         for r_elements in subsets_of_interval(n):
             rs = RSubset(n, r_elements)
             base = {"n": n, "R": list(r_elements)}
+            # projection -> the avoiding permutations projecting to it; each
+            # list is sorted, since itertools.permutations yields them in
+            # lexicographic order
+            lifts_of: dict = {}
             for w in perms312:
+                image = r_projection(w, rs)
+                lifts_of.setdefault(image, []).append(w)
                 run.check(
-                    is_r312_avoiding(r_projection(w, rs)),
+                    is_r312_avoiding(image),
                     {**base, "sigma": list(w), "law": "projection preserves avoidance"},
                 )
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
                 payload = {**base, "pi": str(p)}
                 ml = minimal_lift(p)
                 lifts = list(all_lifts(p))
-                oracle = sorted(w for w in perms312 if r_projection(w, rs) == p)
+                oracle = lifts_of.get(p, [])
                 run.check(lifts == oracle, {**payload, "law": "lift recipe equals filter"})
                 run.check(
                     is_312_avoiding(ml) and r_projection(ml, rs) == p,
@@ -539,11 +541,12 @@ def search_accidental(
             raise BudgetExceeded(
                 f"shape {shape} needs {count_tableaux(shape)} tableaux, over budget {limit}"
             )
+        atlas = ShapeTableaux(shape)
         by_poly: dict = {}
         for delta in enumerate_tuples(shape.n, shape.r_subset.elements, "increasing"):
             if is_gapless(delta):
                 continue
-            poly = gen_fn(row_bound_set(delta, shape)).poly
+            poly = gen_fn(atlas.row_bound_set(delta)).poly
             by_poly.setdefault(poly, []).append(delta)
         for poly, deltas in by_poly.items():
             payload = {
@@ -622,12 +625,13 @@ def suite_tables() -> SuiteReport:
 def dimension_tables(shape: Shape) -> dict:
     """Sizes of every Demazure set and every row-bound set class on a shape."""
     r_elements = shape.r_subset.elements
+    atlas = ShapeTableaux(shape)
     demazure = [
-        {"pi": str(p), "size": len(demazure_set(p, shape))}
+        {"pi": str(p), "size": len(atlas.demazure_set(p))}
         for p in enumerate_rperms(shape.n, r_elements)
     ]
     row_bound = [
-        {"alpha": str(a), "size": len(row_bound_set(a, shape))}
+        {"alpha": str(a), "size": len(atlas.row_bound_set(a))}
         for a in enumerate_tuples(shape.n, r_elements, "increasing")
     ]
     return {

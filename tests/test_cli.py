@@ -234,6 +234,24 @@ def test_set_z_and_ideal(capsys):
     assert code == 0 and out.startswith("3 tableaux\n")
 
 
+@pytest.mark.parametrize("action", ["scan", "ideal"])
+@pytest.mark.parametrize(
+    "shape_argv, shape",
+    [
+        (["--n", "4", "--lambda", "3,2,1"], "(3,2,1,0)"),  # another n
+        (["--n", "3", "--lambda", "2,1"], "(2,1,0)"),  # another partition
+        (["--n", "3"], "(0,0,0)"),  # no --lambda: the empty shape
+    ],
+)
+def test_a_tableau_of_another_shape_is_a_usage_error(action, shape_argv, shape):
+    # --n and --lambda name the shape, so the tableau of --tab must have it
+    command = "tab" if action == "scan" else "set"
+    tab = json.dumps({"lambda": [1, 1, 0], "n": 3, "columns": [[2, 3]]})
+    code, out, err = _captured(main, [command, action, *shape_argv, "--tab", tab])
+    assert (code, out) == (64, "")
+    assert err == f"parakat: error: --tab has shape (1,1,0), but --n and --lambda give {shape}\n"
+
+
 def test_make_floor_and_ceiling(capsys):
     code, out = run_cli(capsys, "critlist", "--n", "9", "--R", "3,8",
                         "--tuple", "3,4,6,4,5,6,8,9,9", "--json")

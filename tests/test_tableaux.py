@@ -17,6 +17,7 @@ from parakat.rperms import (
 from parakat.rtuples import MAX_SIZE, RTuple, enumerate_tuples, equivalent
 from parakat.tableaux import (
     Shape,
+    ShapeTableaux,
     Tableau,
     TableauSet,
     content,
@@ -344,6 +345,47 @@ def test_builders_match_brute_force_filter():
             assert ideal(top) == _brute_force_set(sh, lambda t: entrywise_le(t, top))
 
 
+def test_shape_tableaux_match_the_walk_builders():
+    # the walks below a maximum stay the oracle for the sets read off the groups
+    for sh in SMALL_SHAPES:
+        r = sh.r_subset.elements
+        atlas = ShapeTableaux(sh)
+        perms = list(enumerate_rperms(sh.n, r))
+        for p in perms:
+            assert atlas.demazure_set(p) == demazure_set(p, sh)
+        for b in enumerate_tuples(sh.n, r, "upper"):
+            got = atlas.row_bound_set(b)
+            assert got == row_bound_set(b, sh)
+            # the filter never calls core, so this is the theorem that a bound
+            # and its core bound the same tableaux
+            assert got == _brute_force_set(sh, lambda t: in_row_bound_set(t, b))
+        # one atom per key of an R-permutation, one class per increasing upper tuple
+        assert len(atlas.atoms) == len(perms)
+        assert set(atlas.atoms) == {
+            tuple(v for col in key_of_perm(p, sh).columns for v in col) for p in perms
+        }
+        increasing = [a.entries for a in enumerate_tuples(sh.n, r, "increasing")]
+        assert len(atlas.classes) == len(increasing) and set(atlas.classes) == set(increasing)
+        for groups in (atlas.atoms, atlas.classes):
+            members = [t for group in groups.values() for t in group]
+            assert sorted(members, key=lambda t: t.columns) == list(tableaux_of(sh))
+
+
+def test_shape_tableaux_validate_as_the_walk_builders_do():
+    sh = Shape.of(3, (2, 1))
+    atlas = ShapeTableaux(sh)
+    with pytest.raises(ShapeMismatch):
+        atlas.demazure_set(RPermutation.of(3, (1,), (3, 1, 2)))
+    with pytest.raises(ShapeMismatch):
+        atlas.row_bound_set(RTuple.of(3, (1,), (3, 3, 3)))
+    with pytest.raises(NotUpper):
+        atlas.row_bound_set(RTuple.of(3, (1, 2), (1, 1, 3)))
+    # the cap counts every tableau of the shape, before any is built
+    assert len(ShapeTableaux(sh, cap=8).tableaux) == count_tableaux(sh) == 8
+    with pytest.raises(CapExceeded, match="has 8 tableaux, over the cap of 7"):
+        ShapeTableaux(sh, cap=7)
+
+
 def test_gapless_key_requires_key():
     t = Tableau(Shape.of(3, (2, 1)), ((1, 3), (2,)))
     assert not is_key(t)
@@ -396,6 +438,9 @@ def test_trusted_sets_pass_the_public_checks(rebuilt):
         built += [row_bound_set(b, sh) for b in enumerate_tuples(sh.n, r, "upper")]
         built += [ideal(t) for t in ts]
         built += [z_set(a, sh) for a in enumerate_tuples(sh.n, r, "increasing")]
+        atlas = ShapeTableaux(sh)
+        built += [atlas.demazure_set(p) for p in enumerate_rperms(sh.n, r)]
+        built += [atlas.row_bound_set(b) for b in enumerate_tuples(sh.n, r, "upper")]
         for s in built:
             again = rebuilt(s)
             assert again == s and again.tableaux == s.tableaux

@@ -146,3 +146,20 @@ def test_counts_total_route_catches_a_wrong_transfer_count(monkeypatch):
     assert report.counterexamples == (
         {"n": 3, "family": "total_two_routes", "by_avoidance_filter": 12, "by_transfer_matrix": 13},
     )
+
+
+@pytest.mark.parametrize(
+    "scale, instances",
+    [
+        (
+            {"max_n": 4, "max_col": 3, "all_shapes": True},
+            {"convexity": 340, "coincidence": 1053, "polynomials": 5078, "accidental": 50},
+        ),
+        ({}, {"convexity": 92, "coincidence": 236, "polynomials": 1229, "accidental": 20}),
+    ],
+)
+def test_tableau_suites_check_every_instance(scale, instances):
+    # a rewrite that drops a check passes, so the counts are pinned as well
+    for name, count in instances.items():
+        report = run_suite(name, **scale)
+        assert (report.verdict, report.instances) == ("pass", count), name
