@@ -87,24 +87,18 @@ def _need(args, *names: str) -> None:
         raise ValueError(f"missing required arguments: {', '.join(missing)}")
 
 
-def _read(args, option: str, r_elements: tuple[int, ...] | None = None):
-    """The value of ``--tuple`` or ``--perm`` over ``r_elements`` (``--R`` if
-    None), or the tableau of ``--tab``."""
+def _read(args, option: str, shape: Shape | None = None):
+    """The value of ``--tuple`` or ``--perm`` over the dividers of ``shape``
+    (``--R`` if None), or the tableau of ``--tab``, which must have ``shape``."""
     text = getattr(args, option)
     if option == "tab":
-        return Tableau.from_json_dict(json.loads(text))
-    if r_elements is None:
-        r_elements = _parse_ints(args.R)
+        t = Tableau.from_json_dict(json.loads(text))
+        if shape is not None and t.shape != shape:
+            raise ValueError(f"--tab has shape {t.shape}, but --n and --lambda give {shape}")
+        return t
+    r_elements = _parse_ints(args.R) if shape is None else shape.r_subset.elements
     cls = RTuple if option == "tuple" else RPermutation
     return cls.of(args.n, r_elements, _parse_ints(text))
-
-
-def _read_on(args, option: str, shape: Shape):
-    """The input of ``option`` over ``shape``; a tableau must have that shape."""
-    value = _read(args, option, shape.r_subset.elements)
-    if option == "tab" and value.shape != shape:
-        raise ValueError(f"--tab has shape {value.shape}, but --n and --lambda give {shape}")
-    return value
 
 
 def _run_steps(args, steps, *extra) -> list:
@@ -112,7 +106,7 @@ def _run_steps(args, steps, *extra) -> list:
     ``(option, call)`` step in order as ``call(value, shape, *extra)``."""
     _need(args, *(option for option, _ in steps))
     shape = Shape.of(args.n, _parse_ints(args.lam))
-    return [call(_read_on(args, option, shape), shape, *extra) for option, call in steps]
+    return [call(_read(args, option, shape), shape, *extra) for option, call in steps]
 
 
 def _render_tuple(t, fmt: str) -> str:
@@ -240,7 +234,7 @@ def _cmd_perm(args) -> tuple[list[str], int]:
     if args.action == "project":
         word = _parse_ints(args.perm)
         return [_render_tuple(r_projection(word, rs), args.format)], 0
-    p = _read(args, "perm", rs.elements)
+    p = _read(args, "perm")
     if args.action == "avoiding":
         value = is_r312_avoiding(p)
         if args.format == "json":

@@ -533,8 +533,8 @@ class ShapeTableaux:
     (6, 6)
     """
 
-    def __init__(self, shape: Shape, cap: int | None = None):
-        limit = materialization_cap() if cap is None else cap
+    def __init__(self, shape: Shape):
+        limit = materialization_cap()
         total = count_tableaux(shape)
         if total > limit:
             raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")

@@ -440,7 +440,7 @@ _JSON = st.recursive(
 _SMALL = st.integers(-1, 4)
 _VALID_TABS = [
     t.to_json_dict()
-    for parts in [(1,), (2, 1), (2, 2, 1)]
+    for parts in [(1,), (1, 1), (2, 1), (2, 2, 1)]
     for t in enumerate_tableaux(Shape.of(3, parts))
 ]
 _VALID_CRITLISTS = [
@@ -481,9 +481,17 @@ def _json_text(values):
 @settings(max_examples=300, deadline=None)
 @given(
     argv=st.one_of(
-        _json_text(_TAB_JSON).map(lambda s: ["tab", "scan", "--n", "3", "--tab=" + s]),
+        _json_text(_TAB_JSON).map(
+            lambda s: ["tab", "scan", "--n", "3", "--lambda", "2,1", "--tab=" + s]
+        ),
         _json_text(_TAB_JSON).map(
             lambda s: ["set", "ideal", "--n", "3", "--lambda", "1,1", "--tab=" + s]
+        ),
+        # a valid tableau under the --lambda of its own shape reaches exit 0
+        st.tuples(st.sampled_from([["tab", "scan"], ["set", "ideal"]]),
+                  st.sampled_from(_VALID_TABS)).map(
+            lambda t: [*t[0], "--n", "3", "--lambda", ",".join(map(str, t[1]["lambda"])),
+                       "--tab=" + json.dumps(t[1])]
         ),
         st.tuples(st.sampled_from(CONSTRUCTION_KINDS), _json_text(_CRITLIST_JSON)).map(
             lambda t: ["make", "--kind", t[0], "--critlist=" + t[1]]

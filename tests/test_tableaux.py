@@ -371,7 +371,7 @@ def test_shape_tableaux_match_the_walk_builders():
             assert sorted(members, key=lambda t: t.columns) == list(tableaux_of(sh))
 
 
-def test_shape_tableaux_validate_as_the_walk_builders_do():
+def test_shape_tableaux_validate_as_the_walk_builders_do(monkeypatch):
     sh = Shape.of(3, (2, 1))
     atlas = ShapeTableaux(sh)
     with pytest.raises(ShapeMismatch):
@@ -381,9 +381,11 @@ def test_shape_tableaux_validate_as_the_walk_builders_do():
     with pytest.raises(NotUpper):
         atlas.row_bound_set(RTuple.of(3, (1, 2), (1, 1, 3)))
     # the cap counts every tableau of the shape, before any is built
-    assert len(ShapeTableaux(sh, cap=8).tableaux) == count_tableaux(sh) == 8
+    monkeypatch.setenv("PARAKAT_CAP", "8")
+    assert len(ShapeTableaux(sh).tableaux) == count_tableaux(sh) == 8
+    monkeypatch.setenv("PARAKAT_CAP", "7")
     with pytest.raises(CapExceeded, match="has 8 tableaux, over the cap of 7"):
-        ShapeTableaux(sh, cap=7)
+        ShapeTableaux(sh)
 
 
 def test_gapless_key_requires_key():
