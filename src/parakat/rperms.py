@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import NotAvoiding, NotGapless
-from .rtuples import RSubset, RTuple, _check_size, _unchecked, core, is_gapless
+from .rtuples import RSubset, RTuple, _chains, _check_size, _unchecked, core, is_gapless
 
 
 def _require_permutation(entries: Sequence[int], n: int) -> None:
@@ -452,15 +452,11 @@ def enumerate_rperms(
     r = RSubset(n, tuple(r_elements))
     sizes = r.block_sizes
 
-    def rec(remaining: tuple[int, ...], acc: tuple[int, ...], h: int) -> Iterator[tuple[int, ...]]:
-        if h == len(sizes):
-            yield acc
-            return
-        for combo in itertools.combinations(remaining, sizes[h]):
-            left = tuple(v for v in remaining if v not in combo)
-            yield from rec(left, acc + combo, h + 1)
+    def options(h: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        left = [v for v in range(1, n + 1) if v not in acc]
+        return itertools.combinations(left, sizes[h])
 
-    for entries in rec(tuple(range(1, n + 1)), (), 0):
+    for entries in _chains(len(sizes), options):
         p = _unchecked(RPermutation, r_subset=r, entries=entries)
         if not avoiding_only or is_r312_avoiding(p):
             yield p

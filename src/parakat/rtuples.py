@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterator, Sequence
+from operator import le
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
 
@@ -596,23 +597,40 @@ _WALKS = {
 FAMILIES = tuple(_WALKS)
 
 
+def _chains(depth: int, options: Callable[[int, tuple], Iterable[tuple]]) -> Iterator[tuple]:
+    """Every concatenation of ``depth`` pieces, depth first, without recursion.
+
+    Piece h, a tuple, ranges over ``options(h, prefix)`` in the order given,
+    where ``prefix`` is the concatenation of the pieces before it.  The walk
+    keeps one ``(prefix, iterator)`` pair per open level.
+    """
+    if depth == 0:
+        yield ()
+        return
+    stack = [((), iter(options(0, ())))]
+    while stack:
+        prefix, pieces = stack[-1]
+        if len(stack) < depth:
+            piece = next(pieces, None)
+            if piece is not None:  # open the level below; come back for the rest
+                prefix += piece
+                stack.append((prefix, iter(options(len(stack), prefix))))
+                continue
+        else:
+            for piece in pieces:
+                yield prefix + piece
+        stack.pop()
+
+
 def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, ...]]:
     """The segments of a kind on carrel (lo, hi], in lexicographic order."""
+    positions = range(lo + 1, hi + 1)
     if kind == "upper":
-        return itertools.product(*(range(i, n + 1) for i in range(lo + 1, hi + 1)))
-    step = 0 if kind == "weak" else 1
-
-    def rec(acc: list[int]) -> Iterator[tuple[int, ...]]:
-        i = lo + len(acc) + 1
-        if i > hi:
-            yield tuple(acc)
-            return
-        for v in range(max(i, acc[-1] + step) if acc else i, n + 1):
-            acc.append(v)
-            yield from rec(acc)
-            acc.pop()
-
-    return rec([])
+        return itertools.product(*(range(i, n + 1) for i in positions))
+    if kind == "strict":  # a strictly increasing segment from lo + 1 up is upper
+        return itertools.combinations(range(lo + 1, n + 1), hi - lo)
+    segs = itertools.combinations_with_replacement(range(lo + 1, n + 1), hi - lo)
+    return (s for s in segs if all(map(le, positions, s)))
 
 
 def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:
@@ -639,7 +657,7 @@ def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator
         return segs
 
     def boundary_key(seg: tuple[int, ...], lo: int) -> int:
-        # without a rule every key is 0 and extend asks for keys >= 0, so one
+        # without a rule every key is 0 and options asks for keys >= 0, so one
         # list of a carrel's segments serves every start
         if rule is None:
             return 0
@@ -651,22 +669,16 @@ def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator
     later = [[(s, boundary_key(s, lo)) for s in segments(lo, hi)] for lo, hi in rest]
     admissible: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in later]
 
-    def extend(h: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    def options(h: int, acc: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        if h == 0:
+            return segments(*first)
         a = acc[-1] if rule else 0
-        segs = admissible[h].get(a)
+        segs = admissible[h - 1].get(a)
         if segs is None:
-            segs = admissible[h][a] = [s for s, key in later[h] if key >= a]
-        if h == len(later) - 1:
-            for seg in segs:
-                yield acc + seg
-        else:
-            for seg in segs:
-                yield from extend(h + 1, acc + seg)
+            segs = admissible[h - 1][a] = [s for s, key in later[h - 1] if key >= a]
+        return segs
 
-    walk = segments(*first)
-    if later:
-        walk = itertools.chain.from_iterable(extend(0, s) for s in walk)
-    for entries in walk:
+    for entries in _chains(1 + len(later), options):
         t = _unchecked(RTuple, r_subset=r, entries=entries)
         if pred is None or pred(t):
             yield t
@@ -683,20 +695,16 @@ def enumerate_critical_lists(
     r = RSubset(n, tuple(r_elements))
 
     def carrel_options(lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
+        # each list is built right to left; its last pair (x, y) is its leftmost
+        todo = [((hi, y),) for y in range(hi, n + 1)]
         out = []
-
-        def extend(pairs: list[tuple[int, int]], x: int, y: int) -> None:
-            # pairs is built right-to-left; (x, y) is its current leftmost pair
-            out.append(tuple(reversed(pairs)))
+        while todo:
+            pairs = todo.pop()
+            out.append(pairs[::-1])
+            x, y = pairs[-1]
+            # an entry at nx must sit strictly below the staircase through (x, y)
             for nx in range(lo + 1, x):
-                # entry at nx must sit strictly below the staircase through (x, y)
-                for ny in range(nx, y - (x - nx)):
-                    pairs.append((nx, ny))
-                    extend(pairs, nx, ny)
-                    pairs.pop()
-
-        for y in range(hi, n + 1):
-            extend([(hi, y)], hi, y)
+                todo += [pairs + ((nx, ny),) for ny in range(nx, y - (x - nx))]
         return sorted(out)
 
     per_carrel = [carrel_options(lo, hi) for lo, hi in r.carrels]

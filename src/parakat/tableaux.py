@@ -25,6 +25,7 @@ from .rperms import RChain, RPermutation, to_chain
 from .rtuples import (
     RSubset,
     RTuple,
+    _chains,
     _check_size,
     _is_int_array,
     _unchecked,
@@ -258,51 +259,32 @@ def count_tableaux(shape: Shape) -> int:
 
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     """All semistandard tableaux, lexicographic in column-major entry order."""
-    zeta = shape.column_lengths
     n = shape.n
-    if not zeta:
-        yield _unchecked(Tableau, shape=shape, columns=())
-        return
-
-    def rec(cols: list[tuple[int, ...]], j: int) -> Iterator[Tableau]:
-        if j == len(zeta):
-            yield _unchecked(Tableau, shape=shape, columns=tuple(cols))
-            return
-        prev = cols[j - 1] if j else None
-        for col in itertools.combinations(range(1, n + 1), zeta[j]):
-            if prev is not None and any(col[i] < prev[i] for i in range(zeta[j])):
-                continue
-            cols.append(col)
-            yield from rec(cols, j + 1)
-            cols.pop()
-
-    yield from rec([], 0)
+    top = tuple(tuple(range(n - z + 1, n + 1)) for z in shape.column_lengths)
+    yield from _between(minimal_tableau(shape), _unchecked(Tableau, shape=shape, columns=top))
 
 
 def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
-    """Semistandard tableaux within an entrywise box, by column-major DFS."""
-    zeta = lo.shape.column_lengths
-    ncols = len(zeta)
+    """Semistandard tableaux within an entrywise box, column by column.
 
-    def rec(cols: list[list[int]], j: int, i: int) -> Iterator[Tableau]:
-        if j == ncols:
-            yield _unchecked(Tableau, shape=lo.shape, columns=tuple(tuple(c) for c in cols))
-            return
-        if i == zeta[j]:
-            yield from rec(cols, j + 1, 0)
-            return
-        lo_v = lo.columns[j][i]
-        hi_v = hi.columns[j][i]
-        if i > 0:
-            lo_v = max(lo_v, cols[j][i - 1] + 1)
-        if j > 0 and i < zeta[j - 1]:
-            lo_v = max(lo_v, cols[j - 1][i])
-        for v in range(lo_v, hi_v + 1):
-            cols[j].append(v)
-            yield from rec(cols, j, i + 1)
-            cols[j].pop()
+    Column j ranges over the strictly increasing columns between column j of
+    ``lo`` and of ``hi``, in lexicographic order, and is kept where it sits
+    weakly right of column j - 1.
+    """
+    boxed = [
+        [(c,) for c in itertools.combinations(range(a[0], b[-1] + 1), len(a))
+         if all(map(le, a, c)) and all(map(le, c, b))]
+        for a, b in zip(lo.columns, hi.columns)
+    ]
 
-    yield from rec([[] for _ in range(ncols)], 0, 0)
+    def options(j: int, cols: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...]]]:
+        if j == 0:
+            return boxed[0]
+        left = cols[-1]
+        return [piece for piece in boxed[j] if all(map(le, left, piece[0]))]
+
+    for cols in _chains(len(boxed), options):
+        yield _unchecked(Tableau, shape=lo.shape, columns=cols)
 
 
 def _below(top: Tableau) -> Iterator[Tableau]:

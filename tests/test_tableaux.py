@@ -1,6 +1,9 @@
 import dataclasses
 import functools
+import gc
 import itertools
+import operator
+import random
 import time
 
 import pytest
@@ -14,7 +17,14 @@ from parakat.rperms import (
     rank_tuple,
     to_chain,
 )
-from parakat.rtuples import MAX_SIZE, RTuple, enumerate_tuples, equivalent
+from parakat.rtuples import (
+    FAMILIES,
+    MAX_SIZE,
+    RTuple,
+    enumerate_critical_lists,
+    enumerate_tuples,
+    equivalent,
+)
 from parakat.tableaux import (
     Shape,
     ShapeTableaux,
@@ -478,6 +488,51 @@ def test_ideals_are_convex():
     sh = Shape.of(3, (2, 1))
     for t in tableaux_of(sh):
         assert is_convex(ideal(t))
+
+
+def _brute_force_columns(shape):
+    """Every choice of one increasing column per column, kept where rows weakly increase."""
+    choices = [itertools.combinations(range(1, shape.n + 1), z) for z in shape.column_lengths]
+    return [
+        cols
+        for cols in itertools.product(*choices)
+        if all(all(map(operator.le, a, b)) for a, b in zip(cols, cols[1:]))
+    ]
+
+
+def test_tableau_walks_match_a_brute_filter():
+    # both walks, items and order, against a filter of the product of columns
+    for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
+        brute = _brute_force_columns(sh)
+        assert [t.columns for t in enumerate_tableaux(sh)] == brute
+        members = tableaux_of(sh)  # in the order of brute, as just checked
+        rng = random.Random(len(members))
+        for _ in range(20):
+            a, b = rng.choice(members), rng.choice(members)
+            lo, hi = tableau_meet(a, b), tableau_join(a, b)
+            box = [t.columns for t in members if entrywise_le(lo, t) and entrywise_le(t, hi)]
+            assert [t.columns for t in _between(lo, hi)] == box
+
+
+def test_walks_leave_no_reference_cycles():
+    # a self-recursive generator closure would leave a function-cell cycle per call
+    sh = Shape.of(4, (3, 2, 1))
+    walks = [
+        functools.partial(enumerate_tableaux, sh),
+        functools.partial(ideal, tableaux_of(sh)[-1]),
+        functools.partial(enumerate_rperms, 5, (2, 4)),
+        functools.partial(enumerate_critical_lists, 5, (2, 4)),
+        *(functools.partial(enumerate_tuples, 5, (2, 4), f) for f in FAMILIES),
+    ]
+    for walk in walks:
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in walk():
+                pass
+            assert gc.collect() == 0, walk
+        finally:
+            gc.enable()
 
 
 def test_count_tableaux_matches_enumeration():
