@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
@@ -624,13 +623,13 @@ def _chains(depth: int, options: Callable[[int, tuple], Iterable[tuple]]) -> Ite
 
 def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, ...]]:
     """The segments of a kind on carrel (lo, hi], in lexicographic order."""
-    positions = range(lo + 1, hi + 1)
     if kind == "upper":
-        return itertools.product(*(range(i, n + 1) for i in positions))
+        return itertools.product(*(range(i, n + 1) for i in range(lo + 1, hi + 1)))
     if kind == "strict":  # a strictly increasing segment from lo + 1 up is upper
         return itertools.combinations(range(lo + 1, n + 1), hi - lo)
-    segs = itertools.combinations_with_replacement(range(lo + 1, n + 1), hi - lo)
-    return (s for s in segs if all(map(le, positions, s)))
+    # weak: nondecreasing, each entry at least its position
+    singles = [(v,) for v in range(n + 1)]
+    return _chains(hi - lo, lambda h, seg: singles[max(lo + 1 + h, seg[-1] if seg else 0):])
 
 
 def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:

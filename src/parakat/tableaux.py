@@ -265,25 +265,34 @@ def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
 
 
 def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
-    """Semistandard tableaux within an entrywise box, column by column.
+    """Semistandard tableaux within an entrywise box, box by box.
 
-    Column j ranges over the strictly increasing columns between column j of
-    ``lo`` and of ``hi``, in lexicographic order, and is kept where it sits
-    weakly right of column j - 1.
+    The boxes are filled in column-major order.  Each entry ranges from its
+    bound in ``lo``, raised past the entry above and to the entry on its
+    left, up to its bound in ``hi``; no partial filling dead-ends, so the walk
+    costs in proportion to what it yields.
     """
-    boxed = [
-        [(c,) for c in itertools.combinations(range(a[0], b[-1] + 1), len(a))
-         if all(map(le, a, c)) and all(map(le, c, b))]
-        for a, b in zip(lo.columns, hi.columns)
+    zeta = lo.shape.column_lengths
+    starts = list(itertools.accumulate(zeta, initial=0))
+    # per box: its bounds, whether a box sits above it, the flat index of its left box
+    boxes = [
+        (a[i], b[i] + 1, i > 0, starts[j - 1] + i if j else None)
+        for j, (a, b) in enumerate(zip(lo.columns, hi.columns))
+        for i in range(len(a))
     ]
+    singles = [(v,) for v in range(lo.shape.n + 1)]
 
-    def options(j: int, cols: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...]]]:
-        if j == 0:
-            return boxed[0]
-        left = cols[-1]
-        return [piece for piece in boxed[j] if all(map(le, left, piece[0]))]
+    def options(k: int, flat: tuple[int, ...]) -> list[tuple[int]]:
+        lo_v, stop, above, left = boxes[k]
+        if above:
+            lo_v = max(lo_v, flat[-1] + 1)
+        if left is not None:
+            lo_v = max(lo_v, flat[left])
+        return singles[lo_v:stop]
 
-    for cols in _chains(len(boxed), options):
+    spans = list(zip(starts, starts[1:]))
+    for flat in _chains(len(boxes), options):
+        cols = tuple(flat[s:e] for s, e in spans)
         yield _unchecked(Tableau, shape=lo.shape, columns=cols)
 
 

@@ -514,6 +514,20 @@ def test_tableau_walks_match_a_brute_filter():
             assert [t.columns for t in _between(lo, hi)] == box
 
 
+def test_narrow_boxes_cost_what_they_yield():
+    # 21 tableaux lie below the column (1..19, 40); a walk that first listed
+    # the C(40, 20) columns of the range 1..40 would never return
+    sh = Shape.of(40, (1,) * 20)
+    top = Tableau(sh, (tuple(range(1, 20)) + (40,),))
+    start = time.perf_counter()
+    assert len(ideal(top)) == 21
+    wide = Shape.of(40, (2,) * 20)
+    lo = Tableau(wide, (tuple(range(1, 21)),) * 2)
+    hi = Tableau(wide, (tuple(range(1, 20)) + (40,),) * 2)
+    assert sum(1 for _ in _between(lo, hi)) == 21 * 22 // 2
+    assert time.perf_counter() - start < 0.5
+
+
 def test_walks_leave_no_reference_cycles():
     # a self-recursive generator closure would leave a function-cell cycle per call
     sh = Shape.of(4, (3, 2, 1))

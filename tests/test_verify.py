@@ -169,7 +169,6 @@ def test_tableau_suites_check_every_instance(scale, instances):
     "name, scale, count",
     [
         ("bijections", {}, 7488),
-        ("bijections", {"max_n": 6}, 7488),
         ("counts", {}, 498),
         ("counts", {"max_n": 6, "poly_max_n": 0}, 453),
         ("lifts", {}, 2233),
