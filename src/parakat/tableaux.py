@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
@@ -39,7 +40,16 @@ DEFAULT_CAP = 10_000_000
 
 def materialization_cap() -> int:
     """Active cap on explicit tableau-set sizes; PARAKAT_CAP overrides."""
-    return int(os.environ.get("PARAKAT_CAP", DEFAULT_CAP))
+    raw = os.environ.get("PARAKAT_CAP")
+    if raw is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(raw)
+        if cap >= 0:
+            return cap
+    except ValueError:
+        pass
+    raise ValueError(f"PARAKAT_CAP must be a nonnegative integer, got {raw!r}")
 
 
 @dataclass(frozen=True)
@@ -509,19 +519,19 @@ def ideal(t: Tableau, cap: int | None = None) -> TableauSet:
 
 
 class ShapeTableaux:
-    """SSYT(shape), walked once and grouped two ways.
+    """SSYT(shape), walked once and kept as cells.
 
-    Tableaux that share a right key (their scanning tableau) form a Demazure
-    atom, and a Demazure set is the union of the atoms whose key lies below
-    its own.  Tableaux that share a row-end list form a class, and a
-    row-bound set is the union of the classes whose row ends lie below the
-    bound; that union never goes through ``core``.  The sets equal those of
-    the walks below a maximum (:func:`demazure_set`, :func:`row_bound_set`),
-    which stay the route for a single set.
+    A cell is the set of tableaux that share a right key (their scanning
+    tableau) and a row-end list; the cells partition SSYT(shape), none empty.
+    A Demazure set is a union of atoms (one right key each) and a row-bound
+    set a union of row-end classes, read without ``core``, so each is a set of
+    cells, and two sets are equal exactly when their cells are.  The sets are
+    those of the walks below a maximum (:func:`demazure_set`,
+    :func:`row_bound_set`), which stay the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
-    >>> len(atlas.atoms), len(atlas.classes)
-    (6, 6)
+    >>> len(atlas.cells), atlas.size(atlas.cells)
+    (7, 8)
     """
 
     def __init__(self, shape: Shape):
@@ -530,41 +540,34 @@ class ShapeTableaux:
         if total > limit:
             raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")
         self.shape = shape
-        self.tableaux = tuple(enumerate_tableaux(shape))
+        self.cells: dict = {}  # (flat right key, row ends) -> [size, content tally, join]
+        for t in enumerate_tableaux(shape):
+            cell = (_flat(scanning(t)), row_end_list(t).entries)
+            size, tally, top = self.cells.get(cell) or (0, Counter(), t)
+            tally[content(t)] += 1
+            self.cells[cell] = [size + 1, tally, tableau_join(top, t)]
 
-    # each grouping is made on first use; its groups keep the walk's order
+    def demazure_cells(self, p: RPermutation) -> frozenset:
+        """The cells whose right key lies entrywise below the key of ``p``."""
+        top = _flat(key_of_perm(p, self.shape))
+        return frozenset(c for c in self.cells if all(map(le, c[0], top)))
 
-    @cached_property
-    def atoms(self) -> dict[tuple[int, ...], list[Tableau]]:
-        """Right key, read column by column -> the tableaux scanning to it."""
-        return _group(self.tableaux, lambda t: _flat(scanning(t)))
-
-    @cached_property
-    def classes(self) -> dict[tuple[int, ...], list[Tableau]]:
-        """Row-end list -> the tableaux ending their rows there."""
-        return _group(self.tableaux, lambda t: row_end_list(t).entries)
-
-    def _union(self, groups: dict, top: tuple[int, ...]) -> TableauSet:
-        """The groups whose index lies entrywise below ``top``, merged."""
-        members = [t for key, group in groups.items() if all(map(le, key, top)) for t in group]
-        members.sort(key=lambda t: t.columns)
-        return _unchecked(TableauSet, shape=self.shape, tableaux=tuple(members))
-
-    def demazure_set(self, p: RPermutation) -> TableauSet:
-        """The atoms whose key lies entrywise below the key of ``p``."""
-        return self._union(self.atoms, _flat(key_of_perm(p, self.shape)))
-
-    def row_bound_set(self, b: RTuple) -> TableauSet:
-        """The classes whose row-end list lies entrywise below ``b``."""
+    def row_bound_cells(self, b: RTuple) -> frozenset:
+        """The cells whose row-end list lies entrywise below ``b``; never via ``core``."""
         _require_bound(b, self.shape)
-        return self._union(self.classes, b.entries)
+        return frozenset(c for c in self.cells if all(map(le, c[1], b.entries)))
 
+    def size(self, cells: Iterable) -> int:
+        return sum(self.cells[c][0] for c in cells)
 
-def _group(tableaux: Iterable[Tableau], key) -> dict:
-    out: dict = {}
-    for t in tableaux:
-        out.setdefault(key(t), []).append(t)
-    return out
+    def weights(self, cells: Iterable) -> Counter:
+        out = Counter()
+        for c in cells:
+            out.update(self.cells[c][1])
+        return out
+
+    def join(self, cells: Iterable) -> Tableau:
+        return reduce(tableau_join, (self.cells[c][2] for c in cells))
 
 
 def _flat(t: Tableau) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CapExceeded
-from .polys import compose_alpha, demazure_poly_dd, gen_fn
+from .polys import Polynomial, compose_alpha, demazure_poly_dd
 from .rperms import (
     RPermutation,
     RSubset,
@@ -48,7 +48,7 @@ from .tableaux import (
     ShapeTableaux,
     content,
     count_tableaux,
-    is_convex,
+    ideal,
     is_key,
     key_of_perm,
     row_bound_max,
@@ -255,14 +255,15 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                 )
             if n <= poly_max_n:
                 atlas = ShapeTableaux(canonical_shape(n, r_elements))
-                dsets = {p: atlas.demazure_set(p) for p in enumerate_rperms(n, r_elements)}
-                d_polys = {gen_fn(dsets[p]).poly for p in dsets if is_r312_avoiding(p)}
+                dsets = {p: atlas.demazure_cells(p) for p in enumerate_rperms(n, r_elements)}
+                avoiding_cells = [d for p, d in dsets.items() if is_r312_avoiding(p)]
+                d_polys = {Polynomial(n, atlas.weights(d)) for d in avoiding_cells}
                 run.check(
                     len(d_polys) == cnr,
                     {**base, "family": "demazure_polynomials", "count": len(d_polys)},
                 )
                 flag_polys = {
-                    gen_fn(atlas.row_bound_set(phi)).poly
+                    Polynomial(n, atlas.weights(atlas.row_bound_cells(phi)))
                     for phi in enumerate_tuples(n, r_elements, "flag")
                 }
                 run.check(
@@ -270,10 +271,10 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                     {**base, "family": "flag_schur_polynomials", "count": len(flag_polys)},
                 )
                 s_sets = {
-                    atlas.row_bound_set(delta).tableaux
+                    atlas.row_bound_cells(delta)
                     for delta in enumerate_tuples(n, r_elements, "increasing")
                 }
-                coincident = len(s_sets & {d.tableaux for d in dsets.values()})
+                coincident = len(s_sets & set(dsets.values()))
                 run.check(
                     coincident == cnr,
                     {**base, "family": "coincident_pairs", "count": coincident},
@@ -299,10 +300,12 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
         atlas = ShapeTableaux(shape)
         for p in enumerate_rperms(shape.n, shape.r_subset.elements):
             y = key_of_perm(p, shape)
-            dset = atlas.demazure_set(p)
+            d = atlas.demazure_cells(p)
+            join = atlas.join(d)
             avoiding = is_r312_avoiding(p)
-            convex = is_convex(dset)
-            is_ideal = convex and dset.join_of_all() == y
+            # the set lies in the ideal of its join: it is that ideal if the sizes agree
+            convex = atlas.size(d) == len(ideal(join))
+            is_ideal = convex and join == y
             run.check(
                 convex == avoiding == is_ideal,
                 {
@@ -332,12 +335,12 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         # each Demazure set -> the permutations indexing it, in enumeration order
         indexing: dict = {}
         for p in enumerate_rperms(shape.n, r_elements):
-            indexing.setdefault(atlas.demazure_set(p).tableaux, []).append(p)
+            indexing.setdefault(atlas.demazure_cells(p), []).append(p)
         gapless_images = {}
         for b in enumerate_tuples(shape.n, r_elements, "upper"):
-            sset = atlas.row_bound_set(b)
+            sset = atlas.row_bound_cells(b)
             delta = core(b)
-            matches = indexing.get(sset.tableaux, [])
+            matches = indexing.get(sset, [])
             payload = {
                 "shape": list(shape.parts),
                 "n": shape.n,
@@ -349,7 +352,7 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                 p = pi_map(delta)
                 ok = matches == [p] and row_bound_max(b, shape) == key_of_perm(p, shape)
                 run.check(ok, payload)
-                gapless_images[delta.entries] = sset.tableaux
+                gapless_images[delta.entries] = sset
             else:
                 run.check(matches == [], payload)
         run.check(
@@ -375,42 +378,43 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         shape_key = (shape.n, shape.parts)
         atlas = ShapeTableaux(shape)
         perms = list(enumerate_rperms(shape.n, r_elements))
-        d_handles = {p: gen_fn(atlas.demazure_set(p)) for p in perms}
+        d_cells = {p: atlas.demazure_cells(p) for p in perms}
+        d_polys = {p: Polynomial(shape.n, atlas.weights(d_cells[p])) for p in perms}
         base = {"shape": list(shape.parts), "n": shape.n}
 
         for p in perms:
             dd = demazure_poly_dd(p, shape)
             run.check(
-                d_handles[p].poly == dd,
+                d_polys[p] == dd,
                 {**base, "pi": str(p), "law": "scanning route equals recursion route"},
             )
             run.check(
                 compose_alpha(p, shape) == content(key_of_perm(p, shape)),
                 {**base, "pi": str(p), "law": "key content is the placed composition"},
             )
-            owner = d_poly_owner.setdefault((shape.n, d_handles[p].poly), (shape_key, p))
+            owner = d_poly_owner.setdefault((shape.n, d_polys[p]), (shape_key, p))
             run.check(
                 owner == (shape_key, p),
                 {**base, "pi": str(p), "law": "demazure polynomials are faithful"},
             )
 
         cores = list(enumerate_tuples(shape.n, r_elements, "increasing"))
-        s_handles = {delta.entries: gen_fn(atlas.row_bound_set(delta)) for delta in cores}
+        s_cells = {delta.entries: atlas.row_bound_cells(delta) for delta in cores}
+        s_polys = {e: Polynomial(shape.n, atlas.weights(c)) for e, c in s_cells.items()}
         for b in enumerate_tuples(shape.n, r_elements, "upper"):
             # every bound's set is its core's set, so the core scan is exhaustive;
             # the bound's set is read off its row ends, never through its core
             run.check(
-                atlas.row_bound_set(b) == s_handles[core(b).entries].tableau_set,
+                atlas.row_bound_cells(b) == s_cells[core(b).entries],
                 {**base, "beta": str(b), "law": "bounds and their core agree"},
             )
         for delta in cores:
-            h = s_handles[delta.entries]
+            h = s_polys[delta.entries]
             run.check(
-                h.poly.total_degrees() <= {shape.size}
-                and h.poly.coefficient(shape.parts) == 1,
+                h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
                 {**base, "core": str(delta), "law": "degree and leading weight"},
             )
-            owner = s_poly_owner.setdefault((shape.n, h.poly), shape_key)
+            owner = s_poly_owner.setdefault((shape.n, h), shape_key)
             run.check(
                 owner == shape_key,
                 {**base, "core": str(delta), "law": "row bound sums detect the shape"},
@@ -420,27 +424,27 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         for p in avoiding:
             gamma = rank_tuple(p)
             run.check(
-                d_handles[p].tableau_set == atlas.row_bound_set(gamma),
+                d_cells[p] == atlas.row_bound_cells(gamma),
                 {**base, "pi": str(p), "law": "avoiding index matches its rank bounds"},
             )
         for eta in enumerate_tuples(shape.n, r_elements, "gapless-core"):
             p = pi_map(core(eta))
             run.check(
-                atlas.row_bound_set(eta) == d_handles[p].tableau_set,
+                atlas.row_bound_cells(eta) == d_cells[p],
                 {**base, "eta": str(eta), "law": "gapless-core bounds match an index"},
             )
 
         avoiding_set = set(avoiding)
         for delta in cores:
-            h = s_handles[delta.entries]
+            h = s_polys[delta.entries]
             for p in perms:
-                if h.poly == d_handles[p].poly:
+                if h == d_polys[p]:
                     ok = (
                         p in avoiding_set
                         and is_gapless(delta)
                         and delta == rank_tuple(p)
                         and row_end_max(delta, shape) == key_of_perm(p, shape)
-                        and h.tableau_set == d_handles[p].tableau_set
+                        and s_cells[delta.entries] == d_cells[p]
                     )
                     run.check(
                         ok,
@@ -454,7 +458,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             if not is_gapless(delta):
                 continue
             for other in cores:
-                if s_handles[other.entries].poly == h.poly:
+                if s_polys[other.entries] == h:
                     run.check(
                         other == delta,
                         {
@@ -546,7 +550,7 @@ def search_accidental(
         for delta in enumerate_tuples(shape.n, shape.r_subset.elements, "increasing"):
             if is_gapless(delta):
                 continue
-            poly = gen_fn(atlas.row_bound_set(delta)).poly
+            poly = Polynomial(shape.n, atlas.weights(atlas.row_bound_cells(delta)))
             by_poly.setdefault(poly, []).append(delta)
         for poly, deltas in by_poly.items():
             payload = {
@@ -627,11 +631,11 @@ def dimension_tables(shape: Shape) -> dict:
     r_elements = shape.r_subset.elements
     atlas = ShapeTableaux(shape)
     demazure = [
-        {"pi": str(p), "size": len(atlas.demazure_set(p))}
+        {"pi": str(p), "size": atlas.size(atlas.demazure_cells(p))}
         for p in enumerate_rperms(shape.n, r_elements)
     ]
     row_bound = [
-        {"alpha": str(a), "size": len(atlas.row_bound_set(a))}
+        {"alpha": str(a), "size": atlas.size(atlas.row_bound_cells(a))}
         for a in enumerate_tuples(shape.n, r_elements, "increasing")
     ]
     return {

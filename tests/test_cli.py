@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -302,11 +303,23 @@ def test_each_action_looks_its_library_call_up_when_it_runs(monkeypatch, capsys)
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("extra", [["--cap", "-1"], ["--manifest", "{tmp}/no-such-dir/run.json"]])
-def test_cap_and_manifest_errors_exit_cleanly(tmp_path, capsys, extra):
-    assert main(IDEAL_ARGV + [a.format(tmp=tmp_path) for a in extra]) == 64
+_VERIFY_ARGV = ["verify", "convexity", "--max-n", "2", "--json"]
+
+
+@pytest.mark.parametrize("extra", [
+    (IDEAL_ARGV, ["--cap", "-1"], {}),
+    (IDEAL_ARGV, ["--manifest", "{tmp}/no-such-dir/run.json"], {}),
+    # PARAKAT_CAP is read where sets are built: by set and poly, and by the suites
+    *[(argv, [], {"PARAKAT_CAP": cap}) for argv in (IDEAL_ARGV, _VERIFY_ARGV) for cap in ("-1", "abc")],
+])
+def test_cap_and_manifest_errors_exit_cleanly(tmp_path, capsys, monkeypatch, extra):
+    argv, options, env = extra
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv + [a.format(tmp=tmp_path) for a in options]) == 64
     err = capsys.readouterr().err
     assert err and "Traceback" not in err
+    assert all(name in err for name in env)
 
 
 def test_empty_suite_range_is_usage_error(capsys):
@@ -530,6 +543,29 @@ def test_catalan_table_script_totals():
     lines = proc.stdout.splitlines()
     assert lines[-1] == "  total over all R: 275808"
     assert proc.stderr == ""
+
+
+def test_dimension_tables_script_matches_the_library():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "dimension_tables.py"),
+         "--n", "3", "--lambda", "2,1", "--json"],
+        capture_output=True, text=True, env=_src_env(), check=True, timeout=120,
+    )
+    assert json.loads(proc.stdout) == verify.dimension_tables(Shape.of(3, (2, 1)))
+    assert proc.stderr == ""
+
+
+def test_readme_command_line_examples(capsys):
+    # every README line "parakat ..." followed by a "# output" line
+    lines = (ROOT / "README.md").read_text().splitlines()
+    examples = [
+        (shlex.split(cmd)[1:], out[2:])
+        for cmd, out in zip(lines, lines[1:])
+        if cmd.startswith("parakat ") and out.startswith("# ")
+    ]
+    assert len(examples) == 5
+    for argv, expected in examples:
+        assert run_cli(capsys, *argv) == (0, expected + "\n"), argv
 
 
 def _captured(call, *args):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parakat.errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
+from parakat.polys import Polynomial, gen_fn
 from parakat.rperms import (
     RPermutation,
     enumerate_rperms,
@@ -355,44 +356,55 @@ def test_builders_match_brute_force_filter():
             assert ideal(top) == _brute_force_set(sh, lambda t: entrywise_le(t, top))
 
 
+def _cell(t):
+    """The cell of ``t``: its right key read column by column, and its row ends."""
+    return tuple(v for col in scanning(t).columns for v in col), row_end_list(t).entries
+
+
 def test_shape_tableaux_match_the_walk_builders():
-    # the walks below a maximum stay the oracle for the sets read off the groups
+    # the walks below a maximum stay the oracle for the sets read as cells
     for sh in SMALL_SHAPES:
         r = sh.r_subset.elements
         atlas = ShapeTableaux(sh)
+
+        def agree(cells, walked):
+            assert {_cell(t) for t in walked} == cells
+            assert atlas.size(cells) == len(walked)
+            assert Polynomial(sh.n, atlas.weights(cells)) == gen_fn(walked).poly
+            assert atlas.join(cells) == walked.join_of_all()
+
         perms = list(enumerate_rperms(sh.n, r))
         for p in perms:
-            assert atlas.demazure_set(p) == demazure_set(p, sh)
+            agree(atlas.demazure_cells(p), demazure_set(p, sh))
         for b in enumerate_tuples(sh.n, r, "upper"):
-            got = atlas.row_bound_set(b)
-            assert got == row_bound_set(b, sh)
-            # the filter never calls core, so this is the theorem that a bound
-            # and its core bound the same tableaux
-            assert got == _brute_force_set(sh, lambda t: in_row_bound_set(t, b))
-        # one atom per key of an R-permutation, one class per increasing upper tuple
-        assert len(atlas.atoms) == len(perms)
-        assert set(atlas.atoms) == {
-            tuple(v for col in key_of_perm(p, sh).columns for v in col) for p in perms
-        }
-        increasing = [a.entries for a in enumerate_tuples(sh.n, r, "increasing")]
-        assert len(atlas.classes) == len(increasing) and set(atlas.classes) == set(increasing)
-        for groups in (atlas.atoms, atlas.classes):
-            members = [t for group in groups.values() for t in group]
-            assert sorted(members, key=lambda t: t.columns) == list(tableaux_of(sh))
+            walked = row_bound_set(b, sh)
+            agree(atlas.row_bound_cells(b), walked)
+            # neither the filter nor the cells call core, so this is the
+            # theorem that a bound and its core bound the same tableaux
+            assert walked == _brute_force_set(sh, lambda t: in_row_bound_set(t, b))
+        # the right keys are the keys of the R-permutations, one each, and the
+        # row-end lists the increasing upper tuples
+        keys = {key for key, _ in atlas.cells}
+        assert len(keys) == len(perms)
+        assert keys == {_cell(key_of_perm(p, sh))[0] for p in perms}
+        increasing = {a.entries for a in enumerate_tuples(sh.n, r, "increasing")}
+        assert {ends for _, ends in atlas.cells} == increasing
+        assert atlas.size(atlas.cells) == count_tableaux(sh)
 
 
 def test_shape_tableaux_validate_as_the_walk_builders_do(monkeypatch):
     sh = Shape.of(3, (2, 1))
     atlas = ShapeTableaux(sh)
     with pytest.raises(ShapeMismatch):
-        atlas.demazure_set(RPermutation.of(3, (1,), (3, 1, 2)))
+        atlas.demazure_cells(RPermutation.of(3, (1,), (3, 1, 2)))
     with pytest.raises(ShapeMismatch):
-        atlas.row_bound_set(RTuple.of(3, (1,), (3, 3, 3)))
+        atlas.row_bound_cells(RTuple.of(3, (1,), (3, 3, 3)))
     with pytest.raises(NotUpper):
-        atlas.row_bound_set(RTuple.of(3, (1, 2), (1, 1, 3)))
-    # the cap counts every tableau of the shape, before any is built
+        atlas.row_bound_cells(RTuple.of(3, (1, 2), (1, 1, 3)))
+    # the cap counts every tableau of the shape, before any is walked
     monkeypatch.setenv("PARAKAT_CAP", "8")
-    assert len(ShapeTableaux(sh).tableaux) == count_tableaux(sh) == 8
+    atlas = ShapeTableaux(sh)
+    assert atlas.size(atlas.cells) == count_tableaux(sh) == 8
     monkeypatch.setenv("PARAKAT_CAP", "7")
     with pytest.raises(CapExceeded, match="has 8 tableaux, over the cap of 7"):
         ShapeTableaux(sh)
@@ -450,9 +462,6 @@ def test_trusted_sets_pass_the_public_checks(rebuilt):
         built += [row_bound_set(b, sh) for b in enumerate_tuples(sh.n, r, "upper")]
         built += [ideal(t) for t in ts]
         built += [z_set(a, sh) for a in enumerate_tuples(sh.n, r, "increasing")]
-        atlas = ShapeTableaux(sh)
-        built += [atlas.demazure_set(p) for p in enumerate_rperms(sh.n, r)]
-        built += [atlas.row_bound_set(b) for b in enumerate_tuples(sh.n, r, "upper")]
         for s in built:
             again = rebuilt(s)
             assert again == s and again.tableaux == s.tableaux
