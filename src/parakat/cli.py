@@ -25,7 +25,7 @@ import sys
 
 from . import __version__
 from .errors import BudgetExceeded, CapExceeded, ParakatError
-from .polys import demazure_poly, demazure_poly_dd, poly_eq, row_bound_sum
+from .polys import demazure_poly, demazure_poly_dd, gf_identical, poly_eq, row_bound_sum
 from .rperms import (
     RPermutation,
     RSubset,
@@ -275,7 +275,7 @@ def _cmd_poly(args) -> tuple[list[str], int]:
     if len(results) == 1:
         return [_render_poly(results[0], args.format)], 0
     a, b = results
-    flags = {"poly_eq": poly_eq(a, b), "gf_identical": a.tableau_set == b.tableau_set}
+    flags = {"poly_eq": poly_eq(a, b), "gf_identical": gf_identical(a, b)}
     return _render_flags(flags, args.format), 0
 
 

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import NotAvoiding, NotGapless
-from .rtuples import RSubset, RTuple, _chains, _check_size, _unchecked, core, is_gapless
+from .rtuples import (
+    RSubset,
+    RTuple,
+    _carrel_text,
+    _chains,
+    _check_size,
+    _unchecked,
+    core,
+    is_gapless,
+)
 
 
 def _require_permutation(entries: Sequence[int], n: int) -> None:
@@ -51,8 +60,6 @@ class RPermutation:
         return self.r_subset.n
 
     def __str__(self) -> str:
-        from .rtuples import _carrel_text
-
         return _carrel_text(self.entries, self.r_subset.qs)
 
     def to_json_dict(self) -> dict:

@@ -104,6 +104,15 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _json_value(value):
+    """Sequences become arrays; bool, int and str stay; the rest is its text."""
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (bool, int, str)):
+        return value
+    return str(value)
+
+
 class _Run:
     """Accumulates instance checks and counterexamples for one suite."""
 
@@ -114,10 +123,11 @@ class _Run:
         self.bad: list = []
         self.started = time.perf_counter()
 
-    def check(self, ok: bool, payload: dict) -> None:
+    def check(self, ok: bool, **payload) -> None:
+        """Count one instance; a failing one keeps its payload in JSON form."""
         self.instances += 1
         if not ok:
-            self.bad.append(payload)
+            self.bad.append({k: _json_value(v) for k, v in payload.items()})
 
     def report(self) -> SuiteReport:
         bad = tuple(sorted(self.bad, key=lambda c: json.dumps(c, sort_keys=True)))
@@ -192,22 +202,13 @@ def suite_bijections(max_n: int = 6) -> SuiteReport:
     run = _Run("bijections", max_n=max_n)
     for n in range(1, max_n + 1):
         for r_elements in subsets_of_interval(n):
+            base = {"n": n, "R": r_elements}
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
-                run.check(
-                    pi_map(rank_tuple(p)) == p,
-                    {"n": n, "R": list(r_elements), "pi": str(p), "law": "pi(psi)=id"},
-                )
+                run.check(pi_map(rank_tuple(p)) == p, **base, pi=p, law="pi(psi)=id")
             for g in enumerate_tuples(n, r_elements, "gapless"):
-                payload = {"n": n, "R": list(r_elements), "gamma": str(g)}
-                run.check(
-                    rank_tuple(pi_map(g)) == g, {**payload, "law": "psi(pi)=id"}
-                )
-                run.check(
-                    core(floor_map(g)) == g, {**payload, "law": "core(floor)=id"}
-                )
-                run.check(
-                    core(ceiling_map(g)) == g, {**payload, "law": "core(ceiling)=id"}
-                )
+                run.check(rank_tuple(pi_map(g)) == g, **base, gamma=g, law="psi(pi)=id")
+                run.check(core(floor_map(g)) == g, **base, gamma=g, law="core(floor)=id")
+                run.check(core(ceiling_map(g)) == g, **base, gamma=g, law="core(ceiling)=id")
     return run.report()
 
 
@@ -231,7 +232,7 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
         for r_elements in subsets_of_interval(n):
             cnr = sum(1 for _ in enumerate_rperms(n, r_elements, avoiding_only=True))
             total_by_filter += cnr
-            base = {"n": n, "R": list(r_elements), "cnr": cnr}
+            base = {"n": n, "R": r_elements, "cnr": cnr}
             counts = {
                 "gapless": sum(1 for _ in enumerate_tuples(n, r_elements, "gapless")),
                 "flag_critical_lists": sum(
@@ -247,47 +248,36 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                     enumerate_tuples(n, r_elements, "flag")
                 ),
             }
-            for family, value in counts.items():
-                run.check(value == cnr, {**base, "family": family, "count": value})
-            if r_elements == tuple(range(1, n)):
-                run.check(
-                    cnr == catalan(n), {**base, "family": "catalan", "count": cnr}
-                )
             if n <= poly_max_n:
                 atlas = ShapeTableaux(canonical_shape(n, r_elements))
                 dsets = {p: atlas.demazure_cells(p) for p in enumerate_rperms(n, r_elements)}
-                avoiding_cells = [d for p, d in dsets.items() if is_r312_avoiding(p)]
-                d_polys = {Polynomial(n, atlas.weights(d)) for d in avoiding_cells}
-                run.check(
-                    len(d_polys) == cnr,
-                    {**base, "family": "demazure_polynomials", "count": len(d_polys)},
+                counts["demazure_polynomials"] = len(
+                    {
+                        Polynomial(n, atlas.weights(d))
+                        for p, d in dsets.items()
+                        if is_r312_avoiding(p)
+                    }
                 )
-                flag_polys = {
-                    Polynomial(n, atlas.weights(atlas.row_bound_cells(phi)))
-                    for phi in enumerate_tuples(n, r_elements, "flag")
-                }
-                run.check(
-                    len(flag_polys) == cnr,
-                    {**base, "family": "flag_schur_polynomials", "count": len(flag_polys)},
+                counts["flag_schur_polynomials"] = len(
+                    {
+                        Polynomial(n, atlas.weights(atlas.row_bound_cells(phi)))
+                        for phi in enumerate_tuples(n, r_elements, "flag")
+                    }
                 )
                 s_sets = {
                     atlas.row_bound_cells(delta)
                     for delta in enumerate_tuples(n, r_elements, "increasing")
                 }
-                coincident = len(s_sets & set(dsets.values()))
-                run.check(
-                    coincident == cnr,
-                    {**base, "family": "coincident_pairs", "count": coincident},
-                )
+                counts["coincident_pairs"] = len(s_sets & set(dsets.values()))
+            for family, value in counts.items():
+                run.check(value == cnr, **base, family=family, count=value)
+            if r_elements == tuple(range(1, n)):
+                run.check(cnr == catalan(n), **base, family="catalan", count=cnr)
         total_by_transfer = count_total(n)
         run.check(
             total_by_filter == total_by_transfer,
-            {
-                "n": n,
-                "family": "total_two_routes",
-                "by_avoidance_filter": total_by_filter,
-                "by_transfer_matrix": total_by_transfer,
-            },
+            n=n, family="total_two_routes",
+            by_avoidance_filter=total_by_filter, by_transfer_matrix=total_by_transfer,
         )
     return run.report()
 
@@ -308,14 +298,8 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
             is_ideal = convex and join == y
             run.check(
                 convex == avoiding == is_ideal,
-                {
-                    "shape": list(shape.parts),
-                    "n": shape.n,
-                    "pi": str(p),
-                    "avoiding": avoiding,
-                    "convex": convex,
-                    "equals_ideal": is_ideal,
-                },
+                shape=shape.parts, n=shape.n, pi=p,
+                avoiding=avoiding, convex=convex, equals_ideal=is_ideal,
             )
     return run.report()
 
@@ -331,6 +315,7 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     run = _Run("coincidence", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         r_elements = shape.r_subset.elements
+        base = {"shape": shape.parts, "n": shape.n}
         atlas = ShapeTableaux(shape)
         # each Demazure set -> the permutations indexing it, in enumeration order
         indexing: dict = {}
@@ -341,27 +326,16 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             sset = atlas.row_bound_cells(b)
             delta = core(b)
             matches = indexing.get(sset, [])
-            payload = {
-                "shape": list(shape.parts),
-                "n": shape.n,
-                "beta": str(b),
-                "core": str(delta),
-                "matches": [str(p) for p in matches],
-            }
             if is_gapless(delta):
                 p = pi_map(delta)
                 ok = matches == [p] and row_bound_max(b, shape) == key_of_perm(p, shape)
-                run.check(ok, payload)
                 gapless_images[delta.entries] = sset
             else:
-                run.check(matches == [], payload)
+                ok = matches == []
+            run.check(ok, **base, beta=b, core=delta, matches=matches)
         run.check(
             len(gapless_images) == len(set(gapless_images.values())),
-            {
-                "shape": list(shape.parts),
-                "n": shape.n,
-                "law": "gapless tuples index coincident sets faithfully",
-            },
+            **base, law="gapless tuples index coincident sets faithfully",
         )
     return run.report()
 
@@ -380,22 +354,18 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         perms = list(enumerate_rperms(shape.n, r_elements))
         d_cells = {p: atlas.demazure_cells(p) for p in perms}
         d_polys = {p: Polynomial(shape.n, atlas.weights(d_cells[p])) for p in perms}
-        base = {"shape": list(shape.parts), "n": shape.n}
+        base = {"shape": shape.parts, "n": shape.n}
 
         for p in perms:
             dd = demazure_poly_dd(p, shape)
-            run.check(
-                d_polys[p] == dd,
-                {**base, "pi": str(p), "law": "scanning route equals recursion route"},
-            )
+            run.check(d_polys[p] == dd, **base, pi=p, law="scanning route equals recursion route")
             run.check(
                 compose_alpha(p, shape) == content(key_of_perm(p, shape)),
-                {**base, "pi": str(p), "law": "key content is the placed composition"},
+                **base, pi=p, law="key content is the placed composition",
             )
             owner = d_poly_owner.setdefault((shape.n, d_polys[p]), (shape_key, p))
             run.check(
-                owner == (shape_key, p),
-                {**base, "pi": str(p), "law": "demazure polynomials are faithful"},
+                owner == (shape_key, p), **base, pi=p, law="demazure polynomials are faithful"
             )
 
         cores = list(enumerate_tuples(shape.n, r_elements, "increasing"))
@@ -406,32 +376,29 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             # the bound's set is read off its row ends, never through its core
             run.check(
                 atlas.row_bound_cells(b) == s_cells[core(b).entries],
-                {**base, "beta": str(b), "law": "bounds and their core agree"},
+                **base, beta=b, law="bounds and their core agree",
             )
         for delta in cores:
             h = s_polys[delta.entries]
             run.check(
                 h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
-                {**base, "core": str(delta), "law": "degree and leading weight"},
+                **base, core=delta, law="degree and leading weight",
             )
             owner = s_poly_owner.setdefault((shape.n, h), shape_key)
             run.check(
-                owner == shape_key,
-                {**base, "core": str(delta), "law": "row bound sums detect the shape"},
+                owner == shape_key, **base, core=delta, law="row bound sums detect the shape"
             )
 
         avoiding = [p for p in perms if is_r312_avoiding(p)]
         for p in avoiding:
-            gamma = rank_tuple(p)
             run.check(
-                d_cells[p] == atlas.row_bound_cells(gamma),
-                {**base, "pi": str(p), "law": "avoiding index matches its rank bounds"},
+                d_cells[p] == atlas.row_bound_cells(rank_tuple(p)),
+                **base, pi=p, law="avoiding index matches its rank bounds",
             )
         for eta in enumerate_tuples(shape.n, r_elements, "gapless-core"):
-            p = pi_map(core(eta))
             run.check(
-                atlas.row_bound_cells(eta) == d_cells[p],
-                {**base, "eta": str(eta), "law": "gapless-core bounds match an index"},
+                atlas.row_bound_cells(eta) == d_cells[pi_map(core(eta))],
+                **base, eta=eta, law="gapless-core bounds match an index",
             )
 
         avoiding_set = set(avoiding)
@@ -448,12 +415,8 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                     )
                     run.check(
                         ok,
-                        {
-                            **base,
-                            "core": str(delta),
-                            "pi": str(p),
-                            "law": "polynomial coincidence forces the set coincidence",
-                        },
+                        **base, core=delta, pi=p,
+                        law="polynomial coincidence forces the set coincidence",
                     )
             if not is_gapless(delta):
                 continue
@@ -461,18 +424,14 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                 if s_polys[other.entries] == h:
                     run.check(
                         other == delta,
-                        {
-                            **base,
-                            "core": str(other),
-                            "eta": str(delta),
-                            "law": "gapless-core sums admit no accidental equals",
-                        },
+                        **base, core=other, eta=delta,
+                        law="gapless-core sums admit no accidental equals",
                     )
 
         for phi in enumerate_tuples(shape.n, r_elements, "flag"):
             run.check(
                 is_key(row_bound_max(phi, shape)),
-                {**base, "phi": str(phi), "law": "row bound max of a flag is a key"},
+                **base, phi=phi, law="row bound max of a flag is a key",
             )
     return run.report()
 
@@ -489,7 +448,7 @@ def suite_lifts(max_n: int = 5) -> SuiteReport:
         ]
         for r_elements in subsets_of_interval(n):
             rs = RSubset(n, r_elements)
-            base = {"n": n, "R": list(r_elements)}
+            base = {"n": n, "R": r_elements}
             # projection -> the avoiding permutations projecting to it; each
             # list is sorted, since itertools.permutations yields them in
             # lexicographic order
@@ -498,29 +457,27 @@ def suite_lifts(max_n: int = 5) -> SuiteReport:
                 image = r_projection(w, rs)
                 lifts_of.setdefault(image, []).append(w)
                 run.check(
-                    is_r312_avoiding(image),
-                    {**base, "sigma": list(w), "law": "projection preserves avoidance"},
+                    is_r312_avoiding(image), **base, sigma=w, law="projection preserves avoidance"
                 )
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
-                payload = {**base, "pi": str(p)}
                 ml = minimal_lift(p)
                 lifts = list(all_lifts(p))
                 oracle = lifts_of.get(p, [])
-                run.check(lifts == oracle, {**payload, "law": "lift recipe equals filter"})
+                run.check(lifts == oracle, **base, pi=p, law="lift recipe equals filter")
                 run.check(
                     is_312_avoiding(ml) and r_projection(ml, rs) == p,
-                    {**payload, "law": "minimal lift is an avoiding lift"},
+                    **base, pi=p, law="minimal lift is an avoiding lift",
                 )
                 lm = inversions(ml)
                 run.check(
                     ml in set(lifts)
                     and all(inversions(w) > lm for w in lifts if w != ml),
-                    {**payload, "law": "minimal lift has strictly least length"},
+                    **base, pi=p, law="minimal lift has strictly least length",
                 )
                 psi = rank_tuple(p)
                 run.check(
                     all(project_rank_core(w, rs) == psi for w in lifts),
-                    {**payload, "law": "all lifts share the projected rank core"},
+                    **base, pi=p, law="all lifts share the projected rank core",
                 )
     return run.report()
 
@@ -553,13 +510,9 @@ def search_accidental(
             poly = Polynomial(shape.n, atlas.weights(atlas.row_bound_cells(delta)))
             by_poly.setdefault(poly, []).append(delta)
         for poly, deltas in by_poly.items():
-            payload = {
-                "shape": list(shape.parts),
-                "n": shape.n,
-                "cores": [str(d) for d in deltas],
-                "polynomial": str(poly),
-            }
-            run.check(len(deltas) == 1, payload)
+            run.check(
+                len(deltas) == 1, shape=shape.parts, n=shape.n, cores=deltas, polynomial=poly
+            )
     return run.report()
 
 
@@ -581,20 +534,22 @@ def suite_tables() -> SuiteReport:
     for entries, family, expected in classify_rows:
         t = RTuple.of(9, (3, 8), entries)
         got = getattr(classify(t), family)
-        run.check(
-            got == expected,
-            {"tuple": str(t), "family": family, "expected": expected, "got": got},
-        )
+        run.check(got == expected, tuple=t, family=family, expected=expected, got=got)
     perm_rows = [
         ((2, 3, 6, 1, 4, 5, 8, 9, 7), True),
         ((2, 4, 6, 1, 3, 7, 8, 9, 5), False),
     ]
     for entries, expected in perm_rows:
         p = RPermutation.of(9, (3, 8), entries)
-        run.check(
-            is_r312_avoiding(p) == expected,
-            {"perm": str(p), "expected": expected},
-        )
+        run.check(is_r312_avoiding(p) == expected, perm=p, expected=expected)
+    # each worked map's input type and the map itself
+    maps = {
+        "psi": (RPermutation, rank_tuple),
+        "core": (RTuple, core),
+        "pi": (RTuple, pi_map),
+        "floor": (RTuple, floor_map),
+        "ceiling": (RTuple, ceiling_map),
+    }
     map_rows = [
         ("psi", (2, 4, 6, 1, 5, 7, 8, 9, 3), "(2,4,6;5,6,7,8,9;9)"),
         ("core", (7, 9, 6, 5, 5, 9, 8, 9, 9), "(4,5,6;4,5,7,8,9;9)"),
@@ -603,26 +558,15 @@ def suite_tables() -> SuiteReport:
         ("ceiling", (3, 4, 5, 4, 5, 6, 8, 9, 9), "(5,5,5;6,6,6,9,9;9)"),
     ]
     for name, entries, expected in map_rows:
-        if name == "psi":
-            got = str(rank_tuple(RPermutation.of(9, (3, 8), entries)))
-        elif name == "core":
-            got = str(core(RTuple.of(9, (3, 8), entries)))
-        elif name == "pi":
-            got = str(pi_map(RTuple.of(9, (3, 8), entries)))
-        elif name == "floor":
-            got = str(floor_map(RTuple.of(9, (3, 8), entries)))
-        else:
-            got = str(ceiling_map(RTuple.of(9, (3, 8), entries)))
-        run.check(got == expected, {"map": name, "expected": expected, "got": got})
+        kind, fn = maps[name]
+        got = str(fn(kind.of(9, (3, 8), entries)))
+        run.check(got == expected, map=name, expected=expected, got=got)
     running = RTuple.of(9, (3, 8), (2, 7, 5, 8, 6, 6, 9, 9, 9))
-    run.check(
-        str(critical_list(running)) == "({(1,2),(3,5)};{(6,6),(8,9)};{(9,9)})",
-        {"map": "critical_list", "got": str(critical_list(running))},
-    )
-    run.check(
-        str(core(running)) == "(2,4,5;4,5,6,8,9;9)",
-        {"map": "core_running_example", "got": str(core(running))},
-    )
+    for name, got, expected in [
+        ("critical_list", critical_list(running), "({(1,2),(3,5)};{(6,6),(8,9)};{(9,9)})"),
+        ("core_running_example", core(running), "(2,4,5;4,5,6,8,9;9)"),
+    ]:
+        run.check(str(got) == expected, map=name, got=got)
     return run.report()
 
 

@@ -124,6 +124,23 @@ def test_verify_command(capsys):
     assert report["verdict"] == "pass" and report["counterexamples"] == []
 
 
+def test_failing_suite_exits_2(monkeypatch, capsys):
+    from parakat import rperms
+
+    monkeypatch.setattr(verify, "count_total", lambda n: rperms.count_total(n) + (n == 3))
+    argv = ["verify", "counts", "--max-n", "3", "--poly-max-n", "0"]
+    bad = {"by_avoidance_filter": 12, "by_transfer_matrix": 13, "family": "total_two_routes", "n": 3}
+    code, out = run_cli(capsys, *argv, "--json")
+    (report,) = json.loads(out)
+    assert code == 2 and report["verdict"] == "fail" and report["counterexamples"] == [bad]
+    code, out = run_cli(capsys, *argv, "--text")
+    assert code == 2 and out.splitlines()[1:] == [
+        "counterexamples (1 total):", "  " + json.dumps(bad, sort_keys=True)
+    ]
+    code, out = run_cli(capsys, *argv, "--csv")
+    assert code == 2 and out.startswith("counts,fail,55,")
+
+
 def test_usage_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["core", "--n", "9"])  # missing --tuple

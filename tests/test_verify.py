@@ -1,5 +1,10 @@
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+from parakat import verify
 from parakat.errors import BudgetExceeded, CapExceeded
 from parakat.tableaux import Shape
 from parakat.verify import (
@@ -111,9 +116,9 @@ def test_report_invariant_enforced():
 
 def test_failing_run_reports_sorted_counterexamples():
     run = _Run("demo", scope=1)
-    run.check(True, {"id": 0})
-    run.check(False, {"id": 2})
-    run.check(False, {"id": 1})
+    run.check(True, id=0)
+    run.check(False, id=2)
+    run.check(False, id=1)
     report = run.report()
     assert report.verdict == "fail" and not report.passed
     assert report.instances == 3
@@ -179,3 +184,27 @@ def test_tuple_suites_check_every_instance(name, scale, count):
     # as for the tableau suites: a rewrite of a walk that drops items still passes
     report = run_suite(name, **scale)
     assert (report.verdict, report.instances) == ("pass", count)
+
+
+@pytest.mark.parametrize(
+    "name, scale, digest",
+    [
+        ("tables", {}, "e3e54ebc034a68c0"),
+        ("bijections", {"max_n": 4}, "c426e16613e946c8"),
+        ("counts", {"max_n": 4, "poly_max_n": 4}, "2ab1a68d1b244e40"),
+        ("convexity", {"max_n": 3, "max_col": 2, "all_shapes": True}, "38edfc6a93d307a9"),
+        ("coincidence", {"max_n": 3, "max_col": 2, "all_shapes": True}, "0ef32e6d190887e7"),
+        ("polynomials", {"max_n": 3, "max_col": 2, "all_shapes": True}, "4c2c18711cad014c"),
+        ("lifts", {"max_n": 4}, "b72e3aa144b28d2b"),
+        ("accidental", {"max_n": 4, "max_col": 3, "all_shapes": True}, "83eac1d598be20c7"),
+    ],
+)
+def test_every_payload_is_pinned_under_forced_failure(monkeypatch, name, scale, digest):
+    # every check reports its payload as a failure, so the report pins each
+    # payload's fields and text forms, not only the verdicts
+    check = verify._Run.check
+    monkeypatch.setattr(verify._Run, "check", lambda run, ok, **payload: check(run, False, **payload))
+    report = dataclasses.replace(run_suite(name, **scale), wall_time=0)
+    assert report.instances == len(report.counterexamples)
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
