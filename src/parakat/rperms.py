@@ -339,6 +339,11 @@ def pi_map(g: RTuple) -> RPermutation:
     """
     if not is_gapless(g):
         raise NotGapless(f"tuple is not gapless: {g}")
+    return _pi_map(g)
+
+
+def _pi_map(g: RTuple) -> RPermutation:
+    """:func:`pi_map` of a tuple known to be gapless."""
     e = g.entries
     qs = g.r_subset.qs
     entries: list[int] = list(e[: qs[1]])

@@ -247,6 +247,7 @@ class CriticalList:
         if not carrels or not all(carrels):
             raise ValueError("every carrel must carry at least one critical pair")
         n = carrels[-1][-1][0]
+        _check_size("n", n)
         elements = tuple(c[-1][0] for c in carrels[:-1])
         return cls(RSubset(n, elements), carrels)
 
@@ -372,30 +373,38 @@ def from_critical_list(c: CriticalList, kind: str) -> RTuple:
         raise ValueError(f"unknown construction kind {kind!r}")
     if kind in _FLAG_ONLY_KINDS and not c.is_flag:
         raise NotFlagCriticalList(f"construction {kind!r} needs a flag critical list")
+    return _from_critical_list(c.r_subset, c.carrels, kind)
 
-    n = c.r_subset.n
+
+def _from_critical_list(
+    r: RSubset, carrels: tuple[tuple[tuple[int, int], ...], ...], kind: str
+) -> RTuple:
+    """:func:`from_critical_list` of the critical list with these ``carrels``
+    over R, for a kind that it admits."""
+    n = r.n
     entries = [0] * n
+    pairs = [p for c in carrels for p in c]
     if kind in ("increasing", "gapless"):
-        for pairs, (lo, _) in zip(c.carrels, c.r_subset.carrels):
+        for c, (lo, _) in zip(carrels, r.carrels):
             prev = lo
-            for x, y in pairs:
+            for x, y in c:
                 for i in range(prev + 1, x + 1):
                     entries[i - 1] = y - (x - i)
                 prev = x
     elif kind in ("shell", "canopy"):
         entries = [n] * n
-        for x, y in c.pairs:
+        for x, y in pairs:
             entries[x - 1] = y
     elif kind == "ceiling":
         prev = 0
-        for x, y in c.pairs:
+        for x, y in pairs:
             for i in range(prev + 1, x + 1):
                 entries[i - 1] = y
             prev = x
     else:  # floor
-        carrel_start = {pairs[0][0]: lo for pairs, (lo, _) in zip(c.carrels, c.r_subset.carrels)}
+        carrel_start = {c[0][0]: lo for c, (lo, _) in zip(carrels, r.carrels)}
         prev = 0
-        for x, y in c.pairs:
+        for x, y in pairs:
             entries[x - 1] = y
             if x in carrel_start and carrel_start[x] > 0:
                 q = carrel_start[x]
@@ -405,7 +414,7 @@ def from_critical_list(c: CriticalList, kind: str) -> RTuple:
                 for i in range(prev + 1, x):
                     entries[i - 1] = y - (x - i)
             prev = x
-    return _unchecked(RTuple, r_subset=c.r_subset, entries=tuple(entries))
+    return _unchecked(RTuple, r_subset=r, entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +431,23 @@ def _is_shell_over(
     """
     crit = {x for x, _ in pairs}
     return all(e == n for i, e in enumerate(entries, lo + 1) if i not in crit)
+
+
+def _is_ceiling_over(
+    entries: Sequence[int], pairs: Sequence[tuple[int, int]], n: int, lo: int = 0
+) -> bool:
+    """Each entry equals the critical entry at or next to its right in ``pairs``.
+
+    ``entries`` sit at positions lo + 1, lo + 2, ...: a whole tuple, or one
+    carrel of it.  ``n`` is unused; it keeps the signature of
+    :func:`_is_shell_over`, so that either filters a carrel's segments.
+    """
+    i = 0
+    for x, y in pairs:
+        if any(e != y for e in entries[i : x - lo]):
+            return False
+        i = x - lo
+    return True
 
 
 def is_gapless_core(t: RTuple) -> bool:
@@ -490,15 +516,7 @@ def is_floor_flag(t: RTuple) -> bool:
 
 def is_ceiling_flag(t: RTuple) -> bool:
     """Upper flag that is constant between consecutive critical indices."""
-    if not is_upper_flag(t):
-        return False
-    e = t.entries
-    prev = 0
-    for x, y in _upper_critical_list(t).pairs:
-        if any(e[i - 1] != y for i in range(prev + 1, x + 1)):
-            return False
-        prev = x
-    return True
+    return is_upper_flag(t) and _is_ceiling_over(t.entries, _upper_critical_list(t).pairs, t.n)
 
 
 def classify(t: RTuple) -> ClassificationReport:
@@ -534,7 +552,7 @@ def classify(t: RTuple) -> ClassificationReport:
         shell=shell,
         canopy=shell and c.is_flag,
         floor_flag=flag and is_floor_flag(t),
-        ceiling_flag=flag and is_ceiling_flag(t),
+        ceiling_flag=flag and _is_ceiling_over(t.entries, c.pairs, t.n),
     )
 
 
@@ -546,7 +564,7 @@ def equivalent(a: RTuple, b: RTuple) -> bool:
     """Whether two upper tuples share a critical list (equivalently, a core)."""
     if a.r_subset != b.r_subset:
         raise DomainMismatch(f"tuples live over different carrel sets: {a} vs {b}")
-    return core(a) == core(b)
+    return critical_list(a) == critical_list(b)
 
 
 def class_interval(t: RTuple) -> tuple[RTuple, RTuple]:
@@ -573,24 +591,27 @@ def ceiling_map(g: RTuple) -> RTuple:
 # enumeration
 
 
-# family: (segment kind, boundary rule, shell, per-tuple predicate).  A
-# segment is the entries of one carrel, each at least its position, of any
+# family: (segment kind, boundary rule, segment filter, per-tuple predicate).
+# A segment is the entries of one carrel, each at least its position, of any
 # order ("upper"), weakly increasing ("weak") or strictly increasing
 # ("strict").  The boundary rule keeps a segment only if its first entry
 # ("first") or its first critical entry ("critical") is at least the previous
 # carrel's last entry: that makes the tuple weakly increasing, or its critical
-# list a flag, as critical entries strictly rise inside a carrel.  A shell
-# family keeps only segments whose non-critical entries are all n.
+# list a flag, as critical entries strictly rise inside a carrel.  A segment
+# filter keeps only the segments whose entries it accepts against their
+# critical pairs: the shell families those whose non-critical entries are all
+# n, the ceiling family those constant up to each critical index.  Both are
+# conditions on each carrel alone, as every carrel's last index is critical.
 _WALKS = {
-    "upper": ("upper", None, False, None),
-    "flag": ("weak", "first", False, None),
-    "increasing": ("strict", None, False, None),
-    "gapless": ("strict", "critical", False, None),
-    "gapless-core": ("upper", "critical", False, None),
-    "floor": ("weak", "first", False, is_floor_flag),
-    "ceiling": ("weak", "first", False, is_ceiling_flag),
-    "shell": ("upper", None, True, None),
-    "canopy": ("upper", "critical", True, None),
+    "upper": ("upper", None, None, None),
+    "flag": ("weak", "first", None, None),
+    "increasing": ("strict", None, None, None),
+    "gapless": ("strict", "critical", None, None),
+    "gapless-core": ("upper", "critical", None, None),
+    "floor": ("weak", "first", None, is_floor_flag),
+    "ceiling": ("weak", "first", _is_ceiling_over, None),
+    "shell": ("upper", None, _is_shell_over, None),
+    "canopy": ("upper", "critical", _is_shell_over, None),
 }
 
 FAMILIES = tuple(_WALKS)
@@ -632,6 +653,71 @@ def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, 
     return _chains(hi - lo, lambda h, seg: singles[max(lo + 1 + h, seg[-1] if seg else 0):])
 
 
+class _CarrelPairs(dict):
+    """The critical pairs of one carrel's segments, each computed once.
+
+    A cache serves one carrel only: the same entries at another carrel's
+    positions have other critical indices.
+    """
+
+    def __init__(self, lo: int):
+        super().__init__()
+        self.lo = lo
+
+    def __missing__(self, seg: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        pairs = self[seg] = _critical_pairs(seg, self.lo)
+        return pairs
+
+
+def _walk(n: int, r_elements: Sequence[int], family: str):
+    """The state of one walk over a family: see :func:`enumerate_tuples`.
+
+    Returns R, one :class:`_CarrelPairs` per carrel of R after the first, the
+    family's per-tuple predicate (or None) and an iterator over the entries
+    of the tuples the walk builds, which the predicate still has to pass.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    r = RSubset(n, tuple(r_elements))
+    kind, rule, keep, pred = _WALKS[family]
+    caches = [_CarrelPairs(lo) for lo, _ in r.carrels[1:]]
+
+    def segments(h: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+        segs = _carrel_entries(n, lo, hi, kind)
+        if keep is None:
+            return segs
+        if h == 0:  # these stream past once each, so their pairs are not kept
+            return (s for s in segs if keep(s, _critical_pairs(s, lo), n, lo))
+        return (s for s in segs if keep(s, caches[h - 1][s], n, lo))
+
+    def boundary_key(h: int, seg: tuple[int, ...]) -> int:
+        # without a rule every key is 0 and options asks for keys >= 0, so one
+        # list of a carrel's segments serves every start
+        if rule is None:
+            return 0
+        return seg[0] if rule == "first" else caches[h - 1][seg][0][1]
+
+    # an upper tuple meets no condition tied to its carrels, so the upper
+    # family walks [n] as one carrel
+    first, *rest = ((0, n),) if family == "upper" else r.carrels
+    later = [
+        [(s, boundary_key(h, s)) for s in segments(h, lo, hi)]
+        for h, (lo, hi) in enumerate(rest, 1)
+    ]
+    admissible: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in later]
+
+    def options(h: int, acc: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        if h == 0:
+            return segments(0, *first)
+        a = acc[-1] if rule else 0
+        segs = admissible[h - 1].get(a)
+        if segs is None:
+            segs = admissible[h - 1][a] = [s for s, key in later[h - 1] if key >= a]
+        return segs
+
+    return r, caches, pred, _chains(1 + len(later), options)
+
+
 def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:
     """All members of a family, each once, in lexicographic entry order.
 
@@ -639,48 +725,38 @@ def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator
     segments stream, each later carrel's segments are listed once, and a
     later segment follows a tuple's start only where the family's boundary
     rule admits it.  Every tuple built is an upper tuple, so it is built
-    unchecked; the floor and ceiling families then test each one.
+    unchecked; the floor family then tests each one.
 
     >>> sum(1 for _ in enumerate_tuples(4, (1, 2, 3), "gapless"))
     14
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    r = RSubset(n, tuple(r_elements))
-    kind, rule, shell, pred = _WALKS[family]
-
-    def segments(lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        segs = _carrel_entries(n, lo, hi, kind)
-        if shell:
-            return (s for s in segs if _is_shell_over(s, _critical_pairs(s, lo), n, lo))
-        return segs
-
-    def boundary_key(seg: tuple[int, ...], lo: int) -> int:
-        # without a rule every key is 0 and options asks for keys >= 0, so one
-        # list of a carrel's segments serves every start
-        if rule is None:
-            return 0
-        return seg[0] if rule == "first" else _critical_pairs(seg, lo)[0][1]
-
-    # an upper tuple meets no condition tied to its carrels, so the upper
-    # family walks [n] as one carrel
-    first, *rest = ((0, n),) if family == "upper" else r.carrels
-    later = [[(s, boundary_key(s, lo)) for s in segments(lo, hi)] for lo, hi in rest]
-    admissible: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in later]
-
-    def options(h: int, acc: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        if h == 0:
-            return segments(*first)
-        a = acc[-1] if rule else 0
-        segs = admissible[h - 1].get(a)
-        if segs is None:
-            segs = admissible[h - 1][a] = [s for s, key in later[h - 1] if key >= a]
-        return segs
-
-    for entries in _chains(1 + len(later), options):
+    r, _, pred, walk = _walk(n, r_elements, family)
+    for entries in walk:
         t = _unchecked(RTuple, r_subset=r, entries=entries)
         if pred is None or pred(t):
             yield t
+
+
+def _tuples_with_critical_pairs(
+    n: int, r_elements: Sequence[int], family: str
+) -> Iterator[tuple[RTuple, tuple[tuple[tuple[int, int], ...], ...]]]:
+    """:func:`enumerate_tuples`, each member with its critical list's carrels.
+
+    The pairs of a later carrel come from the walk's cache for that carrel;
+    those of the first carrel are computed again only when its segment
+    changes, which the depth-first walk makes rare.
+    """
+    r, caches, pred, walk = _walk(n, r_elements, family)
+    (_, q), *rest = r.carrels
+    spans = [(cache, lo, hi) for cache, (lo, hi) in zip(caches, rest)]
+    head = None
+    for entries in walk:
+        t = _unchecked(RTuple, r_subset=r, entries=entries)
+        if pred is None or pred(t):
+            if entries[:q] != head:
+                head = entries[:q]
+                head_pairs = _critical_pairs(head, 0)
+            yield t, (head_pairs, *[cache[entries[lo:hi]] for cache, lo, hi in spans])
 
 
 def enumerate_critical_lists(
@@ -689,11 +765,13 @@ def enumerate_critical_lists(
     """All critical lists over (n, R), built directly from the definition.
 
     Independent of the tuple enumerations: pairs are generated carrel by
-    carrel from the index/entry constraints alone.
+    carrel from the index/entry constraints alone.  With ``flag_only`` a
+    carrel's pairs follow a list's start only if its first critical entry is
+    at least the previous carrel's last, which makes the list a flag.
     """
     r = RSubset(n, tuple(r_elements))
 
-    def carrel_options(lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
+    def carrel_options(lo: int, hi: int) -> list[tuple[tuple[tuple[int, int], ...]]]:
         # each list is built right to left; its last pair (x, y) is its leftmost
         todo = [((hi, y),) for y in range(hi, n + 1)]
         out = []
@@ -704,11 +782,18 @@ def enumerate_critical_lists(
             # an entry at nx must sit strictly below the staircase through (x, y)
             for nx in range(lo + 1, x):
                 todo += [pairs + ((nx, ny),) for ny in range(nx, y - (x - nx))]
-        return sorted(out)
+        # one piece of the walk per list: its carrel's entry in the critical list
+        return [(pairs,) for pairs in sorted(out)]
 
     per_carrel = [carrel_options(lo, hi) for lo, hi in r.carrels]
-    for combo in itertools.product(*per_carrel):
-        c = CriticalList(r, combo)
-        if flag_only and not c.is_flag:
-            continue
-        yield c
+    admissible: list[dict[int, list]] = [{} for _ in per_carrel]
+
+    def options(h: int, acc: tuple) -> list:
+        a = acc[-1][-1][1] if flag_only and acc else 0
+        pieces = admissible[h].get(a)
+        if pieces is None:
+            pieces = admissible[h][a] = [p for p in per_carrel[h] if p[0][0][1] >= a]
+        return pieces
+
+    for carrels in _chains(len(per_carrel), options):
+        yield _unchecked(CriticalList, r_subset=r, carrels=carrels)

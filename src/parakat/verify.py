@@ -20,6 +20,7 @@ from .polys import Polynomial, compose_alpha, demazure_poly_dd
 from .rperms import (
     RPermutation,
     RSubset,
+    _pi_map,
     count_total,
     enumerate_rperms,
     inversions,
@@ -34,6 +35,8 @@ from .rperms import (
 )
 from .rtuples import (
     RTuple,
+    _from_critical_list,
+    _tuples_with_critical_pairs,
     ceiling_map,
     classify,
     core,
@@ -205,15 +208,20 @@ def suite_bijections(max_n: int = 6) -> SuiteReport:
             base = {"n": n, "R": r_elements}
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
                 run.check(pi_map(rank_tuple(p)) == p, **base, pi=p, law="pi(psi)=id")
-            for g in enumerate_tuples(n, r_elements, "gapless"):
-                run.check(rank_tuple(pi_map(g)) == g, **base, gamma=g, law="psi(pi)=id")
-                run.check(core(floor_map(g)) == g, **base, gamma=g, law="core(floor)=id")
-                run.check(core(ceiling_map(g)) == g, **base, gamma=g, law="core(ceiling)=id")
+            # each gapless tuple comes with its critical list, so only the
+            # cores of its floor and ceiling compute one
+            for g, pairs in _tuples_with_critical_pairs(n, r_elements, "gapless"):
+                floor = _from_critical_list(g.r_subset, pairs, "floor")
+                ceiling = _from_critical_list(g.r_subset, pairs, "ceiling")
+                run.check(rank_tuple(_pi_map(g)) == g, **base, gamma=g, law="psi(pi)=id")
+                run.check(core(floor) == g, **base, gamma=g, law="core(floor)=id")
+                run.check(core(ceiling) == g, **base, gamma=g, law="core(ceiling)=id")
     return run.report()
 
 
-def _distinct_cores(tuples) -> int:
-    return len({core(t).entries for t in tuples})
+def _class_count(n: int, r_elements: tuple[int, ...], family: str) -> int:
+    """The number of classes among a family's members: their distinct critical lists."""
+    return len({pairs for _, pairs in _tuples_with_critical_pairs(n, r_elements, family)})
 
 
 def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
@@ -241,12 +249,8 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                 "canopy": sum(1 for _ in enumerate_tuples(n, r_elements, "canopy")),
                 "floor": sum(1 for _ in enumerate_tuples(n, r_elements, "floor")),
                 "ceiling": sum(1 for _ in enumerate_tuples(n, r_elements, "ceiling")),
-                "classes_gapless_core": _distinct_cores(
-                    enumerate_tuples(n, r_elements, "gapless-core")
-                ),
-                "classes_upper_flags": _distinct_cores(
-                    enumerate_tuples(n, r_elements, "flag")
-                ),
+                "classes_gapless_core": _class_count(n, r_elements, "gapless-core"),
+                "classes_upper_flags": _class_count(n, r_elements, "flag"),
             }
             if n <= poly_max_n:
                 atlas = ShapeTableaux(canonical_shape(n, r_elements))

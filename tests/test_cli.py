@@ -413,6 +413,7 @@ def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
         ["count", "cnr", "--n", "1000000000", "--R", "1"],
         ["set", "ideal", "--n", "1000000000", "--lambda", "1", "--tab", "{}"],
         ["poly", "dd", "--n", "1000000000", "--lambda", "1", "--perm", "1"],
+        ["make", "--kind", "increasing", "--critlist", '{"carrels":[[[4097,4097]]]}'],
     ],
 )
 def test_sizes_past_the_bound_are_usage_errors(capsys, argv):

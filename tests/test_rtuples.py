@@ -11,6 +11,7 @@ from parakat.rtuples import (
     CriticalList,
     RSubset,
     RTuple,
+    _tuples_with_critical_pairs,
     ceiling_map,
     class_interval,
     classify,
@@ -31,6 +32,7 @@ from parakat.rtuples import (
     is_shell,
     is_upper,
     is_upper_flag,
+    is_weakly_increasing,
 )
 
 T38 = lambda entries: RTuple.of(9, (3, 8), entries)
@@ -223,6 +225,26 @@ def test_carrel_walk_matches_the_brute_filter():
                 ], (n, r, family)
 
 
+def test_walk_yields_each_members_critical_list():
+    for n in range(1, 7):
+        for r in all_r_subsets(n):
+            for family in FAMILIES:
+                walked = list(_tuples_with_critical_pairs(n, r, family))
+                if n <= 5:
+                    assert [t for t, _ in walked] == list(enumerate_tuples(n, r, family))
+                    assert all(pairs == critical_list(t).carrels for t, pairs in walked)
+                classes = {pairs for _, pairs in walked}
+                assert len(classes) == len({core(t).entries for t, _ in walked}), (n, r, family)
+    # equal segments in two carrels have critical indices of their own carrel
+    for n, r, entries, expected in [
+        (4, (2,), (3, 4, 3, 4), (((2, 4),), ((4, 4),))),
+        (6, (2, 4), (5, 6, 5, 6, 5, 6), (((2, 6),), ((4, 6),), ((6, 6),))),
+    ]:
+        for family in ("upper", "increasing", "gapless", "gapless-core"):
+            walked = dict(_tuples_with_critical_pairs(n, r, family))
+            assert walked[RTuple.of(n, r, entries)] == expected, (n, r, family)
+
+
 def test_critical_list_enumeration_counts():
     import math
 
@@ -311,6 +333,9 @@ def test_trusted_tuples_pass_the_public_checks(rebuilt):
             for family in FAMILIES:
                 for t in enumerate_tuples(n, r, family):
                     assert rebuilt(t) == t
+            for flag_only in (False, True):
+                for c in enumerate_critical_lists(n, r, flag_only):
+                    assert rebuilt(c) == c
             for t in enumerate_tuples(n, r, "upper"):
                 c = critical_list(t)
                 assert rebuilt(c) == c
@@ -348,8 +373,31 @@ def test_not_upper_errors():
         critical_list(bad)
     with pytest.raises(NotUpper):
         core(bad)
+    with pytest.raises(NotUpper):
+        equivalent(RTuple.of(3, (2,), (3, 3, 3)), bad)
+    with pytest.raises(DomainMismatch):
+        equivalent(bad, RTuple.of(3, (1,), (1, 1, 1)))
     rep = classify(bad)
     assert not rep.upper and not rep.gapless_core and rep.flag
+
+
+def test_classify_agrees_with_each_predicate():
+    predicates = {
+        "upper": is_upper,
+        "flag": is_weakly_increasing,
+        "increasing": is_r_increasing,
+        "gapless": is_gapless,
+        "gapless_core": is_gapless_core,
+        "shell": is_shell,
+        "canopy": is_canopy,
+        "floor_flag": is_floor_flag,
+        "ceiling_flag": is_ceiling_flag,
+    }
+    for n in range(1, 5):
+        for r in all_r_subsets(n):
+            for entries in itertools.product(range(1, n + 1), repeat=n):
+                t = RTuple.of(n, r, entries)
+                assert classify(t).as_dict() == {k: p(t) for k, p in predicates.items()}
 
 
 def test_not_gapless_errors():
