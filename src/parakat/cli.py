@@ -6,11 +6,12 @@ randomized, so identical invocations produce identical bytes.  ``--manifest``
 records the invocation and a checksum of the produced output (for ``verify``,
 of the output with every wall time set to zero, so that a rerun reproduces
 it).  ``map``, ``tab``, ``set`` and ``poly`` take their actions from one
-table each, which also names the input option each action reads.  Only
-``set`` and ``poly`` build tableau sets, so only they take ``--cap``.
+table each, which also names the input option each action reads.  ``set``
+also takes ``--stream`` as a fourth format: NDJSON, one tableau per line.
+``PARAKAT_CAP`` alone bounds the tableaux that any command builds.
 
-Exit codes: 0 success, 2 a verification suite failed, 3 cap or budget
-exceeded, 64 usage error, 65 any other domain error (its name is echoed).
+Exit codes: 0 success, 2 a verification suite failed, 3 cap exceeded, 64
+usage error, 65 any other domain error (its name is echoed).
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import functools
 import hashlib
 import inspect
 import json
+import os
 import sys
 
 from . import __version__
-from .errors import BudgetExceeded, CapExceeded, ParakatError
+from .errors import CapExceeded, ParakatError
 from .polys import demazure_poly, demazure_poly_dd, gf_identical, poly_eq, row_bound_sum
 from .rperms import (
     RPermutation,
@@ -101,12 +103,12 @@ def _read(args, option: str, shape: Shape | None = None):
     return cls.of(args.n, r_elements, _parse_ints(text))
 
 
-def _run_steps(args, steps, *extra) -> list:
+def _run_steps(args, steps) -> list:
     """Check every step's input option, read the shape, then run each
-    ``(option, call)`` step in order as ``call(value, shape, *extra)``."""
+    ``(option, call)`` step in order as ``call(value, shape)``."""
     _need(args, *(option for option, _ in steps))
     shape = Shape.of(args.n, _parse_ints(args.lam))
-    return [call(_read(args, option, shape), shape, *extra) for option, call in steps]
+    return [call(_read(args, option, shape), shape) for option, call in steps]
 
 
 def _render_tuple(t, fmt: str) -> str:
@@ -174,19 +176,19 @@ _TAB_ACTIONS = {
     "scan": [("tab", lambda t, shape: scanning(t))],
 }
 _SET_ACTIONS = {
-    "rowbound": [("tuple", lambda b, shape, cap: row_bound_set(b, shape, cap))],
-    "demazure": [("perm", lambda p, shape, cap: demazure_set(p, shape, cap))],
-    "ideal": [("tab", lambda t, shape, cap: ideal(t, cap))],
-    "z": [("tuple", lambda a, shape, cap: z_set(a, shape, cap))],
+    "rowbound": [("tuple", lambda b, shape: row_bound_set(b, shape))],
+    "demazure": [("perm", lambda p, shape: demazure_set(p, shape))],
+    "ideal": [("tab", lambda t, shape: ideal(t))],
+    "z": [("tuple", lambda a, shape: z_set(a, shape))],
 }
 _POLY_ACTIONS = {
-    "rowboundsum": [("tuple", lambda b, shape, cap: row_bound_sum(b, shape, cap).poly)],
-    "demazure": [("perm", lambda p, shape, cap: demazure_poly(p, shape, cap).poly)],
-    "dd": [("perm", lambda p, shape, cap: demazure_poly_dd(p, shape))],
+    "rowboundsum": [("tuple", lambda b, shape: row_bound_sum(b, shape).poly)],
+    "demazure": [("perm", lambda p, shape: demazure_poly(p, shape).poly)],
+    "dd": [("perm", lambda p, shape: demazure_poly_dd(p, shape))],
     # two steps, whose sets are compared; the tuple is read and its sum built first
     "compare": [
-        ("tuple", lambda b, shape, cap: row_bound_sum(b, shape, cap)),
-        ("perm", lambda p, shape, cap: demazure_poly(p, shape, cap)),
+        ("tuple", lambda b, shape: row_bound_sum(b, shape)),
+        ("perm", lambda p, shape: demazure_poly(p, shape)),
     ],
 }
 
@@ -256,8 +258,8 @@ def _cmd_tab(args) -> tuple[list[str], int]:
 
 
 def _cmd_set(args) -> tuple[list[str], int]:
-    (ts,) = _run_steps(args, _SET_ACTIONS[args.action], args.cap)
-    if args.stream:
+    (ts,) = _run_steps(args, _SET_ACTIONS[args.action])
+    if args.format == "stream":
         return [json.dumps(t.to_json_dict(), sort_keys=True) for t in ts], 0
     if args.format == "json":
         return [json.dumps(ts.to_json_dict(), sort_keys=True)], 0
@@ -271,7 +273,7 @@ def _cmd_set(args) -> tuple[list[str], int]:
 
 
 def _cmd_poly(args) -> tuple[list[str], int]:
-    results = _run_steps(args, _POLY_ACTIONS[args.action], args.cap)
+    results = _run_steps(args, _POLY_ACTIONS[args.action])
     if len(results) == 1:
         return [_render_poly(results[0], args.format)], 0
     a, b = results
@@ -329,19 +331,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"parakat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_n=True, need_r=True, cap=False):
+    def common(p, need_n=True, need_r=True):  # returns the format group
         group = p.add_mutually_exclusive_group()
         group.add_argument("--json", dest="format", action="store_const", const="json")
         group.add_argument("--csv", dest="format", action="store_const", const="csv")
         group.add_argument("--text", dest="format", action="store_const", const="text")
         p.set_defaults(format="text")
         p.add_argument("--manifest", default=None, help="write a run manifest here")
-        if cap:
-            p.add_argument("--cap", type=int, default=None, help="materialization cap")
         if need_n:
             p.add_argument("--n", type=int, required=True)
         if need_r:
             p.add_argument("--R", default="", help="comma-separated divider set")
+        return group
 
     for name, handler in (("classify", _cmd_classify), ("critlist", _cmd_critlist), ("core", _cmd_core)):
         p = sub.add_parser(name)
@@ -380,17 +381,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("set")
     p.add_argument("action", choices=_SET_ACTIONS)
-    common(p, need_r=False, cap=True)
+    formats = common(p, need_r=False)
+    formats.add_argument("--stream", dest="format", action="store_const", const="stream",
+                         help="emit NDJSON, one tableau per line")
     p.add_argument("--lambda", dest="lam", default="")
     p.add_argument("--perm")
     p.add_argument("--tuple")
     p.add_argument("--tab")
-    p.add_argument("--stream", action="store_true", help="emit NDJSON, one tableau per line")
     p.set_defaults(handler=_cmd_set)
 
     p = sub.add_parser("poly")
     p.add_argument("action", choices=_POLY_ACTIONS)
-    common(p, need_r=False, cap=True)
+    common(p, need_r=False)
     p.add_argument("--lambda", dest="lam", default="")
     p.add_argument("--perm")
     p.add_argument("--tuple")
@@ -407,7 +409,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=None, help="range bound; suite default if omitted")
     p.add_argument("--max-col", type=int, default=None)
     p.add_argument("--poly-max-n", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--all-shapes", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_verify)
@@ -429,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _shared_parser().parse_args(argv)
     try:
-        cap = getattr(args, "cap", None)  # only set and poly take --cap
-        if cap is not None and cap < 0:
-            raise ValueError(f"cap must be nonnegative, got {cap}")
         lines, code, *checksummed = args.handler(args)
         output = "\n".join(lines)
         if args.manifest:
@@ -446,12 +444,15 @@ def main(argv: list[str] | None = None) -> int:
                 fh.write("\n")
     except ParakatError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, (CapExceeded, BudgetExceeded)) else DOMAIN_EXIT
+        return 3 if isinstance(exc, CapExceeded) else DOMAIN_EXIT
     except (ValueError, KeyError, OSError) as exc:
         print(f"parakat: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     if output:
-        print(output)
+        try:
+            print(output, flush=True)
+        except BrokenPipeError:  # the reader has gone: let the flush at exit go nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

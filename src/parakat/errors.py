@@ -1,8 +1,7 @@
 """Domain errors shared across the package.
 
 The CLI echoes a domain failure as its class name and message (exit code
-65, or 3 for ``CapExceeded`` and ``BudgetExceeded``), so the class names are
-part of its output.
+65, or 3 for ``CapExceeded``), so the class names are part of its output.
 """
 
 
@@ -39,8 +38,4 @@ class ShapeMismatch(ParakatError):
 
 
 class CapExceeded(ParakatError):
-    """A materialization or suite range exceeded the configured cap."""
-
-
-class BudgetExceeded(ParakatError):
-    """A search exceeded its configured budget."""
+    """A tableau set or shape exceeded ``PARAKAT_CAP``, or a suite range its bound."""

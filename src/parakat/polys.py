@@ -178,28 +178,28 @@ def gen_fn(ts: TableauSet) -> GFHandle:
     return GFHandle(Polynomial(ts.shape.n, acc), ts.shape, ts)
 
 
-def row_bound_sum(b: RTuple, shape: Shape, cap: int | None = None) -> GFHandle:
+def row_bound_sum(b: RTuple, shape: Shape) -> GFHandle:
     """Generating polynomial of the tableaux with row ends bounded by ``b``."""
-    return gen_fn(row_bound_set(b, shape, cap))
+    return gen_fn(row_bound_set(b, shape))
 
 
-def flag_schur_poly(phi: RTuple, shape: Shape, cap: int | None = None) -> GFHandle:
+def flag_schur_poly(phi: RTuple, shape: Shape) -> GFHandle:
     """Row bound sum whose bounds form an upper flag."""
     if not is_upper_flag(phi):
         raise ValueError(f"bounds are not an upper flag: {phi}")
-    return row_bound_sum(phi, shape, cap)
+    return row_bound_sum(phi, shape)
 
 
-def gapless_core_schur_poly(eta: RTuple, shape: Shape, cap: int | None = None) -> GFHandle:
+def gapless_core_schur_poly(eta: RTuple, shape: Shape) -> GFHandle:
     """Row bound sum whose bounds have a gapless core."""
     if not is_gapless_core(eta):
         raise ValueError(f"bounds do not have a gapless core: {eta}")
-    return row_bound_sum(eta, shape, cap)
+    return row_bound_sum(eta, shape)
 
 
-def demazure_poly(p: RPermutation, shape: Shape, cap: int | None = None) -> GFHandle:
+def demazure_poly(p: RPermutation, shape: Shape) -> GFHandle:
     """Generating polynomial of the scanning-defined Demazure tableau set."""
-    return gen_fn(demazure_set(p, shape, cap))
+    return gen_fn(demazure_set(p, shape))
 
 
 def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:

@@ -13,6 +13,7 @@ carrel by carrel from the gapless tuples, and filtering the enumeration with
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -146,7 +147,7 @@ class ClumpDecomposition:
                 blocks[-1].append(v)
             else:
                 blocks.append([v])
-        return cls(tuple(tuple(b) for b in blocks))
+        return _unchecked(cls, blocks=tuple(tuple(b) for b in blocks))
 
     @property
     def support(self) -> frozenset[int]:
@@ -424,33 +425,38 @@ def all_lifts(p: RPermutation) -> Iterator[tuple[int, ...]]:
     Generated by rearranging the minimal lift clump-by-clump: each wholly-new
     clump may take any 312-avoiding arrangement; the subclump straddling the
     previous maximum may too, provided its values below that maximum stay in
-    decreasing order.
+    decreasing order.  The blocks tile the word in order, so a lift joins one
+    arrangement of each block.
+
+    >>> list(all_lifts(RPermutation.of(3, (1,), (1, 2, 3))))
+    [(1, 2, 3), (1, 3, 2)]
     """
     if not is_r312_avoiding(p):
         raise NotAvoiding(f"not R-312-avoiding: {p}")
-    blocks = _lift_blocks(p)
-    choices: list[list[tuple[int, ...]]] = []
-    for _, values, threshold in blocks:
-        opts = []
-        for arr in itertools.permutations(values):
-            if not is_312_avoiding(arr):
-                continue
-            if threshold is not None:
-                low = [v for v in arr if v < threshold]
-                if any(a < b for a, b in zip(low, low[1:])):
-                    continue
-            opts.append(arr)
-        choices.append(opts)
-    results = []
-    base = [0] * p.n
-    for combo in itertools.product(*choices):
-        word = base[:]
-        for (positions, _, _), arr in zip(blocks, combo):
-            for idx, v in zip(positions, arr):
-                word[idx] = v
-        results.append(tuple(word))
-    results.sort()
-    yield from results
+    choices = [_arrangements(values, threshold) for _, values, threshold in _lift_blocks(p)]
+    return _chains(len(choices), lambda h, _: choices[h])
+
+
+@functools.lru_cache(maxsize=1024)
+def _arrangements(values: tuple[int, ...], threshold: int | None) -> tuple[tuple[int, ...], ...]:
+    """The 312-avoiding arrangements of ascending ``values``, those below
+    ``threshold`` decreasing, in lexicographic order.  They grow value by
+    value, keeping a value only where every unused one stays placeable, so
+    none dead-ends and the walk costs what it yields."""
+
+    def options(_: int, placed: tuple[int, ...]) -> list[tuple[int]]:
+        unused = [v for v in values if v not in placed]
+        top = max(placed, default=0)
+        # below the maximum so far, only the largest unused value: a value
+        # skipped between them would complete a 312 pattern later
+        below = sum(1 for v in unused if v < top)
+        keep = unused[max(below - 1, 0) :]
+        if threshold is not None:  # the values below it go in decreasing order
+            low = [v for v in unused if v < threshold]
+            keep = [v for v in keep if v > threshold or v == low[-1]]
+        return [(v,) for v in keep]
+
+    return tuple(_chains(len(values), options))
 
 
 # ---------------------------------------------------------------------------

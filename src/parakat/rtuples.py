@@ -737,26 +737,26 @@ def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator
             yield t
 
 
-def _tuples_with_critical_pairs(
+def _entries_with_critical_pairs(
     n: int, r_elements: Sequence[int], family: str
-) -> Iterator[tuple[RTuple, tuple[tuple[tuple[int, int], ...], ...]]]:
-    """:func:`enumerate_tuples`, each member with its critical list's carrels.
+) -> Iterator[tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]]:
+    """:func:`enumerate_tuples` as entries, each with its critical list's carrels.
 
-    The pairs of a later carrel come from the walk's cache for that carrel;
-    those of the first carrel are computed again only when its segment
-    changes, which the depth-first walk makes rare.
+    A tuple is built only for a per-tuple predicate.  The pairs of a later
+    carrel come from the walk's cache for that carrel; those of the first
+    carrel are computed again only when its segment changes, which the
+    depth-first walk makes rare.
     """
     r, caches, pred, walk = _walk(n, r_elements, family)
     (_, q), *rest = r.carrels
     spans = [(cache, lo, hi) for cache, (lo, hi) in zip(caches, rest)]
     head = None
     for entries in walk:
-        t = _unchecked(RTuple, r_subset=r, entries=entries)
-        if pred is None or pred(t):
+        if pred is None or pred(_unchecked(RTuple, r_subset=r, entries=entries)):
             if entries[:q] != head:
                 head = entries[:q]
                 head_pairs = _critical_pairs(head, 0)
-            yield t, (head_pairs, *[cache[entries[lo:hi]] for cache, lo, hi in spans])
+            yield entries, (head_pairs, *[cache[entries[lo:hi]] for cache, lo, hi in spans])
 
 
 def enumerate_critical_lists(

@@ -39,7 +39,8 @@ DEFAULT_CAP = 10_000_000
 
 
 def materialization_cap() -> int:
-    """Active cap on explicit tableau-set sizes; PARAKAT_CAP overrides."""
+    """The one limit on tableaux (``PARAKAT_CAP``, else ``DEFAULT_CAP``): on a
+    set's members in :func:`materialize` and a shape's SSYT in :class:`ShapeTableaux`."""
     raw = os.environ.get("PARAKAT_CAP")
     if raw is None:
         return DEFAULT_CAP
@@ -311,15 +312,13 @@ def _below(top: Tableau) -> Iterator[Tableau]:
     return _between(minimal_tableau(top.shape), top)
 
 
-def materialize(
-    shape: Shape, source: Iterable[Tableau], cap: int | None = None
-) -> TableauSet:
-    """Collect tableaux into an explicit set of at most ``cap`` members.
+def materialize(shape: Shape, source: Iterable[Tableau]) -> TableauSet:
+    """Collect tableaux into an explicit set of at most ``PARAKAT_CAP`` members.
 
     ``source`` yields distinct tableaux of ``shape`` in canonical order, as
     the walks below a maximum do, so the set is built unchecked.
     """
-    limit = materialization_cap() if cap is None else cap
+    limit = materialization_cap()
     out = []
     for t in source:
         out.append(t)
@@ -425,10 +424,10 @@ def row_end_max(a: RTuple, shape: Shape) -> Tableau:
     return _unchecked(Tableau, shape=shape, columns=tuple(tuple(c) for c in cols))
 
 
-def z_set(a: RTuple, shape: Shape, cap: int | None = None) -> TableauSet:
+def z_set(a: RTuple, shape: Shape) -> TableauSet:
     """All tableaux with row-end list ``a``, walked below its row-end maximum."""
     top = row_end_max(a, shape)
-    return materialize(shape, (t for t in _below(top) if row_end_list(t) == a), cap)
+    return materialize(shape, (t for t in _below(top) if row_end_list(t) == a))
 
 
 def in_row_bound_set(t: Tableau, b: RTuple) -> bool:
@@ -437,12 +436,12 @@ def in_row_bound_set(t: Tableau, b: RTuple) -> bool:
     return all(x <= y for x, y in zip(ends.entries, b.entries))
 
 
-def row_bound_set(b: RTuple, shape: Shape, cap: int | None = None) -> TableauSet:
+def row_bound_set(b: RTuple, shape: Shape) -> TableauSet:
     """All tableaux whose row ends are bounded by the upper tuple ``b``.
 
     Closed downward and under join, the set is the ideal of its maximum.
     """
-    return ideal(row_bound_max(b, shape), cap)
+    return ideal(row_bound_max(b, shape))
 
 
 def row_bound_max(b: RTuple, shape: Shape) -> Tableau:
@@ -500,18 +499,18 @@ def in_demazure_set(t: Tableau, y: Tableau) -> bool:
     return entrywise_le(scanning(t), y)
 
 
-def demazure_set(p: RPermutation, shape: Shape, cap: int | None = None) -> TableauSet:
+def demazure_set(p: RPermutation, shape: Shape) -> TableauSet:
     """All tableaux whose scanning tableau sits below the key of ``p``.
 
     Scanning dominates its argument, so only the key's ideal is walked.
     """
     y = key_of_perm(p, shape)
-    return materialize(shape, (t for t in _below(y) if in_demazure_set(t, y)), cap)
+    return materialize(shape, (t for t in _below(y) if in_demazure_set(t, y)))
 
 
-def ideal(t: Tableau, cap: int | None = None) -> TableauSet:
+def ideal(t: Tableau) -> TableauSet:
     """The principal ideal: all tableaux entrywise below ``t``."""
-    return materialize(t.shape, _below(t), cap)
+    return materialize(t.shape, _below(t))
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,39 @@ def test_tab_and_set_commands(capsys):
 
 
 def test_set_stream_ndjson(capsys):
-    code, out = run_cli(
-        capsys, "set", "rowbound", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3", "--stream"
-    )
+    argv = ["set", "rowbound", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3"]
+    code, out = run_cli(capsys, *argv, "--stream")
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 3
     assert all(json.loads(line)["lambda"] == [1, 1, 0] for line in lines)
+    # --stream is a format, so it excludes the other three
+    for fmt in ("--json", "--csv", "--text"):
+        for pair in ([fmt, "--stream"], ["--stream", fmt]):
+            code, out, err = _captured(main, argv + pair)
+            assert (code, out) == (64, ""), pair
+            assert "not allowed with argument" in err and "Traceback" not in err
+
+
+def test_a_closed_stdout_ends_quietly(monkeypatch):
+    # 3.5 MB of NDJSON, well past a 64 KiB pipe buffer; the reader takes one line
+    argv = ["set", "rowbound", "--n", "6", "--lambda", "5,4,3,2,1", "--tuple", "6,6,6,6,6,6", "--stream"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parakat", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+    )
+    assert json.loads(proc.stdout.readline())["n"] == 6
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0 and err == "", err
+    # a failing suite keeps its exit code when its reader has gone
+    monkeypatch.setattr(verify, "count_total", lambda n: -1)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["verify", "counts", "--max-n", "2", "--poly-max-n", "0"]) == 2
 
 
 def test_poly_commands(capsys):
@@ -154,13 +180,18 @@ def test_domain_error_exit_65(capsys):
     assert err.startswith("NotUpper")
 
 
-def test_cap_error_exit_3(capsys):
-    code = main(["set", "demazure", "--n", "4", "--lambda", "3,2,1", "--perm", "4,3,2,1", "--cap", "5"])
+def test_cap_error_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("PARAKAT_CAP", "5")
+    code = main(["set", "demazure", "--n", "4", "--lambda", "3,2,1", "--perm", "4,3,2,1"])
     assert code == 3
     assert capsys.readouterr().err.startswith("CapExceeded")
     # compare builds the tuple's sum before it reads the permutation
-    code = main(["poly", "compare", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3",
-                 "--perm", "q", "--cap", "0"])
+    monkeypatch.setenv("PARAKAT_CAP", "0")
+    code = main(["poly", "compare", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3", "--perm", "q"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("CapExceeded")
+    # the suites build under the same limit
+    code = main(["verify", "accidental"])
     assert code == 3
     assert capsys.readouterr().err.startswith("CapExceeded")
 
@@ -324,9 +355,10 @@ _VERIFY_ARGV = ["verify", "convexity", "--max-n", "2", "--json"]
 
 
 @pytest.mark.parametrize("extra", [
-    (IDEAL_ARGV, ["--cap", "-1"], {}),
+    (["poly", "rowboundsum", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3"], [],
+     {"PARAKAT_CAP": "-1"}),
     (IDEAL_ARGV, ["--manifest", "{tmp}/no-such-dir/run.json"], {}),
-    # PARAKAT_CAP is read where sets are built: by set and poly, and by the suites
+    # PARAKAT_CAP is read where tableaux are built: by set and poly, and by the suites
     *[(argv, [], {"PARAKAT_CAP": cap}) for argv in (IDEAL_ARGV, _VERIFY_ARGV) for cap in ("-1", "abc")],
 ])
 def test_cap_and_manifest_errors_exit_cleanly(tmp_path, capsys, monkeypatch, extra):
@@ -349,7 +381,7 @@ def test_empty_suite_range_is_usage_error(capsys):
     assert code == 0 and out.startswith("counts,pass,")
 
 
-_BUILDS_NO_SET = [
+_EVERY_COMMAND = [
     ["classify", "--n", "3", "--tuple", "3,3,3"],
     ["critlist", "--n", "3", "--tuple", "3,3,3"],
     ["core", "--n", "3", "--tuple", "3,3,3"],
@@ -359,19 +391,22 @@ _BUILDS_NO_SET = [
     ["tab", "key", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2"],
     ["count", "cnr", "--n", "3"],
     ["verify", "tables", "--csv"],
+    ["verify", "accidental", "--max-n", "2"],
+    ["set", "z", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3"],
+    ["poly", "rowboundsum", "--n", "3", "--lambda", "1,1", "--tuple", "3,3,3"],
+    ["poly", "dd", "--n", "3", "--lambda", "1,1", "--perm", "2,3,1"],
 ]
 
 
-def test_cap_is_refused_where_no_set_is_built():
-    # the suites build their sets under PARAKAT_CAP alone, and the rest build none
-    for argv in _BUILDS_NO_SET:
+def test_every_command_refuses_cap_and_budget():
+    # PARAKAT_CAP is the one limit on tableaux, so no command takes another
+    for argv in _EVERY_COMMAND:
         assert _captured(main, argv)[0] == 0, argv
-        code, out, err = _captured(main, argv + ["--cap", "1"])
-        assert (code, out) == (64, ""), argv
-        assert err.endswith("error: unrecognized arguments: --cap 1\n") and "Traceback" not in err
-    # set and poly take it, poly dd included, which builds no set either
-    dd = ["poly", "dd", "--n", "3", "--lambda", "1,1", "--perm", "2,3,1", "--cap", "1"]
-    assert _captured(main, dd)[0] == 0
+        for option in ("--cap", "--budget"):
+            code, out, err = _captured(main, argv + [option, "1"])
+            assert (code, out) == (64, ""), (argv, option)
+            assert err.endswith(f"error: unrecognized arguments: {option} 1\n"), (argv, option)
+            assert "Traceback" not in err
 
 
 def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
@@ -387,8 +422,7 @@ def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
 
     for name, suite in verify.SUITES.items():
         monkeypatch.setitem(verify.SUITES, name, recorder(name, suite))
-    argv = ["verify", "all", "--max-n", "2", "--max-col", "1", "--poly-max-n", "0",
-            "--budget", "7", "--all-shapes"]
+    argv = ["verify", "all", "--max-n", "2", "--max-col", "1", "--poly-max-n", "0", "--all-shapes"]
     assert main(argv) == 0
     capsys.readouterr()
     shape_flags = {"max_n": 2, "max_col": 1, "all_shapes": True}
@@ -400,7 +434,7 @@ def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
         "coincidence": shape_flags,
         "polynomials": shape_flags,
         "lifts": {"max_n": 2},
-        "accidental": {**shape_flags, "budget": 7},
+        "accidental": shape_flags,
     }
 
 
@@ -614,16 +648,18 @@ _PARSE_CORPUS = [
      "--tab", json.dumps({"lambda": [2, 1, 0], "n": 3, "columns": [[1, 3], [2]]})],
     ["set", "demazure", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2", "--stream"],
     ["set", "demazure", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2"],
-    ["set", "z", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3", "--cap", "0", "--csv"],
+    ["set", "z", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3", "--csv"],
     ["poly", "compare", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3", "--perm", "2,3,1"],
     ["count", "cnr", "--n", "4", "--R", "1,2,3", "--manifest", "count.json"],
     ["count", "total", "--n", "4"],
     ["verify", "counts", "--max-n", "2", "--poly-max-n", "0", "--jobs", "2"],
-    ["verify", "all", "--max-n", "2", "--all-shapes", "--max-col", "2", "--budget", "5", "--json"],
+    ["verify", "all", "--max-n", "2", "--all-shapes", "--max-col", "2", "--json"],
     ["verify", "convexity", "--max-n", "2"],
     # usage errors (exit 64) and --version between the valid calls
     ["core", "--n", "9"],
     ["core", "--n", "3", "--tuple", "3,3,3", "--cap", "4", "--config", "missing.conf"],
+    ["verify", "accidental", "--budget", "5"],
+    ["set", "demazure", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2", "--stream", "--csv"],
     ["set", "demazure", "--json", "--csv", "--n", "3"],
     ["count", "bogus", "--n", "3"],
     ["verify", "all", "--max-n", "x"],
@@ -699,8 +735,8 @@ _ACCEPTS = {
     "map": ("--n", "--R", "--perm", "--tuple"),
     "perm": ("--n", "--R", "--perm"),
     "tab": ("--n", "--lambda", "--perm", "--tuple", "--tab"),
-    "set": ("--n", "--lambda", "--perm", "--tuple", "--tab", "--cap"),
-    "poly": ("--n", "--lambda", "--perm", "--tuple", "--cap"),
+    "set": ("--n", "--lambda", "--perm", "--tuple", "--tab"),
+    "poly": ("--n", "--lambda", "--perm", "--tuple"),
     "count": ("--n", "--R"),
 }
 # Integers stay in -1..6 so that drawn shapes stay small; sizes past the
@@ -726,7 +762,6 @@ def _option_values(n):
         "--tuple": ints(st.tuples(*(st.integers(i, k) for i in range(1, k + 1)))),
         "--perm": ints(st.permutations(range(1, k + 1))),
         "--lambda": ints(st.lists(st.integers(0, 3), max_size=k).map(lambda v: sorted(v, reverse=True))),
-        "--cap": _INT.map(str),
         "--kind": st.sampled_from([*CONSTRUCTION_KINDS, "upper"]),
         "--critlist": _json_text(_CRITLIST_JSON),
         "--tab": _json_text(_TAB_JSON),
@@ -760,12 +795,13 @@ _VERIFY_ARGV = st.tuples(
         {
             "--poly-max-n": st.integers(-1, 3).map(str),
             "--max-col": st.integers(-1, 3).map(str),
-            "--budget": _INT.map(str),
             "--all-shapes": st.just(None),
         }
     ).map(lambda args: [a.removesuffix("=None") for a in args]),
 ).map(lambda t: t[0] + t[1] + t[2])
-_FORMATS = st.sampled_from([[], ["--text"], ["--json"], ["--csv"], ["--stream"], ["--json", "--csv"]])
+_FORMATS = st.sampled_from(
+    [[], ["--text"], ["--json"], ["--csv"], ["--stream"], ["--json", "--csv"], ["--stream", "--csv"]]
+)
 
 
 @settings(max_examples=400, deadline=None)

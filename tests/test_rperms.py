@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +101,11 @@ def test_clump_decomposition_example():
     d = ClumpDecomposition.of({2, 3, 5, 6, 7, 10, 13, 14})
     assert d.blocks == ((2, 3), (5, 6, 7), (10,), (13, 14))
     assert d.support == frozenset({2, 3, 5, 6, 7, 10, 13, 14})
+    # of() builds unchecked, so every decomposition it makes must pass the constructor
+    for k in range(7):
+        for values in itertools.combinations(range(1, 8), k):
+            d = ClumpDecomposition.of(values)
+            assert ClumpDecomposition(d.blocks) == d and d.support == frozenset(values)
 
 
 def test_rightmost_clump_deleting_matches_avoidance():
@@ -171,7 +177,7 @@ def test_lift_rejects_containing():
 
 
 def test_all_lifts_against_brute_force():
-    for n in range(1, 5):
+    for n in range(1, 7):
         perms312 = [
             w for w in itertools.permutations(range(1, n + 1)) if is_312_avoiding(w)
         ]
@@ -189,6 +195,16 @@ def test_all_lifts_against_brute_force():
                 psi = rank_tuple(p)
                 for w in lifts:
                     assert project_rank_core(w, rs) == psi
+
+
+def test_all_lifts_costs_what_it_yields():
+    # one lift among the 11! arrangements of the block below the first carrel's 12
+    p = RPermutation.of(12, (1,), (12, *range(1, 12)))
+    started = time.perf_counter()
+    assert list(all_lifts(p)) == [tuple(range(12, 0, -1))]
+    assert time.perf_counter() - started < 0.5
+    # no divider: one block of 10 values, and its C_10 = 16796 arrangements
+    assert sum(1 for _ in all_lifts(RPermutation.of(10, (), range(1, 11)))) == catalan(10)
 
 
 def test_projection_of_avoiding_is_avoiding():

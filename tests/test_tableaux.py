@@ -564,14 +564,17 @@ def test_count_tableaux_matches_enumeration():
     assert count_tableaux(Shape.of(3, ())) == 1
 
 
-def test_materialization_cap():
+def test_materialization_cap(monkeypatch):
     sh = Shape.of(4, (3, 2, 1))
+    monkeypatch.setenv("PARAKAT_CAP", "5")
     with pytest.raises(CapExceeded):
-        demazure_set(RPermutation.of(4, (1, 2, 3), (4, 3, 2, 1)), sh, cap=5)
+        demazure_set(RPermutation.of(4, (1, 2, 3), (4, 3, 2, 1)), sh)
+    monkeypatch.setenv("PARAKAT_CAP", "1")
     # the cap counts the set's own members, not every tableau of the shape
-    assert len(demazure_set(RPermutation.of(4, (1, 2, 3), (1, 2, 3, 4)), sh, cap=1)) == 1
+    assert len(demazure_set(RPermutation.of(4, (1, 2, 3), (1, 2, 3, 4)), sh)) == 1
+    monkeypatch.setenv("PARAKAT_CAP", "3")
     with pytest.raises(CapExceeded):
-        materialize(sh, enumerate_tableaux(sh), cap=3)
+        materialize(sh, enumerate_tableaux(sh))
 
 
 def test_cap_env_override(monkeypatch):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from parakat import verify
-from parakat.errors import BudgetExceeded, CapExceeded
+from parakat.errors import CapExceeded
 from parakat.tableaux import Shape
 from parakat.verify import (
     SuiteReport,
@@ -99,12 +99,17 @@ def test_suite_rejects_empty_range(name):
             run_suite(name, max_n=3, **{negative[name]: -1})
 
 
-def test_accidental_budget():
-    with pytest.raises(BudgetExceeded):
-        search_accidental(3, 3, budget=0)
-    # a negative budget is a bad argument, as a negative cap is
-    with pytest.raises(ValueError, match="budget must be nonnegative, got -1"):
-        search_accidental(3, 3, budget=-1)
+def test_accidental_over_the_cap_raises_cap_exceeded(monkeypatch):
+    # the canonical shape (2,1,0) has 8 tableaux, the most in this range
+    monkeypatch.setenv("PARAKAT_CAP", "7")
+    with pytest.raises(CapExceeded, match=r"shape \(2,1,0\) has 8 tableaux, over the cap of 7"):
+        search_accidental(3, 3)
+    monkeypatch.setenv("PARAKAT_CAP", "8")
+    assert search_accidental(3, 3).passed
+    # a negative cap is a bad argument
+    monkeypatch.setenv("PARAKAT_CAP", "-1")
+    with pytest.raises(ValueError, match="PARAKAT_CAP must be a nonnegative integer"):
+        search_accidental(3, 3)
 
 
 def test_report_invariant_enforced():
@@ -196,7 +201,7 @@ def test_tuple_suites_check_every_instance(name, scale, count):
         ("coincidence", {"max_n": 3, "max_col": 2, "all_shapes": True}, "0ef32e6d190887e7"),
         ("polynomials", {"max_n": 3, "max_col": 2, "all_shapes": True}, "4c2c18711cad014c"),
         ("lifts", {"max_n": 4}, "b72e3aa144b28d2b"),
-        ("accidental", {"max_n": 4, "max_col": 3, "all_shapes": True}, "83eac1d598be20c7"),
+        ("accidental", {"max_n": 4, "max_col": 3, "all_shapes": True}, "0a8fab6fb914756d"),
     ],
 )
 def test_every_payload_is_pinned_under_forced_failure(monkeypatch, name, scale, digest):
