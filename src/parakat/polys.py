@@ -63,9 +63,6 @@ class Polynomial:
     def coefficient(self, exp: Sequence[int]) -> int:
         return self._terms.get(tuple(exp), 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def total_degrees(self) -> set[int]:
         return {sum(exp) for exp in self._terms}
 

@@ -107,17 +107,6 @@ class RChain:
             return frozenset(range(1, self.r_subset.n + 1))
         return self.sets[h - 1]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.r_subset.n,
-            "R": list(self.r_subset.elements),
-            "sets": [sorted(s) for s in self.sets],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RChain":
-        return cls(RSubset(d["n"], tuple(d["R"])), tuple(frozenset(s) for s in d["sets"]))
-
 
 @dataclass(frozen=True)
 class ClumpDecomposition:
@@ -526,6 +515,8 @@ def count_cnr(n: int, r_elements: Sequence[int]) -> int:
 
 def count_total(n: int) -> int:
     """Sum of the parabolic Catalan numbers over all divider sets R."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     total = 0
     for k in range(n):
         for r_elements in itertools.combinations(range(1, n), k):

@@ -80,9 +80,6 @@ class RSubset:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(hi - lo for lo, hi in self.carrels)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "R": list(self.elements)}
-
 
 def _carrel_text(entries: Sequence[int], qs: Sequence[int]) -> str:
     parts = []

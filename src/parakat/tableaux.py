@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
@@ -521,12 +521,13 @@ class ShapeTableaux:
     """SSYT(shape), walked once and kept as cells.
 
     A cell is the set of tableaux that share a right key (their scanning
-    tableau) and a row-end list; the cells partition SSYT(shape), none empty.
-    A Demazure set is a union of atoms (one right key each) and a row-bound
-    set a union of row-end classes, read without ``core``, so each is a set of
-    cells, and two sets are equal exactly when their cells are.  The sets are
-    those of the walks below a maximum (:func:`demazure_set`,
-    :func:`row_bound_set`), which stay the route for a single set.
+    tableau) and a row-end list; the cells partition SSYT(shape), none empty,
+    and each keeps only its size and content tally.  A Demazure set is a union
+    of atoms (one right key each) and a row-bound set a union of row-end
+    classes, read without ``core``, so each is a set of cells, and two sets
+    are equal exactly when their cells are.  The sets are those of the walks
+    below a maximum (:func:`demazure_set`, :func:`row_bound_set`), which stay
+    the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
     >>> len(atlas.cells), atlas.size(atlas.cells)
@@ -539,12 +540,17 @@ class ShapeTableaux:
         if total > limit:
             raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")
         self.shape = shape
-        self.cells: dict = {}  # (flat right key, row ends) -> [size, content tally, join]
+        self.cells: dict = {}  # cell_of(t) -> [size, content tally]
         for t in enumerate_tableaux(shape):
-            cell = (_flat(scanning(t)), row_end_list(t).entries)
-            size, tally, top = self.cells.get(cell) or (0, Counter(), t)
+            cell = self.cell_of(t)
+            size, tally = self.cells.get(cell) or (0, Counter())
             tally[content(t)] += 1
-            self.cells[cell] = [size + 1, tally, tableau_join(top, t)]
+            self.cells[cell] = [size + 1, tally]
+
+    @staticmethod
+    def cell_of(t: Tableau) -> tuple:
+        """The cell holding ``t``: its flat right key and its row-end list."""
+        return _flat(scanning(t)), row_end_list(t).entries
 
     def demazure_cells(self, p: RPermutation) -> frozenset:
         """The cells whose right key lies entrywise below the key of ``p``."""
@@ -564,9 +570,6 @@ class ShapeTableaux:
         for c in cells:
             out.update(self.cells[c][1])
         return out
-
-    def join(self, cells: Iterable) -> Tableau:
-        return reduce(tableau_join, (self.cells[c][2] for c in cells))
 
 
 def _flat(t: Tableau) -> tuple[int, ...]:

@@ -296,11 +296,11 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
         for p in enumerate_rperms(shape.n, shape.r_subset.elements):
             y = key_of_perm(p, shape)
             d = atlas.demazure_cells(p)
-            join = atlas.join(d)
             avoiding = is_r312_avoiding(p)
-            # the set lies in the ideal of its join: it is that ideal if the sizes agree
-            convex = atlas.size(d) == len(ideal(join))
-            is_ideal = convex and join == y
+            # t <= scanning(t) <= y for every member, so the set lies in the
+            # ideal of y: it is that ideal if the sizes agree and y is a member
+            convex = atlas.size(d) == len(ideal(y))
+            is_ideal = convex and atlas.cell_of(y) in d
             run.check(
                 convex == avoiding == is_ideal,
                 shape=shape.parts, n=shape.n, pi=p,

@@ -51,6 +51,16 @@ def test_count_default_r_is_empty(capsys):
     assert code == 0 and out == "1\n"
 
 
+def test_count_total_refuses_n_below_one(capsys):
+    for n in ("0", "-3"):
+        code = main(["count", "total", "--n", n])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert f"n must be positive, got {n}" in captured.err
+    code, out = run_cli(capsys, "count", "total", "--n", "1")
+    assert code == 0 and out == "1\n"
+
+
 def test_critlist_json_round_trips_through_make(capsys):
     code, out = run_cli(
         capsys, "critlist", "--n", "9", "--R", "3,8", "--tuple", "2,7,5,8,6,6,9,9,9", "--json"

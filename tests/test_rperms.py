@@ -282,6 +282,13 @@ def test_count_cnr_validates_r_like_the_constructor():
         assert str(got.value) == str(expected.value)
 
 
+def test_count_total_refuses_n_below_one_like_count_cnr():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
+            count_total(n)
+    assert count_total(1) == 1
+
+
 def test_enumerate_rperms_lex_and_sizes():
     for n in range(1, 6):
         for r in all_r_subsets(n):

@@ -371,7 +371,6 @@ def test_shape_tableaux_match_the_walk_builders():
             assert {_cell(t) for t in walked} == cells
             assert atlas.size(cells) == len(walked)
             assert Polynomial(sh.n, atlas.weights(cells)) == gen_fn(walked).poly
-            assert atlas.join(cells) == walked.join_of_all()
 
         perms = list(enumerate_rperms(sh.n, r))
         for p in perms:
@@ -390,6 +389,18 @@ def test_shape_tableaux_match_the_walk_builders():
         increasing = {a.entries for a in enumerate_tuples(sh.n, r, "increasing")}
         assert {ends for _, ends in atlas.cells} == increasing
         assert atlas.size(atlas.cells) == count_tableaux(sh)
+
+
+def test_shape_tableaux_read_convexity_from_the_key():
+    # the convexity suite's route: a Demazure set is convex exactly when it has
+    # as many tableaux as the ideal below its key, and the key is a member
+    for sh in SMALL_SHAPES:
+        atlas = ShapeTableaux(sh)
+        for p in enumerate_rperms(sh.n, sh.r_subset.elements):
+            y = key_of_perm(p, sh)
+            d = atlas.demazure_cells(p)
+            assert (atlas.size(d) == len(ideal(y))) == is_convex(demazure_set(p, sh))
+            assert atlas.cell_of(y) in d
 
 
 def test_shape_tableaux_validate_as_the_walk_builders_do(monkeypatch):
