@@ -6,7 +6,7 @@ randomized, so identical invocations produce identical bytes.  ``--manifest``
 records the invocation and a checksum of the produced output (for ``verify``,
 of the output with every wall time set to zero, so that a rerun reproduces
 it).  ``map``, ``tab``, ``set`` and ``poly`` take their actions from one
-table each, which also names the input option each action reads.  ``set``
+table, which also names the input options each action reads.  ``set``
 also takes ``--stream`` as a fourth format: NDJSON, one tableau per line.
 ``PARAKAT_CAP`` alone bounds the tableaux that any command builds.
 
@@ -27,7 +27,7 @@ import sys
 
 from . import __version__
 from .errors import CapExceeded, ParakatError
-from .polys import demazure_poly, demazure_poly_dd, gf_identical, poly_eq, row_bound_sum
+from .polys import Polynomial, demazure_poly, demazure_poly_dd, gf_identical, poly_eq, row_bound_sum
 from .rperms import (
     RPermutation,
     RSubset,
@@ -103,41 +103,35 @@ def _read(args, option: str, shape: Shape | None = None):
     return cls.of(args.n, r_elements, _parse_ints(text))
 
 
-def _run_steps(args, steps) -> list:
-    """Check every step's input option, read the shape, then run each
-    ``(option, call)`` step in order as ``call(value, shape)``."""
+def _run_steps(args) -> list:
+    """Check every input option the action's steps read, read the shape
+    (None for ``map``), then run each ``(option, call)`` step in order as
+    ``call(value, shape)``."""
+    steps = _ACTIONS[args.command][args.action]
     _need(args, *(option for option, _ in steps))
-    shape = Shape.of(args.n, _parse_ints(args.lam))
+    shape = None if args.command == "map" else Shape.of(args.n, _parse_ints(args.lam))
     return [call(_read(args, option, shape), shape) for option, call in steps]
 
 
-def _render_tuple(t, fmt: str) -> str:
+# the CSV rows of each value type that a command prints
+_CSV = {
+    **dict.fromkeys((RTuple, RPermutation), lambda t: [",".join(str(e) for e in t.entries)]),
+    CriticalList: lambda c: [
+        f"{h},{x},{y}" for h, pairs in enumerate(c.carrels, start=1) for x, y in pairs
+    ],
+    Tableau: lambda t: [
+        f"{j}," + " ".join(str(v) for v in col) for j, col in enumerate(t.columns, start=1)
+    ],
+    Polynomial: lambda p: [" ".join(str(e) for e in exp) + f",{coef}" for exp, coef in p.terms],
+}
+
+
+def _render(value, fmt: str) -> list[str]:
     if fmt == "json":
-        return json.dumps(t.to_json_dict(), sort_keys=True)
+        return [json.dumps(value.to_json_dict(), sort_keys=True)]
     if fmt == "csv":
-        return ",".join(str(e) for e in t.entries)
-    return str(t)
-
-
-def _render_tableau(t: Tableau, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(t.to_json_dict(), sort_keys=True)
-    if fmt == "csv":
-        return "\n".join(
-            f"{j}," + " ".join(str(v) for v in col)
-            for j, col in enumerate(t.columns, start=1)
-        )
-    return str(t)
-
-
-def _render_poly(p, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(p.to_json_dict(), sort_keys=True)
-    if fmt == "csv":
-        return "\n".join(
-            " ".join(str(e) for e in exp) + f",{coef}" for exp, coef in p.terms
-        )
-    return str(p)
+        return _CSV[type(value)](value)
+    return [str(value)]
 
 
 def _render_flags(flags: dict[str, bool], fmt: str) -> list[str]:
@@ -157,40 +151,45 @@ def _render_reports(reports, fmt: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# action tables: their keys are the parser's choices.  Each call is a lambda,
-# so it looks its library function up here when it runs (a tracer rebinds it).
+# the action table: command -> action -> its (input option, library call)
+# steps, in order.  Its keys are the parser's choices, and the parser adds
+# exactly the input options it names.  Each call takes (value, shape) and is
+# a lambda, so it looks its library function up here when it runs (a tracer
+# rebinds it).
 
-# map: action -> (the input option it reads, the library call)
-_MAP_ACTIONS = {
-    "psi": ("perm", lambda p: rank_tuple(p)),
-    "pi": ("tuple", lambda t: pi_map(t)),
-    "floor": ("tuple", lambda t: floor_map(t)),
-    "ceiling": ("tuple", lambda t: ceiling_map(t)),
+_ACTIONS = {
+    "map": {
+        "psi": [("perm", lambda p, shape: rank_tuple(p))],
+        "pi": [("tuple", lambda t, shape: pi_map(t))],
+        "floor": [("tuple", lambda t, shape: floor_map(t))],
+        "ceiling": [("tuple", lambda t, shape: ceiling_map(t))],
+    },
+    "tab": {
+        "key": [("perm", lambda p, shape: key_of_perm(p, shape))],
+        "rowendmax": [("tuple", lambda a, shape: row_end_max(a, shape))],
+        "rowboundmax": [("tuple", lambda b, shape: row_bound_max(b, shape))],
+        "scan": [("tab", lambda t, shape: scanning(t))],
+    },
+    "set": {
+        "rowbound": [("tuple", lambda b, shape: row_bound_set(b, shape))],
+        "demazure": [("perm", lambda p, shape: demazure_set(p, shape))],
+        "ideal": [("tab", lambda t, shape: ideal(t))],
+        "z": [("tuple", lambda a, shape: z_set(a, shape))],
+    },
+    "poly": {
+        "rowboundsum": [("tuple", lambda b, shape: row_bound_sum(b, shape).poly)],
+        "demazure": [("perm", lambda p, shape: demazure_poly(p, shape).poly)],
+        "dd": [("perm", lambda p, shape: demazure_poly_dd(p, shape))],
+        # two steps, whose sets are compared; the tuple is read and its sum built first
+        "compare": [
+            ("tuple", lambda b, shape: row_bound_sum(b, shape)),
+            ("perm", lambda p, shape: demazure_poly(p, shape)),
+        ],
+    },
 }
 
-# tab, set, poly: action -> its (input option, library call) steps, in order
-_TAB_ACTIONS = {
-    "key": [("perm", lambda p, shape: key_of_perm(p, shape))],
-    "rowendmax": [("tuple", lambda a, shape: row_end_max(a, shape))],
-    "rowboundmax": [("tuple", lambda b, shape: row_bound_max(b, shape))],
-    "scan": [("tab", lambda t, shape: scanning(t))],
-}
-_SET_ACTIONS = {
-    "rowbound": [("tuple", lambda b, shape: row_bound_set(b, shape))],
-    "demazure": [("perm", lambda p, shape: demazure_set(p, shape))],
-    "ideal": [("tab", lambda t, shape: ideal(t))],
-    "z": [("tuple", lambda a, shape: z_set(a, shape))],
-}
-_POLY_ACTIONS = {
-    "rowboundsum": [("tuple", lambda b, shape: row_bound_sum(b, shape).poly)],
-    "demazure": [("perm", lambda p, shape: demazure_poly(p, shape).poly)],
-    "dd": [("perm", lambda p, shape: demazure_poly_dd(p, shape))],
-    # two steps, whose sets are compared; the tuple is read and its sum built first
-    "compare": [
-        ("tuple", lambda b, shape: row_bound_sum(b, shape)),
-        ("perm", lambda p, shape: demazure_poly(p, shape)),
-    ],
-}
+# the input options, in the parser's order, with their help
+_INPUTS = (("perm", "one-line entries"), ("tuple", "tuple entries"), ("tab", "tableau as JSON"))
 
 
 # ---------------------------------------------------------------------------
@@ -203,39 +202,23 @@ def _cmd_classify(args) -> tuple[list[str], int]:
 
 
 def _cmd_critlist(args) -> tuple[list[str], int]:
-    c = critical_list(_read(args, "tuple"))
-    if args.format == "json":
-        return [json.dumps(c.to_json_dict(), sort_keys=True)], 0
-    if args.format == "csv":
-        rows = [
-            f"{h},{x},{y}"
-            for h, pairs in enumerate(c.carrels, start=1)
-            for x, y in pairs
-        ]
-        return rows, 0
-    return [str(c)], 0
+    return _render(critical_list(_read(args, "tuple")), args.format), 0
 
 
 def _cmd_core(args) -> tuple[list[str], int]:
-    return [_render_tuple(core(_read(args, "tuple")), args.format)], 0
+    return _render(core(_read(args, "tuple")), args.format), 0
 
 
 def _cmd_make(args) -> tuple[list[str], int]:
     c = CriticalList.from_json_dict(json.loads(args.critlist))
-    return [_render_tuple(from_critical_list(c, args.kind), args.format)], 0
-
-
-def _cmd_map(args) -> tuple[list[str], int]:
-    option, call = _MAP_ACTIONS[args.map]
-    _need(args, option)
-    return [_render_tuple(call(_read(args, option)), args.format)], 0
+    return _render(from_critical_list(c, args.kind), args.format), 0
 
 
 def _cmd_perm(args) -> tuple[list[str], int]:
     rs = RSubset(args.n, _parse_ints(args.R))
     if args.action == "project":
         word = _parse_ints(args.perm)
-        return [_render_tuple(r_projection(word, rs), args.format)], 0
+        return _render(r_projection(word, rs), args.format), 0
     p = _read(args, "perm")
     if args.action == "avoiding":
         value = is_r312_avoiding(p)
@@ -252,17 +235,22 @@ def _cmd_perm(args) -> tuple[list[str], int]:
     return [render(word) for word in words], 0
 
 
-def _cmd_tab(args) -> tuple[list[str], int]:
-    (out,) = _run_steps(args, _TAB_ACTIONS[args.action])
-    return [_render_tableau(out, args.format)], 0
+def _cmd_steps(args) -> tuple[list[str], int]:
+    """map, tab and poly: one value, or poly compare's two sets' flags."""
+    results = _run_steps(args)
+    if len(results) == 1:
+        return _render(results[0], args.format), 0
+    a, b = results
+    flags = {"poly_eq": poly_eq(a, b), "gf_identical": gf_identical(a, b)}
+    return _render_flags(flags, args.format), 0
 
 
 def _cmd_set(args) -> tuple[list[str], int]:
-    (ts,) = _run_steps(args, _SET_ACTIONS[args.action])
+    (ts,) = _run_steps(args)
     if args.format == "stream":
-        return [json.dumps(t.to_json_dict(), sort_keys=True) for t in ts], 0
+        return [line for t in ts for line in _render(t, "json")], 0
     if args.format == "json":
-        return [json.dumps(ts.to_json_dict(), sort_keys=True)], 0
+        return _render(ts, "json"), 0
     if args.format == "csv":
         return [
             "|".join(" ".join(str(v) for v in col) for col in t.columns) for t in ts
@@ -270,15 +258,6 @@ def _cmd_set(args) -> tuple[list[str], int]:
     lines = [f"{len(ts)} tableaux"]
     lines += ["[" + ", ".join(str(list(c)) for c in t.columns) + "]" for t in ts]
     return lines, 0
-
-
-def _cmd_poly(args) -> tuple[list[str], int]:
-    results = _run_steps(args, _POLY_ACTIONS[args.action])
-    if len(results) == 1:
-        return [_render_poly(results[0], args.format)], 0
-    a, b = results
-    flags = {"poly_eq": poly_eq(a, b), "gf_identical": gf_identical(a, b)}
-    return _render_flags(flags, args.format), 0
 
 
 def _cmd_count(args) -> tuple[list[str], int]:
@@ -344,66 +323,49 @@ def build_parser() -> _Parser:
             p.add_argument("--R", default="", help="comma-separated divider set")
         return group
 
+    # every command, in the order that the usage line lists them
+    parsers = {name: sub.add_parser(name) for name in (
+        "classify", "critlist", "core", "make", "map", "perm", "tab", "set", "poly", "count", "verify")}
+
     for name, handler in (("classify", _cmd_classify), ("critlist", _cmd_critlist), ("core", _cmd_core)):
-        p = sub.add_parser(name)
+        p = parsers[name]
         common(p)
         p.add_argument("--tuple", required=True)
         p.set_defaults(handler=handler)
 
-    p = sub.add_parser("make")
+    p = parsers["make"]
     common(p, need_n=False, need_r=False)
     p.add_argument("--kind", required=True, choices=CONSTRUCTION_KINDS)
     p.add_argument("--critlist", required=True, help="critical list as JSON")
     p.set_defaults(handler=_cmd_make)
 
-    p = sub.add_parser("map")
-    p.add_argument("map", choices=_MAP_ACTIONS)
-    common(p)
-    for option, what in (("perm", "one-line entries"), ("tuple", "tuple entries")):
-        users = ", ".join(a for a, (o, _) in _MAP_ACTIONS.items() if o == option)
-        p.add_argument(f"--{option}", help=f"{what} (for {users})")
-    p.set_defaults(handler=_cmd_map)
-
-    p = sub.add_parser("perm")
+    p = parsers["perm"]
     p.add_argument("action", choices=["project", "lift", "lifts", "avoiding"])
     common(p)
     p.add_argument("--perm", required=True)
     p.set_defaults(handler=_cmd_perm)
 
-    p = sub.add_parser("tab")
-    p.add_argument("action", choices=_TAB_ACTIONS)
-    common(p, need_r=False)
-    p.add_argument("--lambda", dest="lam", default="", help="partition, comma-separated")
-    p.add_argument("--perm")
-    p.add_argument("--tuple")
-    p.add_argument("--tab", help="tableau as JSON")
-    p.set_defaults(handler=_cmd_tab)
+    for command, actions in _ACTIONS.items():
+        p = parsers[command]
+        p.add_argument("action", choices=actions)
+        formats = common(p, need_r=command == "map")
+        if command == "set":
+            formats.add_argument("--stream", dest="format", action="store_const", const="stream",
+                                 help="emit NDJSON, one tableau per line")
+        if command != "map":
+            p.add_argument("--lambda", dest="lam", default="", help="partition, comma-separated")
+        for option, what in _INPUTS:
+            users = [a for a, steps in actions.items() if any(o == option for o, _ in steps)]
+            if users:
+                p.add_argument(f"--{option}", help=f"{what} (for {', '.join(users)})")
+        p.set_defaults(handler=_cmd_set if command == "set" else _cmd_steps)
 
-    p = sub.add_parser("set")
-    p.add_argument("action", choices=_SET_ACTIONS)
-    formats = common(p, need_r=False)
-    formats.add_argument("--stream", dest="format", action="store_const", const="stream",
-                         help="emit NDJSON, one tableau per line")
-    p.add_argument("--lambda", dest="lam", default="")
-    p.add_argument("--perm")
-    p.add_argument("--tuple")
-    p.add_argument("--tab")
-    p.set_defaults(handler=_cmd_set)
-
-    p = sub.add_parser("poly")
-    p.add_argument("action", choices=_POLY_ACTIONS)
-    common(p, need_r=False)
-    p.add_argument("--lambda", dest="lam", default="")
-    p.add_argument("--perm")
-    p.add_argument("--tuple")
-    p.set_defaults(handler=_cmd_poly)
-
-    p = sub.add_parser("count")
+    p = parsers["count"]
     p.add_argument("what", choices=["cnr", "total", "ui"])
     common(p)
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("verify")
+    p = parsers["verify"]
     p.add_argument("suite", choices=list(SUITE_NAMES) + ["all"])
     common(p, need_n=False, need_r=False)
     p.add_argument("--max-n", type=int, default=None, help="range bound; suite default if omitted")

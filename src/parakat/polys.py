@@ -19,8 +19,8 @@ from typing import Mapping, Sequence, Union
 
 from .errors import ShapeMismatch
 from .rperms import RPermutation, reduced_word
-from .rtuples import RTuple, is_gapless_core, is_upper_flag
-from .tableaux import Shape, Tableau, TableauSet, content, demazure_set, row_bound_set
+from .rtuples import RTuple, _json_fields, is_gapless_core, is_upper_flag
+from .tableaux import Shape, TableauSet, content, demazure_set, row_bound_set
 
 
 class Polynomial:
@@ -113,7 +113,9 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Polynomial":
-        return cls(d["n"], {tuple(t["exp"]): t["coef"] for t in d["terms"]})
+        n, terms = _json_fields(d, "polynomial", ("n", 0), ("terms", None))
+        pairs = (_json_fields(t, "polynomial term", ("exp", 1), ("coef", 0)) for t in terms)
+        return cls(n, {tuple(exp): coef for exp, coef in pairs})
 
 
 def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
@@ -160,10 +162,6 @@ PolyLike = Union[Polynomial, GFHandle]
 
 def _as_poly(p: PolyLike) -> Polynomial:
     return p.poly if isinstance(p, GFHandle) else p
-
-
-def weight(t: Tableau) -> Polynomial:
-    return Polynomial.monomial(t.n, content(t))
 
 
 def gen_fn(ts: TableauSet) -> GFHandle:

@@ -26,6 +26,7 @@ from .rtuples import (
     _carrel_text,
     _chains,
     _check_size,
+    _json_fields,
     _unchecked,
     core,
     is_gapless,
@@ -72,7 +73,7 @@ class RPermutation:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RPermutation":
-        return cls.of(d["n"], d["R"], d["one_line"])
+        return cls.of(*_json_fields(d, "permutation", ("n", 0), ("R", 1), ("one_line", 1)))
 
 
 @dataclass(frozen=True)

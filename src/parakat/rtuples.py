@@ -93,17 +93,40 @@ def _check_size(name: str, value: int) -> None:
         raise ValueError(f"{name}={value} exceeds the size bound of {MAX_SIZE}")
 
 
-def _is_int_array(value, depth: int) -> bool:
-    """An integer for ``depth`` 0, else an array of ``depth - 1`` such values.
-
-    Lets ``from_json_dict`` refuse a decoded JSON value of the wrong type with
-    a ValueError naming its key, before any arithmetic meets it.
-    """
+def _is_int_array(value, depth: int | None) -> bool:
+    """An integer (JSON true and false are not) for ``depth`` 0, else an
+    array of ``depth - 1`` such values; any array for ``depth`` None."""
     if depth == 0:
-        return isinstance(value, int)
-    return isinstance(value, (list, tuple)) and all(
-        _is_int_array(v, depth - 1) for v in value
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (list, tuple)) and (
+        depth is None or all(_is_int_array(v, depth - 1) for v in value)
     )
+
+
+# what a JSON value of each depth must be; only a critical list's carrels have depth 3
+_JSON_TYPES = {
+    None: "an array",
+    0: "an integer",
+    1: "an array of integers",
+    2: "an array of arrays of integers",
+    3: "arrays of [x, y] integer pairs",
+}
+
+
+def _json_fields(d, what: str, *fields: tuple[str, int | None]) -> list:
+    """The values of ``d`` at the ``(key, depth)`` fields' keys, in order.
+
+    Lets every ``from_json_dict`` refuse decoded JSON with a ValueError that
+    names a missing key, or a key whose value is not of its depth, before any
+    arithmetic meets it.
+    """
+    for key, _ in fields:
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"{what} JSON lacks the key {key!r}")
+    for key, depth in fields:
+        if not _is_int_array(d[key], depth):
+            raise ValueError(f"{what} JSON key {key!r} must hold {_JSON_TYPES[depth]}")
+    return [d[key] for key, _ in fields]
 
 
 def _unchecked(cls, **fields):
@@ -160,7 +183,7 @@ class RTuple:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RTuple":
-        return cls.of(d["n"], d["R"], d["entries"])
+        return cls.of(*_json_fields(d, "tuple", ("n", 0), ("R", 1), ("entries", 1)))
 
 
 @dataclass(frozen=True)
@@ -229,16 +252,10 @@ class CriticalList:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CriticalList":
-        if not isinstance(d, dict) or "carrels" not in d:
-            raise ValueError("critical list JSON lacks the key 'carrels'")
-        if not (
-            _is_int_array(d["carrels"], 3)
-            and all(len(pair) == 2 for c in d["carrels"] for pair in c)
-        ):
-            raise ValueError(
-                "critical list JSON key 'carrels' must hold arrays of [x, y] integer pairs"
-            )
-        carrels = tuple(tuple((x, y) for x, y in c) for c in d["carrels"])
+        (carrels,) = _json_fields(d, "critical list", ("carrels", 3))
+        if not all(len(pair) == 2 for c in carrels for pair in c):
+            raise ValueError(f"critical list JSON key 'carrels' must hold {_JSON_TYPES[3]}")
+        carrels = tuple(tuple((x, y) for x, y in c) for c in carrels)
         # n and the divider set are read off the carrel ends, so an empty
         # carrel is refused here, before the constructor could see it
         if not carrels or not all(carrels):

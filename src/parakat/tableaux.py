@@ -28,7 +28,7 @@ from .rtuples import (
     RTuple,
     _chains,
     _check_size,
-    _is_int_array,
+    _json_fields,
     _unchecked,
     core,
     is_r_increasing,
@@ -160,19 +160,8 @@ class Tableau:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Tableau":
-        expected = (
-            ("n", 0, "an integer"),
-            ("lambda", 1, "an array of integers"),
-            ("columns", 2, "an array of arrays of integers"),
-        )
-        for key, _, _ in expected:
-            if not isinstance(d, dict) or key not in d:
-                raise ValueError(f"tableau JSON lacks the key {key!r}")
-        for key, depth, what in expected:
-            if not _is_int_array(d[key], depth):
-                raise ValueError(f"tableau JSON key {key!r} must hold {what}")
-        shape = Shape.of(d["n"], tuple(d["lambda"]))
-        return cls(shape, tuple(tuple(c) for c in d["columns"]))
+        n, parts, columns = _json_fields(d, "tableau", ("n", 0), ("lambda", 1), ("columns", 2))
+        return cls(Shape.of(n, tuple(parts)), tuple(tuple(c) for c in columns))
 
 
 def entrywise_le(t: Tableau, u: Tableau) -> bool:

@@ -66,21 +66,16 @@ class SuiteReport:
     suite: str
     params: tuple[tuple[str, object], ...]
     instances: int
-    verdict: str
     counterexamples: tuple
     wall_time: float
 
-    def __post_init__(self):
-        expected = "fail" if self.counterexamples else "pass"
-        if self.verdict != expected:
-            raise ValueError(
-                f"verdict {self.verdict!r} inconsistent with "
-                f"{len(self.counterexamples)} counterexamples"
-            )
+    @property
+    def verdict(self) -> str:
+        return "fail" if self.counterexamples else "pass"
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not self.counterexamples
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,7 +132,6 @@ class _Run:
             suite=self.suite,
             params=self.params,
             instances=self.instances,
-            verdict="fail" if bad else "pass",
             counterexamples=bad,
             wall_time=time.perf_counter() - self.started,
         )
@@ -406,32 +400,37 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                 **base, eta=eta, law="gapless-core bounds match an index",
             )
 
+        # each polynomial's owners in enumeration order, so equal polynomials are looked up
+        perms_of: dict = {}
+        for p in perms:
+            perms_of.setdefault(d_polys[p], []).append(p)
+        cores_of: dict = {}
+        for delta in cores:
+            cores_of.setdefault(s_polys[delta.entries], []).append(delta)
         avoiding_set = set(avoiding)
         for delta in cores:
             h = s_polys[delta.entries]
-            for p in perms:
-                if h == d_polys[p]:
-                    ok = (
-                        p in avoiding_set
-                        and is_gapless(delta)
-                        and delta == rank_tuple(p)
-                        and row_end_max(delta, shape) == key_of_perm(p, shape)
-                        and s_cells[delta.entries] == d_cells[p]
-                    )
-                    run.check(
-                        ok,
-                        **base, core=delta, pi=p,
-                        law="polynomial coincidence forces the set coincidence",
-                    )
+            for p in perms_of.get(h, ()):
+                ok = (
+                    p in avoiding_set
+                    and is_gapless(delta)
+                    and delta == rank_tuple(p)
+                    and row_end_max(delta, shape) == key_of_perm(p, shape)
+                    and s_cells[delta.entries] == d_cells[p]
+                )
+                run.check(
+                    ok,
+                    **base, core=delta, pi=p,
+                    law="polynomial coincidence forces the set coincidence",
+                )
             if not is_gapless(delta):
                 continue
-            for other in cores:
-                if s_polys[other.entries] == h:
-                    run.check(
-                        other == delta,
-                        **base, core=other, eta=delta,
-                        law="gapless-core sums admit no accidental equals",
-                    )
+            for other in cores_of[h]:
+                run.check(
+                    other == delta,
+                    **base, core=other, eta=delta,
+                    law="gapless-core sums admit no accidental equals",
+                )
 
         for phi in enumerate_tuples(shape.n, r_elements, "flag"):
             run.check(

@@ -270,6 +270,38 @@ def test_missing_value_argument_is_usage_error(capsys):
     capsys.readouterr()
 
 
+# each action-table command: a valid call, its usage line, and an input option none of its actions reads
+_TABLE_COMMANDS = [
+    (["map", "psi", "--n", "3", "--R", "2", "--perm", "1,3,2"],
+     "usage: parakat map [-h] [--json | --csv | --text] [--manifest MANIFEST] --n N "
+     "[--R R] [--perm PERM] [--tuple TUPLE] {psi,pi,floor,ceiling}",
+     ["--lambda", "1"]),
+    (["tab", "key", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2"],
+     "usage: parakat tab [-h] [--json | --csv | --text] [--manifest MANIFEST] --n N "
+     "[--lambda LAM] [--perm PERM] [--tuple TUPLE] [--tab TAB] {key,rowendmax,rowboundmax,scan}",
+     ["--R", "1"]),
+    (["set", "z", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3"],
+     "usage: parakat set [-h] [--json] [--csv] [--text] [--manifest MANIFEST] --n N "
+     "[--stream] [--lambda LAM] [--perm PERM] [--tuple TUPLE] [--tab TAB] {rowbound,demazure,ideal,z}",
+     ["--R", "1"]),
+    (["poly", "demazure", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2"],
+     "usage: parakat poly [-h] [--json | --csv | --text] [--manifest MANIFEST] --n N "
+     "[--lambda LAM] [--perm PERM] [--tuple TUPLE] {rowboundsum,demazure,dd,compare}",
+     ["--tab", "{}"]),
+]
+
+
+@pytest.mark.parametrize("argv, usage, unread", _TABLE_COMMANDS)
+def test_the_action_table_drives_the_parser(argv, usage, unread):
+    code, out, err = _captured(main, [argv[0], "--help"])
+    assert (code, err) == (0, "")
+    assert " ".join(out.split("\n\n")[0].split()) == usage
+    assert _captured(main, argv)[0] == 0
+    code, out, err = _captured(main, argv + unread)
+    assert (code, out) == (64, "")
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(unread)}\n")
+
+
 def test_tab_rowendmax_and_rowboundmax(capsys):
     code, out = run_cli(capsys, "tab", "rowendmax", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3")
     assert code == 0 and out == "2\n3\n"
@@ -495,6 +527,9 @@ def test_sizes_past_the_bound_are_usage_errors(capsys, argv):
          "critical list JSON key 'carrels' must hold arrays of [x, y] integer pairs"),
         (["make", "--kind", "increasing", "--critlist", "null"],
          "critical list JSON lacks the key 'carrels'"),
+        # JSON true is no integer, though Python's bool is an int
+        (["tab", "scan", "--n", "1", "--lambda", "1", "--tab", '{"n":true,"lambda":[1],"columns":[[1]]}'],
+         "tableau JSON key 'n' must hold an integer"),
     ],
 )
 def test_incomplete_json_names_what_is_missing(capsys, argv, message):

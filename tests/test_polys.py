@@ -15,7 +15,6 @@ from parakat.polys import (
     isobaric_divided_difference,
     poly_eq,
     row_bound_sum,
-    weight,
 )
 from parakat.rperms import RPermutation, enumerate_rperms, is_r312_avoiding, pi_map, rank_tuple
 from parakat.rtuples import RTuple, core, enumerate_tuples
@@ -56,6 +55,20 @@ def test_json_round_trip():
     p = Polynomial(3, {(1, 1, 0): 1, (0, 2, 1): 4})
     assert Polynomial.from_json_dict(p.to_json_dict()) == p
     assert p.to_json_dict()["terms"][0] == {"exp": [1, 1, 0], "coef": 1}
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"n": 1}, "polynomial JSON lacks the key 'terms'"),
+    ({"n": 1, "terms": 3}, "polynomial JSON key 'terms' must hold an array"),
+    ({"n": 1, "terms": [{"coef": 1}]}, "polynomial term JSON lacks the key 'exp'"),
+    ({"n": 1, "terms": [{"exp": [1], "coef": 1.5}]}, "polynomial term JSON key 'coef' must hold an integer"),
+    ({"n": 1, "terms": [{"exp": [1], "coef": "x"}]}, "polynomial term JSON key 'coef' must hold an integer"),
+    ({"n": 1, "terms": [{"exp": [1], "coef": True}]}, "polynomial term JSON key 'coef' must hold an integer"),
+])
+def test_polynomial_json_names_a_missing_or_mistyped_key(d, message):
+    with pytest.raises(ValueError) as info:
+        Polynomial.from_json_dict(d)
+    assert str(info.value) == message
 
 
 def test_divided_difference_unit_cases():
@@ -159,7 +172,7 @@ def test_gen_fn_counts_weights():
     h = gen_fn(ts)
     assert isinstance(h, GFHandle)
     assert sum(c for _, c in h.poly.terms) == len(ts)
-    assert weight(minimal_tableau(sh)) == Polynomial.monomial(3, (1, 1, 0))
+    assert content(minimal_tableau(sh)) == (1, 1, 0)
 
 
 def test_flag_and_gapless_core_wrappers():

@@ -342,6 +342,10 @@ def test_validation():
         RPermutation.of(3, (), (1, 1, 2))
     with pytest.raises(ValueError):
         RPermutation.of(3, (1,), (2, 3, 1))  # second carrel (3, 1) not increasing
+    with pytest.raises(ValueError, match="^permutation JSON lacks the key 'one_line'$"):
+        RPermutation.from_json_dict({"n": 3, "R": []})
+    with pytest.raises(ValueError, match="^permutation JSON key 'n' must hold an integer$"):
+        RPermutation.from_json_dict({"n": "3", "R": [], "one_line": [1, 2, 3]})
     # r_projection takes a word from outside and checks it as the constructor does
     for word in [(1, 1, 2), (1, 2), (2, 3, 4)]:
         with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):

@@ -461,6 +461,15 @@ def test_json_round_trips():
     }
 
 
+def test_tuple_json_names_a_missing_or_mistyped_key():
+    with pytest.raises(ValueError, match="^tuple JSON lacks the key 'entries'$"):
+        RTuple.from_json_dict({"n": 3, "R": [1]})
+    with pytest.raises(ValueError, match="^tuple JSON key 'entries' must hold an array of integers$"):
+        RTuple.from_json_dict({"n": 3, "R": [1], "entries": ["a", 2, 3]})
+    with pytest.raises(ValueError, match="^tuple JSON key 'n' must hold an integer$"):
+        RTuple.from_json_dict({"n": 3.0, "R": [1], "entries": [1, 2, 3]})
+
+
 def test_text_display():
     assert str(T38((2, 7, 5, 8, 6, 6, 9, 9, 9))) == "(2,7,5;8,6,6,9,9;9)"
     assert str(RTuple.of(3, (), (1, 2, 3))) == "(1,2,3)"

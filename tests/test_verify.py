@@ -8,7 +8,6 @@ from parakat import verify
 from parakat.errors import CapExceeded
 from parakat.tableaux import Shape
 from parakat.verify import (
-    SuiteReport,
     _Run,
     canonical_shape,
     catalan,
@@ -110,13 +109,6 @@ def test_accidental_over_the_cap_raises_cap_exceeded(monkeypatch):
     monkeypatch.setenv("PARAKAT_CAP", "-1")
     with pytest.raises(ValueError, match="PARAKAT_CAP must be a nonnegative integer"):
         search_accidental(3, 3)
-
-
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        SuiteReport("x", (), 1, "pass", ({"bad": 1},), 0.0)
-    with pytest.raises(ValueError):
-        SuiteReport("x", (), 1, "fail", (), 0.0)
 
 
 def test_failing_run_reports_sorted_counterexamples():
