@@ -19,7 +19,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import ShapeMismatch
 from .rperms import RPermutation, reduced_word
-from .rtuples import RTuple, _json_fields, is_gapless_core, is_upper_flag
+from .rtuples import RTuple, _check_size, _json_fields, is_gapless_core, is_upper_flag
 from .tableaux import Shape, TableauSet, content, demazure_set, row_bound_set
 
 
@@ -114,6 +114,9 @@ class Polynomial:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Polynomial":
         n, terms = _json_fields(d, "polynomial", ("n", 0), ("terms", None))
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        _check_size("n", n)
         pairs = (_json_fields(t, "polynomial term", ("exp", 1), ("coef", 0)) for t in terms)
         return cls(n, {tuple(exp): coef for exp, coef in pairs})
 

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import le
+from operator import attrgetter, le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
@@ -36,6 +36,8 @@ from .rtuples import (
 )
 
 DEFAULT_CAP = 10_000_000
+
+_columns = attrgetter("columns")
 
 
 def materialization_cap() -> int:
@@ -197,6 +199,13 @@ def minimal_tableau(shape: Shape) -> Tableau:
     return _unchecked(Tableau, shape=shape, columns=cols)
 
 
+def _maximal_tableau(shape: Shape) -> Tableau:
+    """Each column holds the largest values; a key, so every right key lies below it."""
+    n = shape.n
+    cols = tuple(tuple(range(n - z + 1, n + 1)) for z in shape.column_lengths)
+    return _unchecked(Tableau, shape=shape, columns=cols)
+
+
 @dataclass(frozen=True)
 class TableauSet:
     """An explicit, deduplicated, canonically ordered set of same-shape tableaux."""
@@ -208,7 +217,7 @@ class TableauSet:
         for t in self.tableaux:
             if t.shape != self.shape:
                 raise ShapeMismatch("all members must share the set's shape")
-        ordered = tuple(sorted(set(self.tableaux), key=lambda t: t.columns))
+        ordered = tuple(sorted(set(self.tableaux), key=_columns))
         object.__setattr__(self, "tableaux", ordered)
 
     @cached_property
@@ -259,9 +268,7 @@ def count_tableaux(shape: Shape) -> int:
 
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     """All semistandard tableaux, lexicographic in column-major entry order."""
-    n = shape.n
-    top = tuple(tuple(range(n - z + 1, n + 1)) for z in shape.column_lengths)
-    yield from _between(minimal_tableau(shape), _unchecked(Tableau, shape=shape, columns=top))
+    yield from _between(minimal_tableau(shape), _maximal_tableau(shape))
 
 
 def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
@@ -304,8 +311,8 @@ def _below(top: Tableau) -> Iterator[Tableau]:
 def materialize(shape: Shape, source: Iterable[Tableau]) -> TableauSet:
     """Collect tableaux into an explicit set of at most ``PARAKAT_CAP`` members.
 
-    ``source`` yields distinct tableaux of ``shape`` in canonical order, as
-    the walks below a maximum do, so the set is built unchecked.
+    ``source`` yields distinct tableaux of ``shape``, as the walks do, so the
+    set is built unchecked; its members are sorted once by columns.
     """
     limit = materialization_cap()
     out = []
@@ -313,6 +320,7 @@ def materialize(shape: Shape, source: Iterable[Tableau]) -> TableauSet:
         out.append(t)
         if len(out) > limit:
             raise CapExceeded(f"materialization exceeds cap of {limit} tableaux")
+    out.sort(key=_columns)
     return _unchecked(TableauSet, shape=shape, tableaux=tuple(out))
 
 
@@ -465,22 +473,21 @@ def scanning(t: Tableau) -> Tableau:
     key.
     """
     cols = t.columns
-    ncols = len(cols)
-    out: list[tuple[int, ...]] = []
-    for j0 in range(ncols):
-        avail = [len(cols[k]) for k in range(ncols)]  # boxes still open per column
-        col_out = [0] * len(cols[j0])
-        for i in range(len(cols[j0]) - 1, -1, -1):
-            v = cols[j0][i]
-            for k in range(j0 + 1, ncols):
-                a = avail[k]
-                if a == 0 or cols[k][a - 1] < v:
-                    continue
-                v = cols[k][a - 1]
-                avail[k] = a - 1
-            col_out[i] = v
-        out.append(tuple(col_out))
-    return _unchecked(Tableau, shape=t.shape, columns=tuple(out))
+    out = tuple(_scan_column(c, cols[j + 1 :]) for j, c in enumerate(cols))
+    return _unchecked(Tableau, shape=t.shape, columns=out)
+
+
+def _scan_column(col: tuple[int, ...], right: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The scanning column of ``col`` when the columns ``right`` follow it."""
+    stacks = [list(k) for k in right]  # the boxes still open in each column
+    out = []
+    for v in reversed(col):
+        for open_boxes in stacks:
+            if open_boxes and open_boxes[-1] >= v:
+                v = open_boxes.pop()
+        out.append(v)
+    out.reverse()
+    return tuple(out)
 
 
 def in_demazure_set(t: Tableau, y: Tableau) -> bool:
@@ -491,10 +498,62 @@ def in_demazure_set(t: Tableau, y: Tableau) -> bool:
 def demazure_set(p: RPermutation, shape: Shape) -> TableauSet:
     """All tableaux whose scanning tableau sits below the key of ``p``.
 
-    Scanning dominates its argument, so only the key's ideal is walked.
+    The walk prunes each column at the key, so it yields only members.
     """
-    y = key_of_perm(p, shape)
-    return materialize(shape, (t for t in _below(y) if in_demazure_set(t, y)))
+    walk = _right_walk(key_of_perm(p, shape))
+    return materialize(shape, (_unchecked(Tableau, shape=shape, columns=w[0]) for w in walk))
+
+
+def _right_walk(y: Tableau) -> Iterator[tuple]:
+    """Every tableau whose scanning tableau lies entrywise below the key ``y``.
+
+    The walk fills one whole column per level, from the rightmost leftwards,
+    inside the box below ``y``.  Column j of the scanning tableau depends only
+    on columns j, j+1, ... (Willis 2013, *A direct way to find the right key
+    of a semistandard Young tableau*), so each candidate's scanning column is
+    computed once, against the columns already fixed to its right, and the
+    candidate is kept only if that column lies below column j of ``y``.
+
+    Yields ``(columns, flat right key, row ends, packed content)``: the row
+    ends of the nonempty rows, and the content with the count of value v in
+    the bit field at ``(v - 1) * width`` (:func:`_content_width`).
+    """
+    tops = y.columns
+    width = _content_width(y.shape)
+    singles = [(v,) for v in range(y.n + 1)]
+    below: dict = {}  # an entrywise bound -> [(column under it, packed content)]
+
+    def columns_below(bound: tuple[int, ...]) -> list:
+        found = below.get(bound)
+        if found is None:
+            walk = _chains(
+                len(bound), lambda i, part: singles[part[-1] + 1 if part else 1 : bound[i] + 1]
+            )
+            found = below[bound] = [(c, sum(1 << (v - 1) * width for v in c)) for c in walk]
+        return found
+
+    def options(h: int, prefix: tuple) -> list:
+        if h == 0:  # the empty filling, so that a shape without columns yields one tableau
+            return [(((), (), (), 0),)]
+        cols, key, ends, weight = prefix[-1]
+        top = tops[-h]
+        right = cols[0] if cols else ()
+        # below the key's column, and each row weakly increasing into the column on the right
+        bound = (*map(min, top, right), *top[len(right) :])
+        kept = []
+        for c, w in columns_below(bound):
+            s = _scan_column(c, cols)
+            if all(map(le, s, top)):
+                kept.append((((c, *cols), s + key, ends + c[len(right) :], weight + w),))
+        return kept
+
+    for states in _chains(len(tops) + 1, options):
+        yield states[-1]
+
+
+def _content_width(shape: Shape) -> int:
+    """Bits per value of a packed content: a value occurs at most once per column."""
+    return len(shape.column_lengths).bit_length()
 
 
 def ideal(t: Tableau) -> TableauSet:
@@ -511,7 +570,10 @@ class ShapeTableaux:
 
     A cell is the set of tableaux that share a right key (their scanning
     tableau) and a row-end list; the cells partition SSYT(shape), none empty,
-    and each keeps only its size and content tally.  A Demazure set is a union
+    and each keeps only its size and content tally, with each content packed
+    into one int.  The column walk of :func:`demazure_set`, run below the
+    largest key, carries each tableau's right key, row ends and content, so
+    no tableau is scanned on its own.  A Demazure set is a union
     of atoms (one right key each) and a row-bound set a union of row-end
     classes, read without ``core``, so each is a set of cells, and two sets
     are equal exactly when their cells are.  The sets are those of the walks
@@ -529,12 +591,19 @@ class ShapeTableaux:
         if total > limit:
             raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")
         self.shape = shape
-        self.cells: dict = {}  # cell_of(t) -> [size, content tally]
-        for t in enumerate_tableaux(shape):
-            cell = self.cell_of(t)
-            size, tally = self.cells.get(cell) or (0, Counter())
-            tally[content(t)] += 1
-            self.cells[cell] = [size + 1, tally]
+        self.cells: dict = {}  # cell_of(t) -> [size, packed content -> count]
+        # the walk yields the ends of the nonempty rows; an empty row i reads i
+        empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
+        for _, key, ends, weight in _right_walk(_maximal_tableau(shape)):
+            cell = key, ends + empty_rows
+            entry = self.cells.get(cell)
+            if entry is None:
+                entry = self.cells[cell] = [0, Counter()]
+            entry[0] += 1
+            entry[1][weight] += 1
+        width = _content_width(shape)
+        self._fields = [(v * width, (1 << width) - 1) for v in range(shape.n)]
+        self._contents: dict = {}  # packed content -> its vector, one tuple each
 
     @staticmethod
     def cell_of(t: Tableau) -> tuple:
@@ -554,11 +623,18 @@ class ShapeTableaux:
     def size(self, cells: Iterable) -> int:
         return sum(self.cells[c][0] for c in cells)
 
-    def weights(self, cells: Iterable) -> Counter:
-        out = Counter()
+    def weights(self, cells: Iterable) -> dict:
+        """Content vector -> how many tableaux of ``cells`` have it."""
+        packed = Counter()
         for c in cells:
-            out.update(self.cells[c][1])
-        return out
+            packed.update(self.cells[c][1])
+        return {self._content(w): m for w, m in packed.items()}
+
+    def _content(self, w: int) -> tuple[int, ...]:
+        got = self._contents.get(w)
+        if got is None:
+            got = self._contents[w] = tuple(w >> shift & mask for shift, mask in self._fields)
+        return got
 
 
 def _flat(t: Tableau) -> tuple[int, ...]:

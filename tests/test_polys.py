@@ -17,7 +17,7 @@ from parakat.polys import (
     row_bound_sum,
 )
 from parakat.rperms import RPermutation, enumerate_rperms, is_r312_avoiding, pi_map, rank_tuple
-from parakat.rtuples import RTuple, core, enumerate_tuples
+from parakat.rtuples import MAX_SIZE, RTuple, core, enumerate_tuples
 from parakat.tableaux import (
     Shape,
     content,
@@ -55,6 +55,7 @@ def test_json_round_trip():
     p = Polynomial(3, {(1, 1, 0): 1, (0, 2, 1): 4})
     assert Polynomial.from_json_dict(p.to_json_dict()) == p
     assert p.to_json_dict()["terms"][0] == {"exp": [1, 1, 0], "coef": 1}
+    assert Polynomial.from_json_dict({"n": MAX_SIZE, "terms": []}) == Polynomial.zero(MAX_SIZE)
 
 
 @pytest.mark.parametrize("d, message", [
@@ -66,6 +67,18 @@ def test_json_round_trip():
     ({"n": 1, "terms": [{"exp": [1], "coef": True}]}, "polynomial term JSON key 'coef' must hold an integer"),
 ])
 def test_polynomial_json_names_a_missing_or_mistyped_key(d, message):
+    with pytest.raises(ValueError) as info:
+        Polynomial.from_json_dict(d)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"n": -2, "terms": []}, "n must be positive, got -2"),
+    ({"n": 0, "terms": [{"exp": [], "coef": 5}]}, "n must be positive, got 0"),
+    ({"n": MAX_SIZE + 1, "terms": []}, f"n={MAX_SIZE + 1} exceeds the size bound of {MAX_SIZE}"),
+])
+def test_polynomial_json_refuses_a_variable_count_that_rtuples_refuses(d, message):
+    # as RSubset does: at least one variable, and at most MAX_SIZE
     with pytest.raises(ValueError) as info:
         Polynomial.from_json_dict(d)
     assert str(info.value) == message

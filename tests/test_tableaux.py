@@ -5,6 +5,7 @@ import itertools
 import operator
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,7 +56,9 @@ from parakat.tableaux import (
     tableau_join,
     tableau_meet,
     z_set,
+    _below,
     _between,
+    _right_walk,
 )
 
 SMALL_SHAPES = [
@@ -356,6 +359,39 @@ def test_builders_match_brute_force_filter():
             assert ideal(top) == _brute_force_set(sh, lambda t: entrywise_le(t, top))
 
 
+def test_demazure_walk_matches_the_filter_of_the_key_ideal():
+    # the route the column walk replaced stays its oracle, members and order
+    for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
+        for p in enumerate_rperms(sh.n, sh.r_subset.elements):
+            y = key_of_perm(p, sh)
+            filtered = tuple(t for t in _below(y) if in_demazure_set(t, y))
+            d = demazure_set(p, sh)
+            assert d.tableaux == filtered
+            assert d == materialize(sh, iter(filtered))
+
+
+def test_demazure_walk_costs_what_it_yields():
+    # 18,876 members of a 198,272-tableau ideal, whose filter took about 5 s on 2 vCPUs
+    sh = Shape.of(7, (6, 5, 4, 3, 2, 1))
+    p = RPermutation.of(7, (1, 2, 3, 4, 5, 6), (7, 6, 1, 2, 3, 4, 5))
+    started = time.perf_counter()
+    assert len(demazure_set(p, sh)) == 18876
+    assert time.perf_counter() - started < 2.5
+
+
+def test_shape_tableaux_cells_match_a_per_tableau_build():
+    # the atlas reads each cell and content off its column walk; rebuild both per tableau
+    for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
+        built: dict = {}
+        for t in enumerate_tableaux(sh):
+            built.setdefault(ShapeTableaux.cell_of(t), Counter())[content(t)] += 1
+        atlas = ShapeTableaux(sh)
+        assert atlas.cells.keys() == built.keys()
+        for cell, tally in built.items():
+            assert atlas.size([cell]) == sum(tally.values())
+            assert atlas.weights([cell]) == tally
+
+
 def _cell(t):
     """The cell of ``t``: its right key read column by column, and its row ends."""
     return tuple(v for col in scanning(t).columns for v in col), row_end_list(t).entries
@@ -554,6 +590,8 @@ def test_walks_leave_no_reference_cycles():
     walks = [
         functools.partial(enumerate_tableaux, sh),
         functools.partial(ideal, tableaux_of(sh)[-1]),
+        functools.partial(_right_walk, tableaux_of(sh)[-1]),
+        functools.partial(demazure_set, RPermutation.of(4, (1, 2, 3), (3, 1, 4, 2)), sh),
         functools.partial(enumerate_rperms, 5, (2, 4)),
         functools.partial(enumerate_critical_lists, 5, (2, 4)),
         *(functools.partial(enumerate_tuples, 5, (2, 4), f) for f in FAMILIES),
