@@ -285,6 +285,8 @@ def _run_named_suite(item: tuple[str, dict]):
 
 
 def _cmd_verify(args) -> tuple[list[str], int, list[str]]:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     jobs = [(name, _suite_kwargs(name, args)) for name in names]
     if args.jobs > 1 and len(jobs) > 1:

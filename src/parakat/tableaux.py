@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, le
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
 from .rperms import RChain, RPermutation, to_chain
@@ -200,7 +200,7 @@ def minimal_tableau(shape: Shape) -> Tableau:
 
 
 def _maximal_tableau(shape: Shape) -> Tableau:
-    """Each column holds the largest values; a key, so every right key lies below it."""
+    """Each column holds the largest values: the top of SSYT(shape)."""
     n = shape.n
     cols = tuple(tuple(range(n - z + 1, n + 1)) for z in shape.column_lengths)
     return _unchecked(Tableau, shape=shape, columns=cols)
@@ -267,52 +267,56 @@ def count_tableaux(shape: Shape) -> int:
 
 
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
-    """All semistandard tableaux, lexicographic in column-major entry order."""
-    yield from _between(minimal_tableau(shape), _maximal_tableau(shape))
+    """All semistandard tableaux, each once, lexicographic in their columns
+    read from the rightmost; :func:`materialize` puts them in canonical order."""
+    return _tableaux_in(minimal_tableau(shape), _maximal_tableau(shape))
 
 
-def _between(lo: Tableau, hi: Tableau) -> Iterator[Tableau]:
-    """Semistandard tableaux within an entrywise box, box by box.
+def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
+    """The final states of every tableau in the box [lo, hi] that ``step`` keeps.
 
-    The boxes are filled in column-major order.  Each entry ranges from its
-    bound in ``lo``, raised past the entry above and to the entry on its
-    left, up to its bound in ``hi``; no partial filling dead-ends, so the walk
-    costs in proportion to what it yields.
+    The walk fills one whole column per level, from the rightmost leftwards:
+    column j ranges over the strictly increasing columns between lo_j and
+    the entrywise minimum of hi_j and the column on its right, listed once
+    per walk.  ``step(state, c, right)`` returns the state once ``c`` is placed
+    left of ``right`` (``()`` at first), or None to drop ``c``.  A step that
+    drops nothing never dead-ends (lo_j <= lo_{j+1} <= right, lo_j <= hi_j).
     """
-    zeta = lo.shape.column_lengths
-    starts = list(itertools.accumulate(zeta, initial=0))
-    # per box: its bounds, whether a box sits above it, the flat index of its left box
-    boxes = [
-        (a[i], b[i] + 1, i > 0, starts[j - 1] + i if j else None)
-        for j, (a, b) in enumerate(zip(lo.columns, hi.columns))
-        for i in range(len(a))
-    ]
-    singles = [(v,) for v in range(lo.shape.n + 1)]
+    los, his = lo.columns, hi.columns
+    singles = [(v,) for v in range(lo.n + 1)]
+    between: dict = {}  # (lo_j, bound) -> the columns between them
 
-    def options(k: int, flat: tuple[int, ...]) -> list[tuple[int]]:
-        lo_v, stop, above, left = boxes[k]
-        if above:
-            lo_v = max(lo_v, flat[-1] + 1)
-        if left is not None:
-            lo_v = max(lo_v, flat[left])
-        return singles[lo_v:stop]
+    def options(h: int, prefix: tuple) -> list:
+        right, state = prefix[-1] if prefix else ((), start)
+        low, top = los[-1 - h], his[-1 - h]
+        bound = (*map(min, top, right), *top[len(right) :])
+        found = between.get((low, bound))
+        if found is None:
+            found = between[low, bound] = list(_chains(len(bound), lambda i, part: singles[
+                max(low[i], part[-1] + 1 if part else 0) : bound[i] + 1
+            ]))
+        return [((c, after),) for c in found if (after := step(state, c, right)) is not None]
 
-    spans = list(zip(starts, starts[1:]))
-    for flat in _chains(len(boxes), options):
-        cols = tuple(flat[s:e] for s, e in spans)
+    for placed in _chains(len(his), options):
+        yield placed[-1][1] if placed else start  # a shape without columns has one filling
+
+
+def _place(cols: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
+    """The plain step: keep every column; the state is the columns placed."""
+    return (c, *cols)
+
+
+def _tableaux_in(lo: Tableau, hi: Tableau, step: Callable = _place) -> Iterator[Tableau]:
+    for cols in _column_walk(lo, hi, step, ()):
         yield _unchecked(Tableau, shape=lo.shape, columns=cols)
-
-
-def _below(top: Tableau) -> Iterator[Tableau]:
-    """Every tableau entrywise below ``top``; the walk never dead-ends."""
-    return _between(minimal_tableau(top.shape), top)
 
 
 def materialize(shape: Shape, source: Iterable[Tableau]) -> TableauSet:
     """Collect tableaux into an explicit set of at most ``PARAKAT_CAP`` members.
 
     ``source`` yields distinct tableaux of ``shape``, as the walks do, so the
-    set is built unchecked; its members are sorted once by columns.
+    set is built unchecked; its members are sorted once by columns, since no
+    walk yields them in that order.
     """
     limit = materialization_cap()
     out = []
@@ -424,7 +428,15 @@ def row_end_max(a: RTuple, shape: Shape) -> Tableau:
 def z_set(a: RTuple, shape: Shape) -> TableauSet:
     """All tableaux with row-end list ``a``, walked below its row-end maximum."""
     top = row_end_max(a, shape)
-    return materialize(shape, (t for t in _below(top) if row_end_list(t) == a))
+    return materialize(shape, _tableaux_in(minimal_tableau(shape), top, _ending_in(a.entries)))
+
+
+def _ending_in(ends: tuple[int, ...]) -> Callable:
+    """The z step: keep a column whose ending rows hold their entries of ``ends``.
+
+    An empty row i reads i, which an increasing upper tuple holds there.
+    """
+    return lambda cols, c, right: (c, *cols) if c[len(right) :] == ends[len(right) : len(c)] else None
 
 
 def in_row_bound_set(t: Tableau, b: RTuple) -> bool:
@@ -500,55 +512,40 @@ def demazure_set(p: RPermutation, shape: Shape) -> TableauSet:
 
     The walk prunes each column at the key, so it yields only members.
     """
-    walk = _right_walk(key_of_perm(p, shape))
-    return materialize(shape, (_unchecked(Tableau, shape=shape, columns=w[0]) for w in walk))
+    y = key_of_perm(p, shape)
+    return materialize(shape, _tableaux_in(minimal_tableau(shape), y, _scanning_below(y)))
 
 
-def _right_walk(y: Tableau) -> Iterator[tuple]:
-    """Every tableau whose scanning tableau lies entrywise below the key ``y``.
+def _scanning_below(y: Tableau) -> Callable:
+    """The Demazure step: keep a column whose scanning column lies below the key's.
 
-    The walk fills one whole column per level, from the rightmost leftwards,
-    inside the box below ``y``.  Column j of the scanning tableau depends only
-    on columns j, j+1, ... (Willis 2013, *A direct way to find the right key
-    of a semistandard Young tableau*), so each candidate's scanning column is
-    computed once, against the columns already fixed to its right, and the
-    candidate is kept only if that column lies below column j of ``y``.
-
-    Yields ``(columns, flat right key, row ends, packed content)``: the row
-    ends of the nonempty rows, and the content with the count of value v in
-    the bit field at ``(v - 1) * width`` (:func:`_content_width`).
+    Column j of the right key reads only columns j, j+1, ... (Willis 2013),
+    so each candidate is scanned once, against the columns placed.
     """
     tops = y.columns
-    width = _content_width(y.shape)
-    singles = [(v,) for v in range(y.n + 1)]
-    below: dict = {}  # an entrywise bound -> [(column under it, packed content)]
 
-    def columns_below(bound: tuple[int, ...]) -> list:
-        found = below.get(bound)
-        if found is None:
-            walk = _chains(
-                len(bound), lambda i, part: singles[part[-1] + 1 if part else 1 : bound[i] + 1]
-            )
-            found = below[bound] = [(c, sum(1 << (v - 1) * width for v in c)) for c in walk]
-        return found
+    def step(cols: tuple, c: tuple[int, ...], right: tuple[int, ...]):
+        return (c, *cols) if all(map(le, _scan_column(c, cols), tops[-1 - len(cols)])) else None
 
-    def options(h: int, prefix: tuple) -> list:
-        if h == 0:  # the empty filling, so that a shape without columns yields one tableau
-            return [(((), (), (), 0),)]
-        cols, key, ends, weight = prefix[-1]
-        top = tops[-h]
-        right = cols[0] if cols else ()
-        # below the key's column, and each row weakly increasing into the column on the right
-        bound = (*map(min, top, right), *top[len(right) :])
-        kept = []
-        for c, w in columns_below(bound):
-            s = _scan_column(c, cols)
-            if all(map(le, s, top)):
-                kept.append((((c, *cols), s + key, ends + c[len(right) :], weight + w),))
-        return kept
+    return step
 
-    for states in _chains(len(tops) + 1, options):
-        yield states[-1]
+
+def _with_cell(shape: Shape) -> Callable:
+    """The atlas step: keep every column; the state, from ``((), (), (), 0)``, is
+    ``(columns, flat right key, ends of the nonempty rows, packed content)``,
+    with the count of value v at bit ``(v - 1) * width`` (:func:`_content_width`).
+    """
+    width = _content_width(shape)
+    packed: dict = {}  # column -> its packed content
+
+    def step(state: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
+        cols, key, ends, weight = state
+        w = packed.get(c)
+        if w is None:
+            w = packed[c] = sum(1 << (v - 1) * width for v in c)
+        return (c, *cols), _scan_column(c, cols) + key, ends + c[len(right) :], weight + w
+
+    return step
 
 
 def _content_width(shape: Shape) -> int:
@@ -558,7 +555,7 @@ def _content_width(shape: Shape) -> int:
 
 def ideal(t: Tableau) -> TableauSet:
     """The principal ideal: all tableaux entrywise below ``t``."""
-    return materialize(t.shape, _below(t))
+    return materialize(t.shape, _tableaux_in(minimal_tableau(t.shape), t))
 
 
 # ---------------------------------------------------------------------------
@@ -571,14 +568,13 @@ class ShapeTableaux:
     A cell is the set of tableaux that share a right key (their scanning
     tableau) and a row-end list; the cells partition SSYT(shape), none empty,
     and each keeps only its size and content tally, with each content packed
-    into one int.  The column walk of :func:`demazure_set`, run below the
-    largest key, carries each tableau's right key, row ends and content, so
-    no tableau is scanned on its own.  A Demazure set is a union
-    of atoms (one right key each) and a row-bound set a union of row-end
-    classes, read without ``core``, so each is a set of cells, and two sets
-    are equal exactly when their cells are.  The sets are those of the walks
-    below a maximum (:func:`demazure_set`, :func:`row_bound_set`), which stay
-    the route for a single set.
+    into one int.  The column walk of SSYT(shape) carries each tableau's
+    right key, row ends and content, so no tableau is scanned on its own.
+    A Demazure set is a union of atoms (one right key each) and a row-bound
+    set a union of row-end classes, read without ``core``, so each is a set
+    of cells, and two sets are equal exactly when their cells are.  The sets
+    are those of the walks below a maximum (:func:`demazure_set`,
+    :func:`row_bound_set`), which stay the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
     >>> len(atlas.cells), atlas.size(atlas.cells)
@@ -594,7 +590,8 @@ class ShapeTableaux:
         self.cells: dict = {}  # cell_of(t) -> [size, packed content -> count]
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
-        for _, key, ends, weight in _right_walk(_maximal_tableau(shape)):
+        lo, hi = minimal_tableau(shape), _maximal_tableau(shape)
+        for _, key, ends, weight in _column_walk(lo, hi, _with_cell(shape), ((), (), (), 0)):
             cell = key, ends + empty_rows
             entry = self.cells.get(cell)
             if entry is None:
@@ -653,7 +650,7 @@ def is_interval_closed(ts: TableauSet) -> bool:
         for b in range(a + 1, len(members)):
             lo = tableau_meet(members[a], members[b])
             hi = tableau_join(members[a], members[b])
-            if any(v not in ts for v in _between(lo, hi)):
+            if any(v not in ts for v in _tableaux_in(lo, hi)):
                 return False
     return True
 

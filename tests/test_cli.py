@@ -418,6 +418,12 @@ def test_empty_suite_range_is_usage_error(capsys):
     assert code == 64
     captured = capsys.readouterr()
     assert captured.out == "" and "at least 1" in captured.err
+    # a pool of fewer than one worker is refused, not run serially
+    for suite, jobs in (("tables", "0"), ("all", "-3")):
+        code = main(["verify", suite, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == f"parakat: error: --jobs must be at least 1, got {jobs}\n"
     # a zero polynomial range stays valid: it only skips the polynomial counts
     code, out = run_cli(capsys, "verify", "counts", "--max-n", "2", "--poly-max-n", "0", "--csv")
     assert code == 0 and out.startswith("counts,pass,")

@@ -56,9 +56,12 @@ from parakat.tableaux import (
     tableau_join,
     tableau_meet,
     z_set,
-    _below,
-    _between,
-    _right_walk,
+    _column_walk,
+    _ending_in,
+    _place,
+    _scanning_below,
+    _tableaux_in,
+    _with_cell,
 )
 
 SMALL_SHAPES = [
@@ -360,11 +363,12 @@ def test_builders_match_brute_force_filter():
 
 
 def test_demazure_walk_matches_the_filter_of_the_key_ideal():
-    # the route the column walk replaced stays its oracle, members and order
+    # the route the pruned walk replaced stays its oracle: the key's ideal,
+    # materialized into canonical order, then filtered
     for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
         for p in enumerate_rperms(sh.n, sh.r_subset.elements):
             y = key_of_perm(p, sh)
-            filtered = tuple(t for t in _below(y) if in_demazure_set(t, y))
+            filtered = tuple(t for t in ideal(y) if in_demazure_set(t, y))
             d = demazure_set(p, sh)
             assert d.tableaux == filtered
             assert d == materialize(sh, iter(filtered))
@@ -377,6 +381,17 @@ def test_demazure_walk_costs_what_it_yields():
     started = time.perf_counter()
     assert len(demazure_set(p, sh)) == 18876
     assert time.perf_counter() - started < 2.5
+
+
+def test_z_walk_costs_what_it_yields():
+    # the 32,768 tableaux of the n = 6 staircase, one z set per increasing
+    # upper tuple; filtering each ideal below a row-end maximum took 4.4-5.2 s
+    # on 2 vCPUs
+    sh = Shape.of(6, (5, 4, 3, 2, 1))
+    started = time.perf_counter()
+    sizes = [len(z_set(a, sh)) for a in enumerate_tuples(sh.n, sh.r_subset.elements, "increasing")]
+    assert sum(sizes) == count_tableaux(sh) and all(sizes)
+    assert time.perf_counter() - started < 2
 
 
 def test_shape_tableaux_cells_match_a_per_tableau_build():
@@ -487,7 +502,7 @@ def test_trusted_tableaux_pass_the_public_checks(rebuilt):
         r = sh.r_subset.elements
         ts = tableaux_of(sh)
         lo, top = minimal_tableau(sh), functools.reduce(tableau_join, ts)
-        built = [lo, top, *ts, *_between(lo, top)]
+        built = [lo, top, *ts, *_tableaux_in(lo, top)]
         built += [scanning(t) for t in ts]
         built += [tableau_meet(t, u) for t, u in zip(ts, ts[::-1])]
         built += [key_of_perm(p, sh) for p in enumerate_rperms(sh.n, r)]
@@ -557,9 +572,10 @@ def _brute_force_columns(shape):
 
 
 def test_tableau_walks_match_a_brute_filter():
-    # both walks, items and order, against a filter of the product of columns
+    # the walk over SSYT and over a box, items and order, against a filter of
+    # the product of columns, re-sorted by the columns read from the rightmost
     for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
-        brute = _brute_force_columns(sh)
+        brute = sorted(_brute_force_columns(sh), key=lambda cols: cols[::-1])
         assert [t.columns for t in enumerate_tableaux(sh)] == brute
         members = tableaux_of(sh)  # in the order of brute, as just checked
         rng = random.Random(len(members))
@@ -567,7 +583,7 @@ def test_tableau_walks_match_a_brute_filter():
             a, b = rng.choice(members), rng.choice(members)
             lo, hi = tableau_meet(a, b), tableau_join(a, b)
             box = [t.columns for t in members if entrywise_le(lo, t) and entrywise_le(t, hi)]
-            assert [t.columns for t in _between(lo, hi)] == box
+            assert [t.columns for t in _tableaux_in(lo, hi)] == box
 
 
 def test_narrow_boxes_cost_what_they_yield():
@@ -580,18 +596,26 @@ def test_narrow_boxes_cost_what_they_yield():
     wide = Shape.of(40, (2,) * 20)
     lo = Tableau(wide, (tuple(range(1, 21)),) * 2)
     hi = Tableau(wide, (tuple(range(1, 20)) + (40,),) * 2)
-    assert sum(1 for _ in _between(lo, hi)) == 21 * 22 // 2
+    assert sum(1 for _ in _tableaux_in(lo, hi)) == 21 * 22 // 2
     assert time.perf_counter() - start < 0.5
 
 
 def test_walks_leave_no_reference_cycles():
     # a self-recursive generator closure would leave a function-cell cycle per call
     sh = Shape.of(4, (3, 2, 1))
+    p = RPermutation.of(4, (1, 2, 3), (3, 1, 4, 2))
+    lo, top, y = minimal_tableau(sh), tableaux_of(sh)[-1], key_of_perm(p, sh)
+    a = rank_tuple(p)  # increasing upper, so it has a z set
     walks = [
         functools.partial(enumerate_tableaux, sh),
-        functools.partial(ideal, tableaux_of(sh)[-1]),
-        functools.partial(_right_walk, tableaux_of(sh)[-1]),
-        functools.partial(demazure_set, RPermutation.of(4, (1, 2, 3), (3, 1, 4, 2)), sh),
+        functools.partial(ideal, top),
+        # the column walk under each of its four steps
+        functools.partial(_column_walk, lo, top, _place, ()),
+        functools.partial(_column_walk, lo, y, _scanning_below(y), ()),
+        functools.partial(_column_walk, lo, row_end_max(a, sh), _ending_in(a.entries), ()),
+        functools.partial(_column_walk, lo, top, _with_cell(sh), ((), (), (), 0)),
+        functools.partial(demazure_set, p, sh),
+        functools.partial(z_set, a, sh),
         functools.partial(enumerate_rperms, 5, (2, 4)),
         functools.partial(enumerate_critical_lists, 5, (2, 4)),
         *(functools.partial(enumerate_tuples, 5, (2, 4), f) for f in FAMILIES),
