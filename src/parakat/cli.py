@@ -307,10 +307,14 @@ def _cmd_verify(args) -> tuple[list[str], int, list[str]]:
 
 
 def build_parser() -> _Parser:
-    """A new parser for the whole command line; ``main`` reuses one."""
+    """A new parser for the whole command line; ``main`` reuses one.
+
+    ``parser.commands`` maps each command to its subparser.
+    """
     parser = _Parser(prog="parakat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"parakat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, need_n=True, need_r=True):  # returns the format group
         group = p.add_mutually_exclusive_group()
@@ -390,9 +394,27 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``_shared_parser().parse_args(argv)`` gives, parsed once.
+
+    The command's own subparser parses what follows the command, as the full
+    parser would hand it on.  Whatever that route cannot take whole (no
+    command, or arguments left over) goes to the full parser, which writes
+    every help, version and error text.
+    """
+    parser = _shared_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _shared_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         lines, code, *checksummed = args.handler(args)
         output = "\n".join(lines)

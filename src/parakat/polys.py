@@ -48,6 +48,14 @@ class Polynomial:
         self._terms = clean
 
     @classmethod
+    def _of(cls, n: int, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """A polynomial of ``terms``, unchecked: they must already be zero-free,
+        keyed by tuples of n nonnegative exponents, and held by no one else."""
+        p = cls.__new__(cls)
+        p.n, p._terms = n, terms
+        return p
+
+    @classmethod
     def zero(cls, n: int) -> "Polynomial":
         return cls(n, {})
 
@@ -72,7 +80,7 @@ class Polynomial:
         out = dict(self._terms)
         for exp, coef in other._terms.items():
             out[exp] = out.get(exp, 0) + coef
-        return Polynomial(self.n, out)
+        return Polynomial._of(self.n, {exp: coef for exp, coef in out.items() if coef})
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,22 +138,57 @@ def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
     """
     if not 1 <= i <= f.n - 1:
         raise ValueError(f"operator index must lie in [1, {f.n - 1}]: {i}")
-    out: dict[tuple[int, ...], int] = {}
-    for exp, coef in f._terms.items():
-        a, b = exp[i - 1], exp[i]
-        if a >= b:
-            ks = range(b, a + 1)
-            sign = 1
-        else:
-            ks = range(a + 1, b)
-            sign = -1
-        for k in ks:
-            new = list(exp)
-            new[i - 1] = k
-            new[i] = a + b - k
-            key = tuple(new)
-            out[key] = out.get(key, 0) + sign * coef
-    return Polynomial(f.n, out)
+    width = _width(max((sum(exp) for exp in f._terms), default=0))
+    terms = _packed_pi(_pack(f._terms, width), i, f.n, width)
+    return Polynomial._of(f.n, _unpack(terms, f.n, width))
+
+
+# Packed exponents.  A divided difference keeps each term's total degree, so
+# an exponent vector packs into one int with a field of ``width`` bits per
+# variable, enough for the largest total degree, and x1 in the top field.
+
+
+def _width(degree: int) -> int:
+    return max(degree, 1).bit_length()
+
+
+def _pack(terms: Mapping[tuple[int, ...], int], width: int) -> dict[int, int]:
+    out = {}
+    for exp, coef in terms.items():
+        key = 0
+        for e in exp:
+            key = key << width | e
+        out[key] = coef
+    return out
+
+
+def _unpack(terms: Mapping[int, int], n: int, width: int) -> dict[tuple[int, ...], int]:
+    mask = (1 << width) - 1
+    fields = [[key >> width * (n - 1 - j) & mask for key in terms] for j in range(n)]
+    return dict(zip(zip(*fields), terms.values()))
+
+
+def _packed_pi(terms: Mapping[int, int], i: int, n: int, width: int) -> dict[int, int]:
+    """:func:`isobaric_divided_difference` on packed exponents.
+
+    Setting slot i to k and slot i+1 to a + b - k moves the packed key by
+    (k - a) * step, where step = 2^hi - 2^lo for the two slots' shifts.
+    """
+    lo = width * (n - 1 - i)
+    hi = lo + width
+    mask = (1 << width) - 1
+    step = (1 << hi) - (1 << lo)
+    out: dict[int, int] = {}
+    get = out.get
+    for key, coef in terms.items():
+        a, b = key >> hi & mask, key >> lo & mask
+        if a >= b:  # k = b, ..., a
+            news = range(key - (a - b) * step, key + 1, step)
+        else:  # k = a + 1, ..., b - 1, negated
+            news, coef = range(key + step, key + (b - a) * step, step), -coef
+        for new in news:
+            out[new] = get(new, 0) + coef
+    return {key: coef for key, coef in out.items() if coef}
 
 
 @dataclass(frozen=True)
@@ -173,7 +216,7 @@ def gen_fn(ts: TableauSet) -> GFHandle:
     for t in ts:
         exp = content(t)
         acc[exp] = acc.get(exp, 0) + 1
-    return GFHandle(Polynomial(ts.shape.n, acc), ts.shape, ts)
+    return GFHandle(Polynomial._of(ts.shape.n, acc), ts.shape, ts)
 
 
 def row_bound_sum(b: RTuple, shape: Shape) -> GFHandle:
@@ -215,10 +258,11 @@ def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:
         raise ShapeMismatch(
             f"permutation over {p.r_subset.elements} does not match shape {shape}"
         )
-    f = Polynomial.monomial(shape.n, shape.parts)
+    n, width = shape.n, _width(sum(shape.parts))
+    terms = _pack({shape.parts: 1}, width)
     for i in reduced_word(p.entries):
-        f = isobaric_divided_difference(f, i)
-    return f
+        terms = _packed_pi(terms, i, n, width)
+    return Polynomial._of(n, _unpack(terms, n, width))
 
 
 def compose_alpha(p: RPermutation, shape: Shape) -> tuple[int, ...]:

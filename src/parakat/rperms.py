@@ -208,11 +208,11 @@ def r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
     >>> str(r_projection((2, 4, 3, 1), RSubset(4, (2,))))
     '(2,4;1,3)'
     """
+    # a word of another length would lose or miss entries in the carrels
+    _require_permutation(sigma, r_subset.n)
     entries: list[int] = []
     for lo, hi in r_subset.carrels:
         entries.extend(sorted(sigma[lo:hi]))
-    # sorting makes every carrel increase; only the permutation check is left
-    _require_permutation(entries, r_subset.n)
     return _unchecked(RPermutation, r_subset=r_subset, entries=tuple(entries))
 
 
@@ -515,14 +515,33 @@ def count_cnr(n: int, r_elements: Sequence[int]) -> int:
 
 
 def count_total(n: int) -> int:
-    """Sum of the parabolic Catalan numbers over all divider sets R."""
+    """Sum of the parabolic Catalan numbers over all divider sets R, in one pass.
+
+    Runs :func:`count_cnr`'s table over positions with the state (C, L): C
+    the counts at the current position, L those at the last boundary (zero
+    in the first carrel).  Each position p >= 2 either continues its carrel,
+    (S(C) + L, L), or opens one, (S(C) + C, C), where S(C)[v] is the sum of
+    C[u] over u < v.  Both steps are linear, so one table carries every R at
+    once: (2 S(C) + C + L, C + L), with C kept to v >= p.  That takes
+    O(n^2) steps; the sum of ``count_cnr`` over every R stays as the oracle.
+    An n above ``MAX_SIZE`` is refused.
+
+    >>> count_total(4)
+    56
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    total = 0
-    for k in range(n):
-        for r_elements in itertools.combinations(range(1, n), k):
-            total += count_cnr(n, r_elements)
-    return total
+    _check_size("n", n)
+    counts = [0] + [1] * n
+    last = [0] * (n + 1)
+    for p in range(2, n + 1):
+        below = sum(counts[:p])
+        nxt = [0] * (n + 1)
+        for v in range(p, n + 1):
+            nxt[v] = 2 * below + counts[v] + last[v]
+            below += counts[v]
+        counts, last = nxt, [c + l for c, l in zip(counts, last)]
+    return sum(counts)
 
 
 def full_rank_tuple(sigma: Sequence[int]) -> RTuple:

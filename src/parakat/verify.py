@@ -252,14 +252,14 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                 dsets = {p: atlas.demazure_cells(p) for p in enumerate_rperms(n, r_elements)}
                 counts["demazure_polynomials"] = len(
                     {
-                        Polynomial(n, atlas.weights(d))
+                        Polynomial._of(n, atlas.weights(d))
                         for p, d in dsets.items()
                         if is_r312_avoiding(p)
                     }
                 )
                 counts["flag_schur_polynomials"] = len(
                     {
-                        Polynomial(n, atlas.weights(atlas.row_bound_cells(phi)))
+                        Polynomial._of(n, atlas.weights(atlas.row_bound_cells(phi)))
                         for phi in enumerate_tuples(n, r_elements, "flag")
                     }
                 )
@@ -352,7 +352,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         atlas = ShapeTableaux(shape)
         perms = list(enumerate_rperms(shape.n, r_elements))
         d_cells = {p: atlas.demazure_cells(p) for p in perms}
-        d_polys = {p: Polynomial(shape.n, atlas.weights(d_cells[p])) for p in perms}
+        d_polys = {p: Polynomial._of(shape.n, atlas.weights(d_cells[p])) for p in perms}
         base = {"shape": shape.parts, "n": shape.n}
 
         for p in perms:
@@ -369,7 +369,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
         cores = list(enumerate_tuples(shape.n, r_elements, "increasing"))
         s_cells = {delta.entries: atlas.row_bound_cells(delta) for delta in cores}
-        s_polys = {e: Polynomial(shape.n, atlas.weights(c)) for e, c in s_cells.items()}
+        s_polys = {e: Polynomial._of(shape.n, atlas.weights(c)) for e, c in s_cells.items()}
         for b in enumerate_tuples(shape.n, r_elements, "upper"):
             # every bound's set is its core's set, so the core scan is exhaustive;
             # the bound's set is read off its row ends, never through its core
@@ -501,7 +501,7 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         for delta in enumerate_tuples(shape.n, shape.r_subset.elements, "increasing"):
             if is_gapless(delta):
                 continue
-            poly = Polynomial(shape.n, atlas.weights(atlas.row_bound_cells(delta)))
+            poly = Polynomial._of(shape.n, atlas.weights(atlas.row_bound_cells(delta)))
             by_poly.setdefault(poly, []).append(delta)
         for poly, deltas in by_poly.items():
             run.check(

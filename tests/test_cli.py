@@ -181,6 +181,12 @@ def test_usage_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["core", "--n", "9"])  # missing --tuple
     assert exc.value.code == 64
+    capsys.readouterr()
+    # a word longer than n is refused, not cut to its first n entries
+    code = main(["perm", "project", "--n", "3", "--R", "1", "--perm", "3,1,2,4"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err == "parakat: error: entries are not a permutation of [3]: (3, 1, 2, 4)\n"
 
 
 def test_domain_error_exit_65(capsys):
@@ -493,6 +499,7 @@ def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
         ["tab", "scan", "--n", "3", "--tab", '{"n":3,"lambda":[1000000000],"columns":[[1]]}'],
         ["count", "cnr", "--n", "1000000000"],
         ["count", "cnr", "--n", "1000000000", "--R", "1"],
+        ["count", "total", "--n", "1000000000"],
         ["set", "ideal", "--n", "1000000000", "--lambda", "1", "--tab", "{}"],
         ["poly", "dd", "--n", "1000000000", "--lambda", "1", "--perm", "1"],
         ["make", "--kind", "increasing", "--critlist", '{"carrels":[[[4097,4097]]]}'],
@@ -724,14 +731,14 @@ def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
     parser = _shared_parser()
     assert parser is _shared_parser() and build_parser() is not build_parser()
     seen = []
-    parse = parser.parse_args
+    parse = cli._parse
 
-    def spy(*args, **kwargs):
-        namespace = parse(*args, **kwargs)
+    def spy(argv):
+        namespace = parse(argv)
         seen.append(dict(vars(namespace)))
         return namespace
 
-    monkeypatch.setattr(parser, "parse_args", spy)
+    monkeypatch.setattr(cli, "_parse", spy)
     rng = random.Random(20171)
     for _ in range(3):
         for argv in rng.sample(_PARSE_CORPUS, len(_PARSE_CORPUS)):
@@ -743,6 +750,39 @@ def test_shared_parser_leaks_nothing_between_calls(tmp_path, monkeypatch):
                 assert code in (0, 3, 64), argv
             else:  # the parser exited: usage error or --version
                 assert (code, out, err) == fresh, argv
+
+
+# the corpus, and what only the full parser can take: help, versions, an
+# unknown command, a stray argument after a command, two exclusive formats
+_PARITY_ARGV = [
+    *_PARSE_CORPUS,
+    ["-h"],
+    ["--help"],
+    ["count", "--version"],
+    ["count", "-h"],
+    ["frobnicate", "--n", "3"],
+    ["core", "--n", "3", "--tuple", "3,3,3", "stray"],
+    ["count", "cnr", "extra", "--n", "3"],
+    ["poly", "dd", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2", "--json", "--csv"],
+    ["--json", "count", "cnr", "--n", "3"],
+    ["count", "cnr", "--n", "3", "--", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGV, ids=" ".join)
+def test_main_parses_as_a_fresh_full_parser(tmp_path, monkeypatch, argv):
+    """(code, stdout, stderr) through ``main`` match those of a fresh
+    ``build_parser()`` followed by the command's handler."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+    def through_fresh_parser(argv):
+        parsed = build_parser().parse_args(argv)
+        with mock.patch.object(cli, "_parse", lambda _: parsed):
+            return main(argv)
+
+    assert _captured(main, argv) == _captured(through_fresh_parser, argv)
 
 
 def test_import_builds_no_parser_and_loads_no_process_pool():

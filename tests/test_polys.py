@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -16,7 +17,14 @@ from parakat.polys import (
     poly_eq,
     row_bound_sum,
 )
-from parakat.rperms import RPermutation, enumerate_rperms, is_r312_avoiding, pi_map, rank_tuple
+from parakat.rperms import (
+    RPermutation,
+    enumerate_rperms,
+    is_r312_avoiding,
+    pi_map,
+    rank_tuple,
+    reduced_word,
+)
 from parakat.rtuples import MAX_SIZE, RTuple, core, enumerate_tuples
 from parakat.tableaux import (
     Shape,
@@ -103,6 +111,66 @@ def test_dd_hand_example():
     assert str(demazure_poly_dd(p, sh)) == "x1*x2 + x1*x3 + x2*x3"
     trivial = RPermutation.of(3, (2,), (1, 2, 3))
     assert demazure_poly_dd(trivial, sh) == Polynomial.monomial(3, (1, 1, 0))
+
+
+def _pi_by_definition(terms, i):
+    """pi_i f = (x_i f - x_{i+1} s_i f) / (x_i - x_{i+1}) on tuple-keyed terms.
+
+    The quotient comes by long division in lex order: the largest monomial m
+    left over is divisible by x_i, and m / x_i is the next quotient term.
+    """
+    num = {}
+    for exp, coef in terms.items():
+        up, swapped = list(exp), list(exp)
+        up[i - 1] += 1
+        swapped[i - 1], swapped[i] = exp[i], exp[i - 1] + 1
+        for e, c in ((tuple(up), coef), (tuple(swapped), -coef)):
+            num[e] = num.get(e, 0) + c
+    heap = [tuple(-e for e in m) for m in num]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        m = tuple(-e for e in heapq.heappop(heap))
+        coef = num.pop(m)
+        if not coef:
+            continue
+        q = list(m)
+        q[i - 1] -= 1
+        assert q[i - 1] >= 0, "x_i - x_(i+1) does not divide the numerator"
+        out[tuple(q)] = coef
+        q[i] += 1  # m - (x_i - x_(i+1)) m / x_i leaves + m x_(i+1) / x_i
+        down = tuple(q)
+        if down not in num:
+            heapq.heappush(heap, tuple(-e for e in down))
+        num[down] = num.get(down, 0) + coef
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_dd_matches_the_definition_across_pack_widths(size):
+    # the one-row shape puts the whole degree in one exponent, the widest field
+    third = size // 3
+    for shape in (Shape(3, (size, 0, 0)), Shape(4, (size - 2 * third, third, third, 0))):
+        for p in enumerate_rperms(shape.n, shape.r_subset.elements):
+            terms = {shape.parts: 1}
+            for i in reduced_word(p.entries):
+                terms = _pi_by_definition(terms, i)
+            got = demazure_poly_dd(p, shape)
+            expected = Polynomial(shape.n, terms)
+            assert got == expected and hash(got) == hash(expected), (shape, p)
+
+
+def test_divided_difference_of_mixed_degrees_and_of_a_cancelling_input():
+    f = Polynomial(3, {(3, 0, 1): 2, (0, 1, 0): -1, (0, 0, 0): 5, (1, 4, 0): 1, (0, 2, 6): 3})
+    for i in (1, 2):
+        assert isobaric_divided_difference(f, i) == Polynomial(3, _pi_by_definition(f._terms, i))
+    # x_2 times a polynomial symmetric in x_1, x_2 goes to zero under pi_1
+    cancels = Polynomial(3, {(2, 1, 1): 1, (1, 2, 1): 2, (0, 3, 1): 1})
+    zero = isobaric_divided_difference(cancels, 1)
+    assert zero == Polynomial.zero(3) and zero.terms == () and str(zero) == "0"
+    assert isobaric_divided_difference(Polynomial.zero(3), 2) == Polynomial.zero(3)
+    one = Polynomial.monomial(3, (0, 0, 0))
+    assert isobaric_divided_difference(one, 1) == one
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,17 @@ def test_count_total_known_values():
     assert count_total(12) == 58_510_912
 
 
+def test_count_total_is_the_sum_of_count_cnr_over_every_r():
+    for n in range(1, 11):
+        assert count_total(n) == sum(count_cnr(n, r) for r in all_r_subsets(n)), n
+
+
+def test_count_total_costs_one_table():
+    started = time.perf_counter()
+    count_total(1000)
+    assert time.perf_counter() - started < 2.0
+
+
 def test_count_cnr_validates_r_like_the_constructor():
     for n, r in [(0, ()), (4, (0,)), (4, (4,)), (4, (2, 2)), (4, (3, 1))]:
         with pytest.raises(ValueError) as expected:
@@ -287,6 +298,8 @@ def test_count_total_refuses_n_below_one_like_count_cnr():
         with pytest.raises(ValueError, match=f"^n must be positive, got {n}$"):
             count_total(n)
     assert count_total(1) == 1
+    with pytest.raises(ValueError, match="^n=4097 exceeds the size bound of 4096$"):
+        count_total(4097)
 
 
 def test_enumerate_rperms_lex_and_sizes():
@@ -347,7 +360,8 @@ def test_validation():
     with pytest.raises(ValueError, match="^permutation JSON key 'n' must hold an integer$"):
         RPermutation.from_json_dict({"n": "3", "R": [], "one_line": [1, 2, 3]})
     # r_projection takes a word from outside and checks it as the constructor does
-    for word in [(1, 1, 2), (1, 2), (2, 3, 4)]:
+    # a longer word is refused too, not cut to its first n entries
+    for word in [(1, 1, 2), (1, 2), (2, 3, 4), (3, 1, 2, 4)]:
         with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
             r_projection(word, RSubset(3, (1,)))
 
