@@ -274,9 +274,15 @@ def _cmd_count(args) -> tuple[list[str], int]:
 
 
 def _suite_kwargs(name: str, args) -> dict:
-    """The flags the suite's signature names; None flags defer to its default."""
+    """The range flags the suite's signature names; None flags defer to its
+    default.  A suite run alone refuses a range flag given that it does not name."""
     params = inspect.signature(SUITES[name]).parameters
-    return {k: getattr(args, k) for k in params if getattr(args, k) is not None}
+    flags = dict.fromkeys(k for suite in SUITES.values() for k in inspect.signature(suite).parameters)
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    refused = [f"--{k.replace('_', '-')}" for k in given if k not in params]
+    if refused and args.suite != "all":
+        raise ValueError(f"suite {name} does not take {', '.join(refused)}")
+    return {k: v for k, v in given.items() if k in params}
 
 
 def _run_named_suite(item: tuple[str, dict]):
@@ -377,7 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-n", type=int, default=None, help="range bound; suite default if omitted")
     p.add_argument("--max-col", type=int, default=None)
     p.add_argument("--poly-max-n", type=int, default=None)
-    p.add_argument("--all-shapes", action="store_true")
+    p.add_argument("--all-shapes", action="store_true", default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=_cmd_verify)
 
@@ -394,22 +400,70 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace ``_shared_parser().parse_args(argv)`` gives, parsed once.
+@functools.cache
+def _plain_form(command: str):
+    """``command``'s positionals, options by name, required options, exclusive
+    groups and defaults, from its subparser.  As in argparse, a dest takes its
+    first action's default, and ``set_defaults`` only where no action sets it."""
+    parser = _shared_parser().commands[command]
+    stores = (argparse._StoreAction, argparse._StoreConstAction)
+    options = {name: a for a in parser._actions if isinstance(a, stores) for name in a.option_strings}
+    first = {
+        a.dest: a.default for a in reversed(parser._actions) if argparse.SUPPRESS not in (a.dest, a.default)
+    }
+    return (
+        [a for a in parser._actions if not a.option_strings],
+        options,
+        {a for a in options.values() if a.required},
+        [group._group_actions for group in parser._mutually_exclusive_groups],
+        {**parser._defaults, **first, "command": command},
+    )
 
-    The command's own subparser parses what follows the command, as the full
-    parser would hand it on.  Whatever that route cannot take whole (no
-    command, or arguments left over) goes to the full parser, which writes
-    every help, version and error text.
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that the full parser gives a plain-form argv, or None.
+
+    The plain form is a command, its positionals, then each option written
+    out in full once, with one value not starting with ``-`` if it takes one.
+    Any other form, or a value that a type, a choice, a required option or an
+    exclusive group refuses, gives None.
     """
-    parser = _shared_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    if not argv or argv[0] not in _shared_parser().commands:
+        return None
+    positionals, options, required, groups, defaults = _plain_form(argv[0])
+    if len(argv) <= len(positionals):
+        return None
+    given = list(zip(positionals, argv[1:]))  # (action, text or None if missing)
+    values, seen = dict(defaults), set()
+    rest = iter(argv[1 + len(positionals):])
+    for name in rest:
+        action = options.get(name)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+        else:
+            given.append((action, next(rest, None)))
+    if not required <= seen or any(len(seen.intersection(group)) > 1 for group in groups):
+        return None
+    for action, text in given:
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values)
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_read_plain(argv)``, or the full parser's namespace if it refuses the argv."""
+    args = _read_plain(argv)
+    return _shared_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -125,8 +125,13 @@ class Polynomial:
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         _check_size("n", n)
-        pairs = (_json_fields(t, "polynomial term", ("exp", 1), ("coef", 0)) for t in terms)
-        return cls(n, {tuple(exp): coef for exp, coef in pairs})
+        by_exp: dict[tuple[int, ...], int] = {}
+        for t in terms:
+            exp, coef = _json_fields(t, "polynomial term", ("exp", 1), ("coef", 0))
+            if tuple(exp) in by_exp:
+                raise ValueError(f"polynomial JSON repeats the exponent {exp}")
+            by_exp[tuple(exp)] = coef
+        return cls(n, by_exp)
 
 
 def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:

@@ -435,6 +435,17 @@ def test_empty_suite_range_is_usage_error(capsys):
     assert code == 0 and out.startswith("counts,pass,")
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["verify", "tables", "--max-n", "3"], "suite tables does not take --max-n"),
+    (["verify", "lifts", "--max-col", "2"], "suite lifts does not take --max-col"),
+    (["verify", "bijections", "--all-shapes", "--json"], "suite bijections does not take --all-shapes"),
+    (["verify", "counts", "--max-n", "2", "--max-col", "2"], "suite counts does not take --max-col"),
+    (["verify", "tables", "--poly-max-n=0", "--all-shapes"], "suite tables does not take --poly-max-n, --all-shapes"),
+])
+def test_a_suite_run_alone_refuses_a_range_flag_it_does_not_take(argv, refused):
+    assert _captured(main, argv) == (64, "", f"parakat: error: {refused}\n")
+
+
 _EVERY_COMMAND = [
     ["classify", "--n", "3", "--tuple", "3,3,3"],
     ["critlist", "--n", "3", "--tuple", "3,3,3"],
@@ -766,6 +777,12 @@ _PARITY_ARGV = [
     ["poly", "dd", "--n", "3", "--lambda", "2,1", "--perm", "3,1,2", "--json", "--csv"],
     ["--json", "count", "cnr", "--n", "3"],
     ["count", "cnr", "--n", "3", "--", "x"],
+    # plain forms that the plain-form reader leaves to the full parser
+    ["count", "total", "--n", "-1"],
+    ["count", "cnr", "--n", "3", "--n", "4"],
+    ["tab", "key", "--n", "3", "--lam", "2,1", "--perm", "3,1,2"],
+    ["count", "--n", "3", "cnr"],
+    ["count", "cnr", "--n", "3", "--R"],
 ]
 
 
@@ -783,6 +800,90 @@ def test_main_parses_as_a_fresh_full_parser(tmp_path, monkeypatch, argv):
             return main(argv)
 
     assert _captured(main, argv) == _captured(through_fresh_parser, argv)
+
+
+def test_plain_argv_never_reaches_argparse(tmp_path, monkeypatch):
+    """Every valid argv of the corpus is in the plain form, which main reads
+    without argparse, to the bytes that argparse's namespace gives."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    valid = [argv for argv in _PARSE_CORPUS if isinstance(_parsed(build_parser(), argv)[0], dict)]
+    assert len(valid) == 17
+    expected = []
+    for argv in valid:
+        parsed = build_parser().parse_args(argv)
+        with mock.patch.object(cli, "_parse", lambda _: parsed):
+            expected.append(_captured(main, argv))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain-form argv")
+
+    with mock.patch.object(argparse.ArgumentParser, "parse_known_args", refuse), \
+            mock.patch.object(argparse.ArgumentParser, "parse_args", refuse):
+        assert [_captured(main, argv) for argv in valid] == expected
+
+
+# Argv for the plain-form reader, drawn from the full parser's own actions.
+# A plain draw writes each option once, in full, after the positionals; a
+# messy one also writes options with "=", abbreviated, bare or twice, adds
+# help, stray arguments, "--" and values that argparse reads specially, and
+# shuffles the pieces.  Values may still fail their type or their choices.
+_FULL_PARSER = build_parser()
+_ODD_VALUES = ["-1", "-x", "--", "-", "--n", "--json"]
+_EXTRAS = [["--"], ["--version"], ["-h"], ["--cap", "1"], ["stray"], ["-1"], ["--json"]]
+
+
+def _values_of(action, messy):
+    if action.choices is not None:
+        usual = st.sampled_from([*action.choices, "bogus"])
+    elif action.type is int:
+        usual = st.sampled_from(["3", "0", " 2", "1_0", "x", "1.5"])
+    else:
+        usual = st.sampled_from(["1,2", "3,3,3", "", "{}", "a b", "x=y"])
+    return usual | st.sampled_from(_ODD_VALUES) if messy else usual
+
+
+def _written(name, action, messy):
+    """One occurrence of the option ``name``, as a list of arguments."""
+    value = _values_of(action, messy)
+    plain = st.just([name]) if action.nargs == 0 else value.map(lambda v: [name, v])
+    if not messy:
+        return plain
+    abbreviated = st.tuples(st.integers(min(3, len(name)), len(name)), value).map(lambda t: [name[: t[0]], t[1]])
+    return plain | value.map(lambda v: [f"{name}={v}"]) | abbreviated | st.just([name]) | value.map(lambda v: [name, v])
+
+
+def _argv_of(command, messy):
+    sub = _FULL_PARSER.commands[command]
+    positionals = [_values_of(a, messy).map(lambda v: [[v]]) for a in sub._actions if not a.option_strings]
+    times = {True: [0, 1, 1, 2], False: [1]}
+    options = [
+        st.sampled_from(times[messy] if a.required else [0, 0, 0, 1]).flatmap(
+            lambda k, name=a.option_strings[-1], a=a: st.lists(_written(name, a, messy), min_size=k, max_size=k))
+        for a in sub._actions if a.option_strings and (messy or a.dest != argparse.SUPPRESS)
+    ]
+    extra = st.sampled_from([[]] + [[e] for e in _EXTRAS]) if messy else st.just([])
+    pieces = st.tuples(*positionals, *options, extra).map(lambda t: sum(t, []))
+    if messy:
+        pieces = pieces.flatmap(lambda p: st.just(p) | st.permutations(p))
+    return pieces.map(lambda p: [command, *sum(p, [])])
+
+
+_COMMAND_NAMES = st.sampled_from(sorted(_FULL_PARSER.commands))
+_ANY_ARGV = st.one_of(
+    _COMMAND_NAMES.flatmap(lambda c: _argv_of(c, messy=False)),
+    _COMMAND_NAMES.flatmap(lambda c: _argv_of(c, messy=True)),
+    st.sampled_from([[], ["--version"], ["-h"], ["frobnicate", "--n", "3"], ["--json", "count", "cnr", "--n", "3"]]),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_ANY_ARGV)
+def test_the_plain_reader_reads_as_the_full_parser(argv):
+    # the reader takes none of argparse's own parsing code, only its actions
+    read = cli._read_plain(argv)
+    if read is not None:
+        assert vars(read) == _parsed(build_parser(), argv)[0], argv
 
 
 def test_import_builds_no_parser_and_loads_no_process_pool():
@@ -860,14 +961,18 @@ def _option_values(n):
 
 
 def _options(strategies):
-    """Shuffled ``--flag=value`` arguments for ``strategies`` less a few."""
+    """Shuffled arguments for ``strategies`` less a few, each ``--flag=value``
+    or ``--flag value``; a flag whose value is None stands alone."""
     names = sorted(strategies)
     kept = st.lists(st.sampled_from(names), max_size=3, unique=True).map(
         lambda dropped: {k: strategies[k] for k in names if k not in dropped}
     )
-    return kept.flatmap(st.fixed_dictionaries).flatmap(
-        lambda d: st.permutations([f"{k}={v}" for k, v in d.items()])
-    )
+
+    def written(d):
+        forms = [st.just([k]) if v is None else st.sampled_from([[f"{k}={v}"], [k, v]]) for k, v in d.items()]
+        return st.tuples(*forms).flatmap(st.permutations).map(lambda pieces: sum(pieces, []))
+
+    return kept.flatmap(st.fixed_dictionaries).flatmap(written)
 
 
 def _command_argv(command):
@@ -881,14 +986,14 @@ def _command_argv(command):
 # verify runs whole suites, so its ranges stay at n <= 3 and col <= 3
 _VERIFY_ARGV = st.tuples(
     st.sampled_from([["verify", s] for s in (*SUITE_NAMES, "all")]),
-    st.integers(-1, 3).map(lambda n: [f"--max-n={n}"]),
+    st.integers(-1, 3).flatmap(lambda n: st.sampled_from([[f"--max-n={n}"], ["--max-n", str(n)]])),
     _options(
         {
             "--poly-max-n": st.integers(-1, 3).map(str),
             "--max-col": st.integers(-1, 3).map(str),
             "--all-shapes": st.just(None),
         }
-    ).map(lambda args: [a.removesuffix("=None") for a in args]),
+    ),
 ).map(lambda t: t[0] + t[1] + t[2])
 _FORMATS = st.sampled_from(
     [[], ["--text"], ["--json"], ["--csv"], ["--stream"], ["--json", "--csv"], ["--stream", "--csv"]]

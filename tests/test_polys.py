@@ -92,6 +92,17 @@ def test_polynomial_json_refuses_a_variable_count_that_rtuples_refuses(d, messag
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("terms, exp", [
+    ([{"exp": [1], "coef": 1}, {"exp": [1], "coef": 2}], "[1]"),
+    # a repeat is refused even where its coefficients would cancel
+    ([{"exp": [0, 2], "coef": 1}, {"exp": [1, 1], "coef": 1}, {"exp": [0, 2], "coef": -1}], "[0, 2]"),
+])
+def test_polynomial_json_refuses_a_repeated_exponent(terms, exp):
+    with pytest.raises(ValueError) as info:
+        Polynomial.from_json_dict({"n": len(terms[0]["exp"]), "terms": terms})
+    assert str(info.value) == f"polynomial JSON repeats the exponent {exp}"
+
+
 def test_divided_difference_unit_cases():
     x1 = Polynomial.monomial(2, (1, 0))
     assert isobaric_divided_difference(x1, 1) == Polynomial(2, {(1, 0): 1, (0, 1): 1})
