@@ -241,6 +241,84 @@ def test_csv_rendering(capsys):
     assert code == 0 and out == "1,2,3\n2,3,3\n"
 
 
+# Golden bytes: one argv per command and action, and more for each printed
+# type (critical lists, lift words, avoidance both ways, compare's flags,
+# counts), each run in every format its command takes.  A digest covers, per
+# format, the exit code and the sha256 of stdout; for verify also the
+# manifest's output_sha256, under a clock that steps by one per reading, so
+# that stdout's wall times differ from the zeroed ones the manifest sums.
+_CRITLIST = json.dumps({"carrels": [[[1, 2], [3, 5]], [[6, 6], [8, 9]], [[9, 9]]]})
+_TAB21 = json.dumps({"lambda": [2, 1, 0], "n": 3, "columns": [[1, 3], [2]]})
+_S21 = ["--n", "3", "--lambda", "2,1"]
+_GOLDEN = [
+    (["classify", "--n", "9", "--R", "3,8", "--tuple", "2,4,6,4,5,6,7,9,9"], "99b47cfec4b61c34"),
+    (["classify", "--n", "3", "--tuple", "2,3,3"], "8f4e617d1911b07c"),
+    (["critlist", "--n", "9", "--R", "3,8", "--tuple", "2,7,5,8,6,6,9,9,9"], "15169bbd5c63379b"),
+    (["core", "--n", "9", "--R", "3,8", "--tuple", "7,9,6,5,5,9,8,9,9"], "5b0289fb49918d92"),
+    (["make", "--kind", "increasing", "--critlist", _CRITLIST], "56dc8567cba3b0ae"),
+    (["make", "--kind", "shell", "--critlist", _CRITLIST], "77293af5ad9acf0b"),
+    (["make", "--kind", "gapless", "--critlist", _CRITLIST], "56dc8567cba3b0ae"),
+    (["make", "--kind", "canopy", "--critlist", _CRITLIST], "77293af5ad9acf0b"),
+    (["make", "--kind", "floor", "--critlist", _CRITLIST], "18ff0d984f702c85"),
+    (["make", "--kind", "ceiling", "--critlist", _CRITLIST], "7987bdf082021c85"),
+    (["map", "psi", "--n", "9", "--R", "3,8", "--perm", "2,4,6,1,5,7,8,9,3"], "15bf8002572713d9"),
+    (["map", "pi", "--n", "4", "--R", "2", "--tuple", "2,4,3,4"], "8b4ee0d9aeeec5d9"),
+    (["map", "floor", "--n", "9", "--R", "3,8", "--tuple", "3,4,6,4,5,6,8,9,9"],
+     "4d567724ac568656"),
+    (["map", "ceiling", "--n", "9", "--R", "3,8", "--tuple", "3,4,6,4,5,6,8,9,9"],
+     "c57bd10b6342affd"),
+    (["perm", "project", "--n", "4", "--R", "2", "--perm", "2,4,3,1"], "8b4ee0d9aeeec5d9"),
+    (["perm", "lift", "--n", "9", "--R", "3,8", "--perm", "2,3,6,1,4,5,8,9,7"],
+     "cd729d2a8dc7384f"),
+    (["perm", "lifts", "--n", "4", "--R", "2", "--perm", "3,4,1,2"], "a009e29097a0469a"),
+    (["perm", "lifts", "--n", "5", "--R", "1,3", "--perm", "2,4,5,1,3"], "96f541085f541c6d"),
+    (["perm", "lifts", "--n", "1", "--perm", "1"], "de1ebaba64656386"),
+    (["perm", "avoiding", "--n", "9", "--R", "3,8", "--perm", "2,3,6,1,4,5,8,9,7"],
+     "0731ff69d4ed5e83"),
+    (["perm", "avoiding", "--n", "3", "--R", "1,2", "--perm", "3,1,2"], "92d504f8776098a5"),
+    (["tab", "key", *_S21, "--perm", "3,1,2"], "95c7d6baaeba3929"),
+    (["tab", "rowendmax", *_S21, "--tuple", "2,3,3"], "c7347dacc2620520"),
+    (["tab", "rowboundmax", *_S21, "--tuple", "3,3,3"], "e0880f16459b97be"),
+    (["tab", "scan", *_S21, "--tab", _TAB21], "c7347dacc2620520"),
+    (["set", "rowbound", *_S21, "--tuple", "2,3,3"], "d98c7d877a00ae42"),
+    (["set", "demazure", "--n", "4", "--lambda", "3,2,1", "--perm", "4,2,3,1"],
+     "c268c42f3579c217"),
+    (["set", "ideal", *_S21, "--tab", _TAB21], "4981b9cf5b65e7a0"),
+    (["set", "z", *_S21, "--tuple", "3,3,3"], "fe7072f4c02d5036"),
+    (["poly", "rowboundsum", "--n", "4", "--lambda", "2,1", "--tuple", "3,4,4,4"],
+     "d677d0eaec427c34"),
+    (["poly", "demazure", "--n", "4", "--lambda", "3,2,1", "--perm", "4,2,3,1"],
+     "2dd9c0df6341b9cb"),
+    (["poly", "dd", "--n", "4", "--lambda", "3,1,1", "--perm", "2,3,4,1"], "5a15e62408ce2801"),
+    (["poly", "compare", "--n", "3", "--lambda", "1,1", "--tuple", "2,3,3", "--perm", "2,3,1"],
+     "4f54a5f1e91bab91"),
+    (["poly", "compare", *_S21, "--tuple", "2,3,3", "--perm", "1,3,2"], "7cf396b042ba531e"),
+    (["count", "cnr", "--n", "6", "--R", "2,4"], "f39671c77a604711"),
+    (["count", "total", "--n", "5"], "f734cbf1b67bec9c"),
+    (["count", "ui", "--n", "4", "--R", "2"], "c8a79042d7f481cc"),
+    (["verify", "all"], "ca8245cf14352bcd"),
+]
+
+
+def _golden_digest(argv, tmp_path) -> str:
+    formats = ["--json", "--csv", "--text"] + ["--stream"] * (argv[0] == "set")
+    records = []
+    for fmt in formats:
+        manifest = tmp_path / "golden.json"
+        extra = ["--manifest", str(manifest)] if argv[0] == "verify" else []
+        with mock.patch.object(verify, "time", SimpleNamespace(perf_counter=itertools.count().__next__)):
+            code, out, _ = _captured(main, [*argv, fmt, *extra])
+        records.append(f"{fmt} {code} {hashlib.sha256(out.encode()).hexdigest()}")
+        if extra:
+            records.append(json.loads(manifest.read_text())["output_sha256"])
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("argv, digest", _GOLDEN, ids=[" ".join(argv[:2]) for argv, _ in _GOLDEN])
+def test_every_printed_byte_is_pinned(tmp_path, argv, digest):
+    assert _golden_digest(argv, tmp_path) == digest
+
+
 _MISSING_INPUTS = {
     ("map", "psi"): "--perm",
     ("map", "pi"): "--tuple",
