@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Every value command supports ``--json``, ``--csv``, and ``--text`` (default)
-renderings; output ordering is canonical everywhere and nothing is
-randomized, so identical invocations produce identical bytes.  ``--manifest``
-records the invocation and a checksum of the produced output (for ``verify``,
-of the output with every wall time set to zero, so that a rerun reproduces
-it).  ``map``, ``tab``, ``set`` and ``poly`` take their actions from one
-table, which also names the input options each action reads.  ``set``
-also takes ``--stream`` as a fourth format: NDJSON, one tableau per line.
-``PARAKAT_CAP`` alone bounds the tableaux that any command builds.
+renderings, and ``set`` also ``--stream``: NDJSON, one tableau per line.
+Handlers return values, and ``main`` renders each through one table,
+``_FORMATS``, of every printed type's JSON, CSV rows and text.  Output
+ordering is canonical and nothing is randomized, so identical invocations
+produce identical bytes.  ``--manifest`` records the invocation and a
+checksum of the output (for ``verify``, with every wall time set to zero, so
+that a rerun reproduces it).  ``map``, ``tab``, ``set`` and ``poly`` take
+their actions from one table, which also names the input options each action
+reads.  ``PARAKAT_CAP`` alone bounds the tableaux that any command builds.
 
 Exit codes: 0 success, 2 a verification suite failed, 3 cap exceeded, 64
 usage error, 65 any other domain error (its name is echoed).
@@ -55,6 +56,7 @@ from .rtuples import (
 from .tableaux import (
     Shape,
     Tableau,
+    TableauSet,
     demazure_set,
     ideal,
     key_of_perm,
@@ -113,41 +115,56 @@ def _run_steps(args) -> list:
     return [call(_read(args, option, shape), shape) for option, call in steps]
 
 
-# the CSV rows of each value type that a command prints
-_CSV = {
-    **dict.fromkeys((RTuple, RPermutation), lambda t: [",".join(str(e) for e in t.entries)]),
-    CriticalList: lambda c: [
+def _joined(values, sep: str = ",") -> str:
+    return sep.join(str(v) for v in values)
+
+
+# each printed type's (JSON value, CSV rows, text); None for the type's own
+# to_json_dict or str.  A dict is a set of named flags, a bool avoidance, an
+# int a count, a tuple a lift word and a list the reports of a verify run.
+_FORMATS = {
+    **dict.fromkeys((RTuple, RPermutation), (None, lambda t: [_joined(t.entries)], None)),
+    CriticalList: (None, lambda c: [
         f"{h},{x},{y}" for h, pairs in enumerate(c.carrels, start=1) for x, y in pairs
-    ],
-    Tableau: lambda t: [
-        f"{j}," + " ".join(str(v) for v in col) for j, col in enumerate(t.columns, start=1)
-    ],
-    Polynomial: lambda p: [" ".join(str(e) for e in exp) + f",{coef}" for exp, coef in p.terms],
+    ], None),
+    Tableau: (None, lambda t: [
+        f"{j}," + _joined(col, " ") for j, col in enumerate(t.columns, start=1)
+    ], None),
+    TableauSet: (
+        None,
+        lambda ts: [_joined((_joined(col, " ") for col in t.columns), "|") for t in ts],
+        lambda ts: "\n".join(
+            [f"{len(ts)} tableaux", *(str([list(c) for c in t.columns]) for t in ts)]
+        ),
+    ),
+    Polynomial: (None, lambda p: [_joined(exp, " ") + f",{coef}" for exp, coef in p.terms], None),
+    dict: (
+        dict,
+        lambda flags: [f"{k},{str(v).lower()}" for k, v in flags.items()],
+        lambda flags: " ".join(f"{k}={str(v).lower()}" for k, v in flags.items()),
+    ),
+    bool: (lambda v: {"avoiding": v}, lambda v: [str(v).lower()], lambda v: str(v).lower()),
+    int: (lambda v: {"count": v}, lambda v: [str(v)], None),
+    tuple: (lambda w: {"n": len(w), "one_line": list(w)}, lambda w: [_joined(w)], _joined),
+    list: (
+        lambda rs: [r.to_json_dict() for r in rs],
+        lambda rs: [f"{r.suite},{r.verdict},{r.instances},{r.wall_time:.3f}" for r in rs],
+        lambda rs: "\n".join(r.to_text() for r in rs),
+    ),
 }
 
 
-def _render(value, fmt: str) -> list[str]:
+def _render(value, fmt: str) -> str:
+    """``value`` in ``fmt``: json, csv, text, or stream (a set's members as JSON lines)."""
+    if fmt == "stream":
+        return "\n".join(_render(member, "json") for member in value)
+    as_json, csv_rows, text = _FORMATS[type(value)]
     if fmt == "json":
-        return [json.dumps(value.to_json_dict(), sort_keys=True)]
+        data = value.to_json_dict() if as_json is None else as_json(value)
+        return json.dumps(data, sort_keys=True)
     if fmt == "csv":
-        return _CSV[type(value)](value)
-    return [str(value)]
-
-
-def _render_flags(flags: dict[str, bool], fmt: str) -> list[str]:
-    if fmt == "json":
-        return [json.dumps(flags, sort_keys=True)]
-    if fmt == "csv":
-        return [f"{k},{str(v).lower()}" for k, v in flags.items()]
-    return [" ".join(f"{k}={str(v).lower()}" for k, v in flags.items())]
-
-
-def _render_reports(reports, fmt: str) -> list[str]:
-    if fmt == "json":
-        return [json.dumps([r.to_json_dict() for r in reports], sort_keys=True)]
-    if fmt == "csv":
-        return [f"{r.suite},{r.verdict},{r.instances},{r.wall_time:.3f}" for r in reports]
-    return [r.to_text() for r in reports]
+        return "\n".join(csv_rows(value))
+    return str(value) if text is None else text(value)
 
 
 # ---------------------------------------------------------------------------
@@ -192,75 +209,48 @@ _ACTIONS = {
 _INPUTS = (("perm", "one-line entries"), ("tuple", "tuple entries"), ("tab", "tableau as JSON"))
 
 
+# the commands that make one call on ``--tuple``
+_TUPLE_CALLS = {
+    "classify": lambda t: classify(t).as_dict(),
+    "critlist": lambda t: critical_list(t),
+    "core": lambda t: core(t),
+}
+
+
 # ---------------------------------------------------------------------------
-# command handlers: each returns (lines, exit_code); verify adds the lines
+# command handlers: each returns (values, exit_code); verify adds the values
 # with every wall time zeroed, which the manifest checksums instead
 
 
-def _cmd_classify(args) -> tuple[list[str], int]:
-    return _render_flags(classify(_read(args, "tuple")).as_dict(), args.format), 0
+def _cmd_tuple(args) -> tuple[list, int]:
+    return [_TUPLE_CALLS[args.command](_read(args, "tuple"))], 0
 
 
-def _cmd_critlist(args) -> tuple[list[str], int]:
-    return _render(critical_list(_read(args, "tuple")), args.format), 0
-
-
-def _cmd_core(args) -> tuple[list[str], int]:
-    return _render(core(_read(args, "tuple")), args.format), 0
-
-
-def _cmd_make(args) -> tuple[list[str], int]:
+def _cmd_make(args) -> tuple[list, int]:
     c = CriticalList.from_json_dict(json.loads(args.critlist))
-    return _render(from_critical_list(c, args.kind), args.format), 0
+    return [from_critical_list(c, args.kind)], 0
 
 
-def _cmd_perm(args) -> tuple[list[str], int]:
+def _cmd_perm(args) -> tuple[list, int]:
     rs = RSubset(args.n, _parse_ints(args.R))
     if args.action == "project":
-        word = _parse_ints(args.perm)
-        return _render(r_projection(word, rs), args.format), 0
+        return [r_projection(_parse_ints(args.perm), rs)], 0
     p = _read(args, "perm")
     if args.action == "avoiding":
-        value = is_r312_avoiding(p)
-        if args.format == "json":
-            return [json.dumps({"avoiding": value})], 0
-        return [str(value).lower()], 0
-
-    def render(word) -> str:
-        if args.format == "json":
-            return json.dumps({"n": args.n, "one_line": list(word)})
-        return ",".join(str(v) for v in word)
-
-    words = [minimal_lift(p)] if args.action == "lift" else all_lifts(p)
-    return [render(word) for word in words], 0
+        return [is_r312_avoiding(p)], 0
+    return ([minimal_lift(p)] if args.action == "lift" else list(all_lifts(p))), 0
 
 
-def _cmd_steps(args) -> tuple[list[str], int]:
-    """map, tab and poly: one value, or poly compare's two sets' flags."""
+def _cmd_steps(args) -> tuple[list, int]:
+    """map, tab, set and poly: one value, or poly compare's two sets' flags."""
     results = _run_steps(args)
-    if len(results) == 1:
-        return _render(results[0], args.format), 0
-    a, b = results
-    flags = {"poly_eq": poly_eq(a, b), "gf_identical": gf_identical(a, b)}
-    return _render_flags(flags, args.format), 0
+    if len(results) == 2:
+        a, b = results
+        results = [{"poly_eq": poly_eq(a, b), "gf_identical": gf_identical(a, b)}]
+    return results, 0
 
 
-def _cmd_set(args) -> tuple[list[str], int]:
-    (ts,) = _run_steps(args)
-    if args.format == "stream":
-        return [line for t in ts for line in _render(t, "json")], 0
-    if args.format == "json":
-        return _render(ts, "json"), 0
-    if args.format == "csv":
-        return [
-            "|".join(" ".join(str(v) for v in col) for col in t.columns) for t in ts
-        ], 0
-    lines = [f"{len(ts)} tableaux"]
-    lines += ["[" + ", ".join(str(list(c)) for c in t.columns) + "]" for t in ts]
-    return lines, 0
-
-
-def _cmd_count(args) -> tuple[list[str], int]:
+def _cmd_count(args) -> tuple[list, int]:
     r_elements = _parse_ints(args.R)
     if args.what == "cnr":
         value = count_cnr(args.n, r_elements)
@@ -268,9 +258,7 @@ def _cmd_count(args) -> tuple[list[str], int]:
         value = count_total(args.n)
     else:  # ui
         value = sum(1 for _ in enumerate_tuples(args.n, r_elements, "increasing"))
-    if args.format == "json":
-        return [json.dumps({"count": value})], 0
-    return [str(value)], 0
+    return [value], 0
 
 
 def _suite_kwargs(name: str, args) -> dict:
@@ -290,7 +278,7 @@ def _run_named_suite(item: tuple[str, dict]):
     return run_suite(name, **kwargs)
 
 
-def _cmd_verify(args) -> tuple[list[str], int, list[str]]:
+def _cmd_verify(args) -> tuple[list, int, list]:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
@@ -305,7 +293,7 @@ def _cmd_verify(args) -> tuple[list[str], int, list[str]]:
         reports = [_run_named_suite(job) for job in jobs]
     code = 0 if all(r.passed for r in reports) else 2
     timeless = [dataclasses.replace(r, wall_time=0.0) for r in reports]
-    return _render_reports(reports, args.format), code, _render_reports(timeless, args.format)
+    return [reports], code, [timeless]
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +327,11 @@ def build_parser() -> _Parser:
     parsers = {name: sub.add_parser(name) for name in (
         "classify", "critlist", "core", "make", "map", "perm", "tab", "set", "poly", "count", "verify")}
 
-    for name, handler in (("classify", _cmd_classify), ("critlist", _cmd_critlist), ("core", _cmd_core)):
+    for name in _TUPLE_CALLS:
         p = parsers[name]
         common(p)
         p.add_argument("--tuple", required=True)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_tuple)
 
     p = parsers["make"]
     common(p, need_n=False, need_r=False)
@@ -370,7 +358,7 @@ def build_parser() -> _Parser:
             users = [a for a, steps in actions.items() if any(o == option for o, _ in steps)]
             if users:
                 p.add_argument(f"--{option}", help=f"{what} (for {', '.join(users)})")
-        p.set_defaults(handler=_cmd_set if command == "set" else _cmd_steps)
+        p.set_defaults(handler=_cmd_steps)
 
     p = parsers["count"]
     p.add_argument("what", choices=["cnr", "total", "ui"])
@@ -470,10 +458,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _parse(argv)
     try:
-        lines, code, *checksummed = args.handler(args)
-        output = "\n".join(lines)
+        values, code, *timeless = args.handler(args)
+        output = "\n".join(_render(value, args.format) for value in values)
         if args.manifest:
-            stable = "\n".join(checksummed[0]) if checksummed else output
+            stable = "\n".join(_render(v, args.format) for v in timeless[0]) if timeless else output
             manifest = {
                 "command_line": argv,
                 "version": __version__,

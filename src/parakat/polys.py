@@ -19,7 +19,9 @@ from typing import Mapping, Sequence, Union
 
 from .errors import ShapeMismatch
 from .rperms import RPermutation, reduced_word
-from .rtuples import RTuple, _check_size, _json_fields, is_gapless_core, is_upper_flag
+from .rtuples import (
+    RTuple, _check_size, _is_int_array, _json_fields, is_gapless_core, is_upper_flag
+)
 from .tableaux import Shape, TableauSet, content, demazure_set, row_bound_set
 
 
@@ -37,12 +39,17 @@ class Polynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] = ()):
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        _check_size("n", n)
         self.n = n
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in dict(terms).items():
             exp = tuple(exp)
-            if len(exp) != n or any(e < 0 for e in exp):
+            if len(exp) != n or not _is_int_array(exp, 1) or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector for n={n}: {exp}")
+            if not _is_int_array(coef, 0):
+                raise ValueError(f"coefficient of {exp} must be an integer, got {coef!r}")
             if coef:
                 clean[exp] = coef
         self._terms = clean
@@ -122,9 +129,6 @@ class Polynomial:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Polynomial":
         n, terms = _json_fields(d, "polynomial", ("n", 0), ("terms", None))
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        _check_size("n", n)
         by_exp: dict[tuple[int, ...], int] = {}
         for t in terms:
             exp, coef = _json_fields(t, "polynomial term", ("exp", 1), ("coef", 0))

@@ -92,6 +92,22 @@ def test_polynomial_json_refuses_a_variable_count_that_rtuples_refuses(d, messag
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("n, terms, message", [
+    (2, {(1, 0): 1.5}, "coefficient of (1, 0) must be an integer, got 1.5"),
+    (2, {(1, 0): "3"}, "coefficient of (1, 0) must be an integer, got '3'"),
+    (2, {(0, 1): True}, "coefficient of (0, 1) must be an integer, got True"),
+    (2, {(1.0, 0): 1}, "bad exponent vector for n=2: (1.0, 0)"),
+    (2, {(False, 1): 1}, "bad exponent vector for n=2: (False, 1)"),
+    (0, {(): 5}, "n must be positive, got 0"),
+    (-1, {}, "n must be positive, got -1"),
+    (MAX_SIZE + 1, {}, f"n={MAX_SIZE + 1} exceeds the size bound of {MAX_SIZE}"),
+])
+def test_the_constructor_makes_the_checks_that_json_makes(n, terms, message):
+    with pytest.raises(ValueError) as info:
+        Polynomial(n, terms)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("terms, exp", [
     ([{"exp": [1], "coef": 1}, {"exp": [1], "coef": 2}], "[1]"),
     # a repeat is refused even where its coefficients would cancel
