@@ -39,6 +39,8 @@ class Polynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] = ()):
+        if not _is_int_array(n, 0):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"n must be positive, got {n}")
         _check_size("n", n)

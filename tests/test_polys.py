@@ -98,6 +98,8 @@ def test_polynomial_json_refuses_a_variable_count_that_rtuples_refuses(d, messag
     (2, {(0, 1): True}, "coefficient of (0, 1) must be an integer, got True"),
     (2, {(1.0, 0): 1}, "bad exponent vector for n=2: (1.0, 0)"),
     (2, {(False, 1): 1}, "bad exponent vector for n=2: (False, 1)"),
+    (2.0, {}, "n must be an integer, got 2.0"),
+    (True, {(1,): 2}, "n must be an integer, got True"),
     (0, {(): 5}, "n must be positive, got 0"),
     (-1, {}, "n must be positive, got -1"),
     (MAX_SIZE + 1, {}, f"n={MAX_SIZE + 1} exceeds the size bound of {MAX_SIZE}"),
