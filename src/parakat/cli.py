@@ -71,6 +71,16 @@ from .verify import SUITE_NAMES, SUITES, run_suite
 USAGE_EXIT = 64
 DOMAIN_EXIT = 65
 
+# what ``parakat -h`` says; the module docstring above is for developers
+_DESCRIPTION = (
+    "Exact checks of carrel-divided tuples, R-312-avoiding permutations (counted by the "
+    "parabolic Catalan numbers), their keys, row-bound and Demazure tableau sets, and the "
+    "generating polynomials of those sets. Every command prints --text (the default), "
+    "--json or --csv, and set also --stream: one tableau per JSON line. Exit codes: 0 "
+    "success, 2 a verification suite failed, 3 the tableau cap (PARAKAT_CAP) exceeded, "
+    "64 usage error, 65 any other domain error."
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -305,7 +315,7 @@ def build_parser() -> _Parser:
 
     ``parser.commands`` maps each command to its subparser.
     """
-    parser = _Parser(prog="parakat", description=__doc__)
+    parser = _Parser(prog="parakat", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"parakat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices

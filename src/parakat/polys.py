@@ -17,12 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .errors import ShapeMismatch
 from .rperms import RPermutation, reduced_word
-from .rtuples import (
-    RTuple, _check_size, _is_int_array, _json_fields, is_gapless_core, is_upper_flag
-)
-from .tableaux import Shape, TableauSet, content, demazure_set, row_bound_set
+from .rtuples import RTuple, _check_n, _is_int_array, _json_fields, is_gapless_core, is_upper_flag
+from .tableaux import Shape, TableauSet, _require_over, content, demazure_set, row_bound_set
 
 
 class Polynomial:
@@ -39,11 +36,7 @@ class Polynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] = ()):
-        if not _is_int_array(n, 0):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        _check_size("n", n)
+        _check_n(n)
         self.n = n
         clean: dict[tuple[int, ...], int] = {}
         for exp, coef in dict(terms).items():
@@ -265,10 +258,7 @@ def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:
     >>> str(demazure_poly_dd(RPermutation.of(3, (2,), (2, 3, 1)), sh))
     'x1*x2 + x1*x3 + x2*x3'
     """
-    if p.r_subset != shape.r_subset:
-        raise ShapeMismatch(
-            f"permutation over {p.r_subset.elements} does not match shape {shape}"
-        )
+    _require_over(p, shape, "permutation")
     n, width = shape.n, _width(sum(shape.parts))
     terms = _pack({shape.parts: 1}, width)
     for i in reduced_word(p.entries):

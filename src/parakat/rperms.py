@@ -25,7 +25,8 @@ from .rtuples import (
     RTuple,
     _carrel_text,
     _chains,
-    _check_size,
+    _check_n,
+    _is_int_array,
     _json_fields,
     _unchecked,
     core,
@@ -34,8 +35,9 @@ from .rtuples import (
 
 
 def _require_permutation(entries: Sequence[int], n: int) -> None:
-    if sorted(entries) != list(range(1, n + 1)):
-        raise ValueError(f"entries are not a permutation of [{n}]: {tuple(entries)}")
+    entries = tuple(entries)
+    if not _is_int_array(entries, 1) or sorted(entries) != list(range(1, n + 1)):
+        raise ValueError(f"entries are not a permutation of [{n}]: {entries}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class RChain:
         for q, s in zip(qs, self.sets):
             if len(s) != q:
                 raise ValueError(f"|B_h| = {len(s)} but q_h = {q}")
-            if not (prev < s <= full):
+            if not (prev < s <= full and _is_int_array(tuple(s), 1)):
                 raise ValueError("chain sets must be strictly nested subsets of [n]")
             prev = s
 
@@ -122,7 +124,7 @@ class ClumpDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
         for b in self.blocks:
-            if not b or any(y != x + 1 for x, y in zip(b, b[1:])):
+            if not b or not _is_int_array(b, 1) or any(y != x + 1 for x, y in zip(b, b[1:])):
                 raise ValueError(f"block is not a run of consecutive integers: {b}")
         for a, b in zip(self.blocks, self.blocks[1:]):
             if b[0] <= a[-1] + 1:
@@ -396,16 +398,14 @@ def minimal_lift(p: RPermutation) -> tuple[int, ...]:
     """
     if not is_r312_avoiding(p):
         raise NotAvoiding(f"not R-312-avoiding: {p}")
-    chain = to_chain(p)
-    qs = p.r_subset.qs
-    out: list[int] = list(p.entries[: qs[1]])
-    for h in range(1, p.r_subset.r + 1):
-        new = chain.level(h + 1) - chain.level(h)
-        m = max(chain.level(h))
-        low = sorted((v for v in new if v < m), reverse=True)
-        high = sorted(v for v in new if v > m)
-        out.extend(low)
-        out.extend(high)
+    e = p.entries
+    (_, q), *rest = p.r_subset.carrels
+    out = list(e[:q])
+    m = max(out)  # the running maximum of the entries placed
+    for lo, hi in rest:
+        new = e[lo:hi]  # increasing, as p is an R-permutation
+        out += [v for v in reversed(new) if v < m] + [v for v in new if v > m]
+        m = max(m, new[-1])
     return tuple(out)
 
 
@@ -481,15 +481,14 @@ def count_cnr(n: int, r_elements: Sequence[int]) -> int:
     only state carried across a boundary is the number of prefixes ending in
     each value, so the count takes O(n^2) steps.  The first carrel is filled
     in closed form, so the empty R takes O(n);
-    ``enumerate_rperms(..., avoiding_only=True)`` stays as the oracle.  An n
-    above ``MAX_SIZE`` is refused before the table is allocated.
+    ``enumerate_rperms(..., avoiding_only=True)`` stays as the oracle.  R is
+    built, so n is checked (``rtuples._check_n``), before the table is allocated.
 
     >>> count_cnr(4, (1, 2, 3))
     14
     >>> count_cnr(4, ())
     1
     """
-    _check_size("n", n)
     r = RSubset(n, tuple(r_elements))
     # counts[v]: prefixes whose entry at the current position is v.  The first
     # carrel is any q_1-subset of [n], sorted, as that is always upper, so
@@ -524,14 +523,12 @@ def count_total(n: int) -> int:
     C[u] over u < v.  Both steps are linear, so one table carries every R at
     once: (2 S(C) + C + L, C + L), with C kept to v >= p.  That takes
     O(n^2) steps; the sum of ``count_cnr`` over every R stays as the oracle.
-    An n above ``MAX_SIZE`` is refused.
+    n is checked as every type that takes it checks it (``rtuples._check_n``).
 
     >>> count_total(4)
     56
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    _check_size("n", n)
+    _check_n(n)
     counts = [0] + [1] * n
     last = [0] * (n + 1)
     for p in range(2, n + 1):

@@ -52,11 +52,10 @@ class RSubset:
     elements: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        _check_n(self.n)
         elems = tuple(self.elements)
         object.__setattr__(self, "elements", elems)
-        if any(not 1 <= q <= self.n - 1 for q in elems):
+        if not _is_int_array(elems, 1) or any(not 1 <= q <= self.n - 1 for q in elems):
             raise ValueError(f"elements of R must lie in [1, {self.n - 1}]: {elems}")
         if any(a >= b for a, b in zip(elems, elems[1:])):
             raise ValueError(f"elements of R must be strictly increasing: {elems}")
@@ -93,14 +92,25 @@ def _check_size(name: str, value: int) -> None:
         raise ValueError(f"{name}={value} exceeds the size bound of {MAX_SIZE}")
 
 
+def _check_n(n) -> None:
+    """The one rule for n: of type int exactly (not a bool), from 1 to ``MAX_SIZE``."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    _check_size("n", n)
+
+
 def _is_int_array(value, depth: int | None) -> bool:
-    """An integer (JSON true and false are not) for ``depth`` 0, else an
-    array of ``depth - 1`` such values; any array for ``depth`` None."""
+    """Of type int exactly (JSON true and false read as bools) for ``depth`` 0,
+    else an array of ``depth - 1`` such values; any array for ``depth`` None."""
     if depth == 0:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, (list, tuple)) and (
-        depth is None or all(_is_int_array(v, depth - 1) for v in value)
-    )
+        return type(value) is int
+    if not isinstance(value, (list, tuple)):
+        return False
+    if depth == 1:  # the types at C speed: every constructor checks its entries here
+        return {int}.issuperset(map(type, value))
+    return depth is None or all(_is_int_array(v, depth - 1) for v in value)
 
 
 # what a JSON value of each depth must be; only a critical list's carrels have depth 3
@@ -156,7 +166,7 @@ class RTuple:
         n = self.r_subset.n
         if len(self.entries) != n:
             raise ValueError(f"expected {n} entries, got {len(self.entries)}")
-        if any(not 1 <= e <= n for e in self.entries):
+        if not _is_int_array(self.entries, 1) or any(not 1 <= e <= n for e in self.entries):
             raise ValueError(f"entries must lie in [1, {n}]: {self.entries}")
 
     @classmethod
@@ -200,11 +210,10 @@ class CriticalList:
     carrels: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "carrels",
-            tuple(tuple((int(x), int(y)) for x, y in c) for c in self.carrels),
-        )
+        carrels = tuple(tuple((x, y) for x, y in c) for c in self.carrels)
+        object.__setattr__(self, "carrels", carrels)
+        if not _is_int_array(carrels, 3):
+            raise ValueError(f"critical pairs must be pairs of integers: {carrels}")
         spans = self.r_subset.carrels
         if len(self.carrels) != len(spans):
             raise ValueError(
@@ -255,15 +264,12 @@ class CriticalList:
         (carrels,) = _json_fields(d, "critical list", ("carrels", 3))
         if not all(len(pair) == 2 for c in carrels for pair in c):
             raise ValueError(f"critical list JSON key 'carrels' must hold {_JSON_TYPES[3]}")
-        carrels = tuple(tuple((x, y) for x, y in c) for c in carrels)
         # n and the divider set are read off the carrel ends, so an empty
         # carrel is refused here, before the constructor could see it
         if not carrels or not all(carrels):
             raise ValueError("every carrel must carry at least one critical pair")
-        n = carrels[-1][-1][0]
-        _check_size("n", n)
         elements = tuple(c[-1][0] for c in carrels[:-1])
-        return cls(RSubset(n, elements), carrels)
+        return cls(RSubset(carrels[-1][-1][0], elements), carrels)
 
 
 @dataclass(frozen=True)

@@ -22,12 +22,14 @@ from operator import attrgetter, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
-from .rperms import RChain, RPermutation, to_chain
+from .rperms import RChain, RPermutation, from_chain
 from .rtuples import (
     RSubset,
     RTuple,
     _chains,
+    _check_n,
     _check_size,
+    _is_int_array,
     _json_fields,
     _unchecked,
     core,
@@ -70,11 +72,11 @@ class Shape:
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        _check_size("n", self.n)
+        _check_n(self.n)
         if len(self.parts) != self.n:
             raise ValueError(f"expected {self.n} parts (pad with zeros), got {self.parts}")
+        if not _is_int_array(self.parts, 1):
+            raise ValueError(f"parts must be integers: {self.parts}")
         if any(p < 0 for p in self.parts):
             raise ValueError(f"parts must be nonnegative: {self.parts}")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
@@ -84,7 +86,7 @@ class Shape:
 
     @classmethod
     def of(cls, n: int, parts: Sequence[int]) -> "Shape":
-        _check_size("n", n)  # before the padding allocates n entries
+        _check_n(n)  # before the padding allocates n entries
         padded = tuple(parts) + (0,) * (n - len(parts))
         return cls(n, padded)
 
@@ -127,7 +129,7 @@ class Tableau:
         for col, z in zip(self.columns, zeta):
             if len(col) != z:
                 raise ValueError(f"column {col} has wrong length, expected {z}")
-            if any(not 1 <= v <= n for v in col):
+            if not _is_int_array(col, 1) or any(not 1 <= v <= n for v in col):
                 raise ValueError(f"values must lie in [1, {n}]: {col}")
             if any(a >= b for a, b in zip(col, col[1:])):
                 raise ValueError(f"columns must strictly increase: {col}")
@@ -166,30 +168,25 @@ class Tableau:
         return cls(Shape.of(n, tuple(parts)), tuple(tuple(c) for c in columns))
 
 
-def entrywise_le(t: Tableau, u: Tableau) -> bool:
+def _column_pairs(t: Tableau, u: Tableau, verb: str) -> Iterator[tuple]:
+    """The columns of ``t`` and ``u`` side by side; the two must share a shape."""
     if t.shape != u.shape:
-        raise ShapeMismatch("cannot compare tableaux of different shapes")
-    return all(
-        a <= b for tc, uc in zip(t.columns, u.columns) for a, b in zip(tc, uc)
-    )
+        raise ShapeMismatch(f"cannot {verb} tableaux of different shapes")
+    return zip(t.columns, u.columns)
+
+
+def entrywise_le(t: Tableau, u: Tableau) -> bool:
+    return all(all(map(le, tc, uc)) for tc, uc in _column_pairs(t, u, "compare"))
 
 
 def tableau_meet(t: Tableau, u: Tableau) -> Tableau:
     """Entrywise minimum; semistandard because the lattice is distributive."""
-    if t.shape != u.shape:
-        raise ShapeMismatch("cannot meet tableaux of different shapes")
-    cols = tuple(
-        tuple(min(a, b) for a, b in zip(tc, uc)) for tc, uc in zip(t.columns, u.columns)
-    )
+    cols = tuple(tuple(map(min, tc, uc)) for tc, uc in _column_pairs(t, u, "meet"))
     return _unchecked(Tableau, shape=t.shape, columns=cols)
 
 
 def tableau_join(t: Tableau, u: Tableau) -> Tableau:
-    if t.shape != u.shape:
-        raise ShapeMismatch("cannot join tableaux of different shapes")
-    cols = tuple(
-        tuple(max(a, b) for a, b in zip(tc, uc)) for tc, uc in zip(t.columns, u.columns)
-    )
+    cols = tuple(tuple(map(max, tc, uc)) for tc, uc in _column_pairs(t, u, "join"))
     return _unchecked(Tableau, shape=t.shape, columns=cols)
 
 
@@ -338,36 +335,24 @@ def is_key(t: Tableau) -> bool:
     return all(sets[j] >= sets[j + 1] for j in range(len(sets) - 1))
 
 
-def key_of_chain(chain: RChain, shape: Shape) -> Tableau:
-    """Juxtapose inert columns and one sorted column per chain level.
-
-    Columns of length q_h are copies of the sorted h-th chain set; trivial
-    columns are forced to 1..n.
-    """
-    if chain.r_subset != shape.r_subset:
-        raise ShapeMismatch(
-            f"chain over {chain.r_subset.elements} does not match shape {shape}"
-        )
-    n = shape.n
-    cols: list[tuple[int, ...]] = []
-    parts = shape.parts
-    qs = shape.r_subset.qs
-    r = shape.r_subset.r
-    cols.extend([tuple(range(1, n + 1))] * parts[n - 1])
-    for h in range(r, 0, -1):
-        copies = parts[qs[h] - 1] - parts[qs[h + 1] - 1]
-        col = tuple(sorted(chain.level(h)))
-        cols.extend([col] * copies)
-    return _unchecked(Tableau, shape=shape, columns=tuple(cols))
+def _require_over(value, shape: Shape, what: str) -> None:
+    """Refuse a ``what`` whose divider set is not the carrel set of ``shape``."""
+    if value.r_subset != shape.r_subset:
+        raise ShapeMismatch(f"{what} over {value.r_subset.elements} does not match shape {shape}")
 
 
 def key_of_perm(p: RPermutation, shape: Shape) -> Tableau:
-    """The key of an R-permutation: columns collect its leading carrels."""
-    if p.r_subset != shape.r_subset:
-        raise ShapeMismatch(
-            f"permutation over {p.r_subset.elements} does not match shape {shape}"
-        )
-    return key_of_chain(to_chain(p), shape)
+    """The key of an R-permutation: a column of length z holds the first z
+    entries of ``p`` in increasing order (1..n when z = n)."""
+    _require_over(p, shape, "permutation")
+    lengths = shape.column_lengths
+    firsts = {z: tuple(sorted(p.entries[:z])) for z in set(lengths)}
+    return _unchecked(Tableau, shape=shape, columns=tuple(map(firsts.__getitem__, lengths)))
+
+
+def key_of_chain(chain: RChain, shape: Shape) -> Tableau:
+    """The key of the R-permutation of a chain: a column of length q_h holds B_h."""
+    return key_of_perm(from_chain(chain), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -393,20 +378,15 @@ def content(t: Tableau) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _require_increasing_upper(a: RTuple) -> None:
-    if not (is_upper(a) and is_r_increasing(a)):
-        raise NotIncreasingUpper(f"tuple is not increasing upper: {a}")
-
-
 def row_end_max(a: RTuple, shape: Shape) -> Tableau:
     """The largest tableau whose row-end list is ``a``.
 
     Row ends are pinned; interior boxes take the largest value allowed by the
     neighbor to the right and the box below.
     """
-    if a.r_subset != shape.r_subset:
-        raise ShapeMismatch(f"tuple over {a.r_subset.elements} does not match {shape}")
-    _require_increasing_upper(a)
+    _require_over(a, shape, "tuple")
+    if not (is_upper(a) and is_r_increasing(a)):
+        raise NotIncreasingUpper(f"tuple is not increasing upper: {a}")
     zeta = shape.column_lengths
     parts = shape.parts
     ncols = len(zeta)
@@ -460,8 +440,7 @@ def row_bound_max(b: RTuple, shape: Shape) -> Tableau:
 
 
 def _require_bound(b: RTuple, shape: Shape) -> None:
-    if b.r_subset != shape.r_subset:
-        raise ShapeMismatch(f"tuple over {b.r_subset.elements} does not match {shape}")
+    _require_over(b, shape, "tuple")
     if not is_upper(b):
         raise NotUpper(f"row bounds must be upper: {b}")
 

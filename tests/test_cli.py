@@ -20,7 +20,11 @@ from hypothesis import given, settings, strategies as st
 
 from parakat import cli, verify
 from parakat.cli import _shared_parser, build_parser, main
-from parakat.rtuples import CONSTRUCTION_KINDS, enumerate_critical_lists
+from parakat.polys import Polynomial
+from parakat.rperms import count_cnr, count_total
+from parakat.rtuples import (
+    CONSTRUCTION_KINDS, MAX_SIZE, CriticalList, RSubset, enumerate_critical_lists
+)
 from parakat.tableaux import Shape, enumerate_tableaux
 from parakat.verify import SUITE_NAMES
 
@@ -319,6 +323,27 @@ def test_every_printed_byte_is_pinned(tmp_path, argv, digest):
     assert _golden_digest(argv, tmp_path) == digest
 
 
+# the description block of the top-level help at 80 columns; the usage and
+# option blocks around it are argparse's own, and their wrapping varies by version
+_HELP_DESCRIPTION = """\
+Exact checks of carrel-divided tuples, R-312-avoiding permutations (counted by
+the parabolic Catalan numbers), their keys, row-bound and Demazure tableau
+sets, and the generating polynomials of those sets. Every command prints
+--text (the default), --json or --csv, and set also --stream: one tableau per
+JSON line. Exit codes: 0 success, 2 a verification suite failed, 3 the tableau
+cap (PARAKAT_CAP) exceeded, 64 usage error, 65 any other domain error."""
+
+
+def test_help_bytes_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _captured(main, ["-h"])
+    assert (code, err) == (0, "") and _captured(main, ["--help"]) == (code, out, err)
+    usage, description, *options = out.split("\n\n")
+    assert usage.startswith("usage: parakat [-h] [--version]")
+    assert description == _HELP_DESCRIPTION
+    assert options[0].startswith("positional arguments:") and out.endswith("exit\n")
+
+
 _MISSING_INPUTS = {
     ("map", "psi"): "--perm",
     ("map", "pi"): "--tuple",
@@ -581,6 +606,46 @@ def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
     }
 
 
+def _count_ui(n):
+    """``parakat count ui --n n``, raising its stderr as a ValueError on exit 64."""
+    code, _, err = _captured(main, ["count", "ui", "--n", str(n)])
+    if code == 64:
+        raise ValueError(err)
+
+
+# every entry point that takes n.  The JSON and argv readers type their input
+# first, so a non-integer n reaches the n rule only through the library calls
+_TAKES_N = {
+    "RSubset": (lambda n: RSubset(n, (1,)), None),
+    "Shape": (lambda n: Shape(n, (1,)), None),
+    "Shape.of": (lambda n: Shape.of(n, (1,)), None),
+    "Polynomial": (lambda n: Polynomial(n), None),
+    "count_cnr": (lambda n: count_cnr(n, ()), None),
+    "count_total": (count_total, None),
+    "CriticalList.from_json_dict": (
+        lambda n: CriticalList.from_json_dict({"carrels": [[[n, n]]]}),
+        "critical list JSON key 'carrels' must hold arrays of [x, y] integer pairs",
+    ),
+    "count ui": (_count_ui, "argument --n: invalid int value"),
+}
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an integer, got 2.5"),
+    (True, "n must be an integer, got True"),
+    (0, "n must be positive, got 0"),
+    (MAX_SIZE + 1, f"n={MAX_SIZE + 1} exceeds the size bound of {MAX_SIZE}"),
+])
+@pytest.mark.parametrize("entry", _TAKES_N)
+def test_every_entry_point_refuses_n_by_one_rule(entry, n, message):
+    call, typed = _TAKES_N[entry]
+    if typed is not None and type(n) is not int:
+        message = typed  # the reader refuses a non-integer before the n rule sees it
+    with pytest.raises(ValueError) as info:
+        call(n)
+    assert message in str(info.value)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -592,6 +657,7 @@ def test_verify_passes_each_suite_the_flags_it_names(monkeypatch, capsys):
         ["set", "ideal", "--n", "1000000000", "--lambda", "1", "--tab", "{}"],
         ["poly", "dd", "--n", "1000000000", "--lambda", "1", "--perm", "1"],
         ["make", "--kind", "increasing", "--critlist", '{"carrels":[[[4097,4097]]]}'],
+        ["count", "ui", "--n", "5000"],
     ],
 )
 def test_sizes_past_the_bound_are_usage_errors(capsys, argv):

@@ -79,6 +79,7 @@ def test_short_divider_sets_are_always_avoiding():
 
 def test_projection_examples():
     assert r_projection((2, 4, 3, 1), RSubset(4, (2,))).entries == (2, 4, 1, 3)
+    assert r_projection(range(1, 5), RSubset(4, (2,))).entries == (1, 2, 3, 4)  # any sequence
     p = RPermutation.of(4, (2,), (2, 4, 1, 3))
     assert r_projection(p.entries, p.r_subset) == p
     full = RSubset(4, (1, 2, 3))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parakat.errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
+from parakat.rperms import ClumpDecomposition, RChain, RPermutation
 from parakat.rtuples import (
     CONSTRUCTION_KINDS,
     FAMILIES,
@@ -34,6 +35,7 @@ from parakat.rtuples import (
     is_upper_flag,
     is_weakly_increasing,
 )
+from parakat.tableaux import Shape, Tableau
 
 T38 = lambda entries: RTuple.of(9, (3, 8), entries)
 
@@ -440,6 +442,34 @@ def test_validation_rejects_bad_inputs():
         RTuple.of(3, (), (0, 2, 3))
     with pytest.raises(ValueError):
         CriticalList(RSubset(3, (2,)), (((2, 3), (1, 1)), ((3, 3),)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RSubset(2.5, (1,)), "n must be an integer, got 2.5"),
+    (lambda: RSubset(True), "n must be an integer, got True"),
+    (lambda: RSubset(5000), "n=5000 exceeds the size bound of 4096"),
+    (lambda: RSubset(4, (1.5,)), "elements of R must lie in [1, 3]: (1.5,)"),
+    (lambda: RTuple.of(3, (), (1.5, 2, 3)), "entries must lie in [1, 3]: (1.5, 2, 3)"),
+    (lambda: RPermutation.of(3, (), (1.0, 2, 3)),
+     "entries are not a permutation of [3]: (1.0, 2, 3)"),
+    (lambda: Shape(True, (1,)), "n must be an integer, got True"),
+    (lambda: Shape.of(3, (2.0, 1)), "parts must be integers: (2.0, 1, 0)"),
+    (lambda: Tableau(Shape.of(2, (1,)), ((1.0,),)), "values must lie in [1, 2]: (1.0,)"),
+    (lambda: CriticalList(RSubset(2), (((2.9, 2.9),),)),
+     "critical pairs must be pairs of integers: (((2.9, 2.9),),)"),
+    (lambda: RChain(RSubset(3, (1,)), ({1.0},)),
+     "chain sets must be strictly nested subsets of [n]"),
+    (lambda: ClumpDecomposition(((1.0, 2.0),)),
+     "block is not a run of consecutive integers: (1.0, 2.0)"),
+    # an integer out of range keeps its message
+    (lambda: RSubset(4, (4,)), "elements of R must lie in [1, 3]: (4,)"),
+    (lambda: RTuple.of(3, (), (0, 2, 3)), "entries must lie in [1, 3]: (0, 2, 3)"),
+    (lambda: Shape.of(3, (2, -1)), "parts must be nonnegative: (2, -1, 0)"),
+])
+def test_every_constructor_refuses_a_non_integer(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -145,14 +145,30 @@ def test_key_examples():
     ).columns == ()
 
 
-def test_key_of_chain_matches_perm_route():
-    for sh in SMALL_SHAPES:
-        for p in enumerate_rperms(sh.n, sh.r_subset.elements):
-            y = key_of_perm(p, sh)
-            assert y == key_of_chain(to_chain(p), sh)
-            assert is_key(y)
-            assert row_end_list(y) == rank_tuple(p)
-            assert content(y)  # defined even when trivial
+def _key_by_levels(p: RPermutation, sh: Shape) -> tuple:
+    """The columns of the key of ``p``, level by level: inert columns 1..n,
+    then per level h from the top down the sorted set B_h of p's chain, in
+    as many copies as the parts at q_h and q_{h+1} differ."""
+    n, parts, qs = sh.n, sh.parts, sh.r_subset.qs
+    chain = to_chain(p)
+    cols = [tuple(range(1, n + 1))] * parts[n - 1]
+    for h in range(sh.r_subset.r, 0, -1):
+        cols += [tuple(sorted(chain.level(h)))] * (parts[qs[h] - 1] - parts[qs[h + 1] - 1])
+    return tuple(cols)
+
+
+def test_keys_match_the_per_level_oracle():
+    # every shape with n <= 5 and at most 4 columns, and each of its R-permutations
+    for n in range(1, 6):
+        for parts in itertools.combinations_with_replacement(range(4, -1, -1), n):
+            sh = Shape(n, parts)
+            for p in enumerate_rperms(n, sh.r_subset.elements):
+                y = key_of_perm(p, sh)
+                assert y.columns == _key_by_levels(p, sh), (p, sh)
+                assert key_of_chain(to_chain(p), sh) == y
+                assert is_key(y)
+                assert row_end_list(y) == rank_tuple(p)
+                assert content(y)  # defined even when trivial
 
 
 def test_key_of_chain_shape_mismatch():
