@@ -23,6 +23,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -49,7 +50,6 @@ from .rtuples import (
     classify,
     core,
     critical_list,
-    enumerate_tuples,
     floor_map,
     from_critical_list,
 )
@@ -266,8 +266,9 @@ def _cmd_count(args) -> tuple[list, int]:
         value = count_cnr(args.n, r_elements)
     elif args.what == "total":
         value = count_total(args.n)
-    else:  # ui
-        value = sum(1 for _ in enumerate_tuples(args.n, r_elements, "increasing"))
+    else:  # ui: carrel (lo, hi] holds any hi - lo values from [lo + 1, n], sorted
+        carrels = RSubset(args.n, r_elements).carrels
+        value = math.prod(math.comb(args.n - lo, hi - lo) for lo, hi in carrels)
     return [value], 0
 
 

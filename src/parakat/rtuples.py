@@ -372,15 +372,29 @@ def _gapless_critical_list(g: RTuple) -> CriticalList:
     raise NotGapless(f"tuple is not gapless: {g}")
 
 
+def _staircase_below(entries: Sequence[int]) -> tuple[int, ...]:
+    """The largest strictly increasing sequence entrywise below ``entries``.
+
+    Its entry i is the least ``entries[k] - (k - i)`` over k >= i: read from
+    the right, one running minimum of each entry plus its distance from the end.
+    """
+    lows = itertools.accumulate((e + j for j, e in enumerate(reversed(entries))), min)
+    return tuple(low - j for j, low in enumerate(lows))[::-1]
+
+
 def core(t: RTuple) -> RTuple:
     """The minimum member of the equivalence class of an upper tuple.
 
-    Entries are pulled down onto the staircases ending at the critical pairs.
+    Each carrel is lowered to the largest strictly increasing segment below
+    it, which is the staircase fill of the carrel's critical pairs.
 
     >>> str(core(RTuple.of(9, (3, 8), (7, 9, 6, 5, 5, 9, 8, 9, 9))))
     '(4,5,6;4,5,7,8,9;9)'
     """
-    return from_critical_list(critical_list(t), "increasing")
+    _require_upper(t)
+    e = t.entries
+    entries = tuple(v for lo, hi in t.r_subset.carrels for v in _staircase_below(e[lo:hi]))
+    return _unchecked(RTuple, r_subset=t.r_subset, entries=entries)
 
 
 def from_critical_list(c: CriticalList, kind: str) -> RTuple:
@@ -402,38 +416,23 @@ def _from_critical_list(
     """:func:`from_critical_list` of the critical list with these ``carrels``
     over R, for a kind that it admits."""
     n = r.n
-    entries = [0] * n
-    pairs = [p for c in carrels for p in c]
-    if kind in ("increasing", "gapless"):
+    if kind in ("increasing", "gapless", "floor"):
+        entries = [0] * n
         for c, (lo, _) in zip(carrels, r.carrels):
             prev = lo
             for x, y in c:
                 for i in range(prev + 1, x + 1):
                     entries[i - 1] = y - (x - i)
                 prev = x
-    elif kind in ("shell", "canopy"):
+        if kind == "floor":  # the least flag above the core: its running maximum
+            entries = itertools.accumulate(entries, max)
+    else:
         entries = [n] * n
-        for x, y in pairs:
-            entries[x - 1] = y
-    elif kind == "ceiling":
-        prev = 0
-        for x, y in pairs:
-            for i in range(prev + 1, x + 1):
-                entries[i - 1] = y
-            prev = x
-    else:  # floor
-        carrel_start = {c[0][0]: lo for c, (lo, _) in zip(carrels, r.carrels)}
-        prev = 0
-        for x, y in pairs:
-            entries[x - 1] = y
-            if x in carrel_start and carrel_start[x] > 0:
-                q = carrel_start[x]
-                for i in range(q + 1, x):
-                    entries[i - 1] = max(entries[q - 1], y - (x - i))
-            else:
-                for i in range(prev + 1, x):
-                    entries[i - 1] = y - (x - i)
-            prev = x
+        for c in carrels:
+            for x, y in c:
+                entries[x - 1] = y
+        if kind == "ceiling":  # the greatest flag below the shell: its running min from the right
+            entries = tuple(itertools.accumulate(reversed(entries), min))[::-1]
     return _unchecked(RTuple, r_subset=r, entries=tuple(entries))
 
 

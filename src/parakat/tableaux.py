@@ -31,8 +31,8 @@ from .rtuples import (
     _check_size,
     _is_int_array,
     _json_fields,
+    _staircase_below,
     _unchecked,
-    core,
     is_r_increasing,
     is_upper,
 )
@@ -196,13 +196,6 @@ def minimal_tableau(shape: Shape) -> Tableau:
     return _unchecked(Tableau, shape=shape, columns=cols)
 
 
-def _maximal_tableau(shape: Shape) -> Tableau:
-    """Each column holds the largest values: the top of SSYT(shape)."""
-    n = shape.n
-    cols = tuple(tuple(range(n - z + 1, n + 1)) for z in shape.column_lengths)
-    return _unchecked(Tableau, shape=shape, columns=cols)
-
-
 @dataclass(frozen=True)
 class TableauSet:
     """An explicit, deduplicated, canonically ordered set of same-shape tableaux."""
@@ -266,7 +259,7 @@ def count_tableaux(shape: Shape) -> int:
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     """All semistandard tableaux, each once, lexicographic in their columns
     read from the rightmost; :func:`materialize` puts them in canonical order."""
-    return _tableaux_in(minimal_tableau(shape), _maximal_tableau(shape))
+    return _tableaux_in(minimal_tableau(shape), _below_row_ends((shape.n,) * shape.n, shape))
 
 
 def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
@@ -381,28 +374,13 @@ def content(t: Tableau) -> tuple[int, ...]:
 def row_end_max(a: RTuple, shape: Shape) -> Tableau:
     """The largest tableau whose row-end list is ``a``.
 
-    Row ends are pinned; interior boxes take the largest value allowed by the
-    neighbor to the right and the box below.
+    Each row ends in its entry of ``a``, as an increasing upper tuple allows,
+    so this is :func:`_below_row_ends` of ``a``.
     """
     _require_over(a, shape, "tuple")
     if not (is_upper(a) and is_r_increasing(a)):
         raise NotIncreasingUpper(f"tuple is not increasing upper: {a}")
-    zeta = shape.column_lengths
-    parts = shape.parts
-    ncols = len(zeta)
-    cols: list[list[int]] = [[0] * z for z in zeta]
-    for j in range(ncols, 0, -1):
-        z = zeta[j - 1]
-        znext = zeta[j] if j < ncols else 0
-        for i in range(z, 0, -1):
-            if i > znext:  # row i ends at column j
-                cols[j - 1][i - 1] = a.entry(i)
-            else:
-                v = cols[j][i - 1]
-                if i < z:
-                    v = min(v, cols[j - 1][i] - 1)
-                cols[j - 1][i - 1] = v
-    return _unchecked(Tableau, shape=shape, columns=tuple(tuple(c) for c in cols))
+    return _below_row_ends(a.entries, shape)
 
 
 def z_set(a: RTuple, shape: Shape) -> TableauSet:
@@ -434,9 +412,20 @@ def row_bound_set(b: RTuple, shape: Shape) -> TableauSet:
 
 
 def row_bound_max(b: RTuple, shape: Shape) -> Tableau:
-    """The largest tableau obeying the row bounds: row-end max of the core."""
+    """The largest tableau obeying the row bounds (the row-end max of b's core)."""
     _require_bound(b, shape)
-    return row_end_max(core(b), shape)
+    return _below_row_ends(b.entries, shape)
+
+
+def _below_row_ends(bounds: Sequence[int], shape: Shape) -> Tableau:
+    """The largest tableau whose row i holds values at most ``bounds[i - 1]``.
+
+    A column of length z is the largest strictly increasing column below
+    ``bounds[:z]``; each distinct length is built once.
+    """
+    lengths = shape.column_lengths
+    tops = {z: _staircase_below(bounds[:z]) for z in set(lengths)}
+    return _unchecked(Tableau, shape=shape, columns=tuple(map(tops.__getitem__, lengths)))
 
 
 def _require_bound(b: RTuple, shape: Shape) -> None:
@@ -569,7 +558,7 @@ class ShapeTableaux:
         self.cells: dict = {}  # cell_of(t) -> [size, packed content -> count]
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
-        lo, hi = minimal_tableau(shape), _maximal_tableau(shape)
+        lo, hi = minimal_tableau(shape), _below_row_ends((shape.n,) * shape.n, shape)
         for _, key, ends, weight in _column_walk(lo, hi, _with_cell(shape), ((), (), (), 0)):
             cell = key, ends + empty_rows
             entry = self.cells.get(cell)

@@ -138,7 +138,11 @@ class _Run:
 
 
 def _check_ranges(max_n: int, **bounds: int) -> None:
-    """Refuse an empty n range, one past the cap, and a negative bound."""
+    """Refuse a bound not of type int (a bool is not), an empty n range, one
+    past the cap, and a negative bound."""
+    for name, value in {"max_n": max_n, **bounds}.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if max_n < 1:
         raise ValueError(f"suite range n={max_n} is empty; it must be at least 1")
     if max_n > MAX_SUITE_N:

@@ -23,7 +23,12 @@ from parakat.cli import _shared_parser, build_parser, main
 from parakat.polys import Polynomial
 from parakat.rperms import count_cnr, count_total
 from parakat.rtuples import (
-    CONSTRUCTION_KINDS, MAX_SIZE, CriticalList, RSubset, enumerate_critical_lists
+    CONSTRUCTION_KINDS,
+    MAX_SIZE,
+    CriticalList,
+    RSubset,
+    enumerate_critical_lists,
+    enumerate_tuples,
 )
 from parakat.tableaux import Shape, enumerate_tableaux
 from parakat.verify import SUITE_NAMES
@@ -63,6 +68,32 @@ def test_count_total_refuses_n_below_one(capsys):
         assert f"n must be positive, got {n}" in captured.err
     code, out = run_cli(capsys, "count", "total", "--n", "1")
     assert code == 0 and out == "1\n"
+
+
+def test_count_ui_agrees_with_the_walk(capsys):
+    # the closed form against the walk over every increasing upper tuple
+    for n in range(1, 8):
+        for k in range(n):
+            for r in itertools.combinations(range(1, n), k):
+                walked = sum(1 for _ in enumerate_tuples(n, r, "increasing"))
+                argv = ["count", "ui", "--n", str(n), "--R", ",".join(map(str, r))]
+                assert run_cli(capsys, *argv) == (0, f"{walked}\n")
+
+
+def test_count_ui_costs_no_walk(capsys):
+    # one carrel per position: the walk would yield all 12! tuples
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "count", "ui", "--n", "12", "--R", ",".join(map(str, range(1, 12))))
+    assert time.perf_counter() - start < 0.1
+    assert code == 0 and out == "479001600\n"
+
+
+def test_count_ui_past_the_digit_limit_is_a_usage_error(capsys):
+    # 1559! has more digits than Python turns into a string by default
+    code = main(["count", "ui", "--n", "1559", "--R", ",".join(map(str, range(1, 1559)))])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert captured.err.startswith("parakat: error: ") and "Traceback" not in captured.err
 
 
 def test_critlist_json_round_trips_through_make(capsys):

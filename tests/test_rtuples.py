@@ -292,6 +292,22 @@ def test_core_idempotent_and_below_n6():
                 assert core(d) == d
                 assert all(x <= y for x, y in zip(d.entries, t.entries))
                 assert critical_list(d) == critical_list(t)
+                # the staircase fill of the critical list, built without core
+                assert d == from_critical_list(critical_list(t), "increasing")
+
+
+def test_floor_and_ceiling_are_the_extreme_flags_of_their_class():
+    for n in range(1, 6):
+        for r in all_r_subsets(n):
+            classes = {}
+            for phi in enumerate_tuples(n, r, "flag"):
+                classes.setdefault(critical_list(phi), []).append(phi.entries)
+            assert len(classes) == sum(1 for _ in enumerate_critical_lists(n, r, flag_only=True))
+            for c, members in classes.items():
+                lo, hi = from_critical_list(c, "floor"), from_critical_list(c, "ceiling")
+                assert lo.entries in members and hi.entries in members
+                for m in members:
+                    assert all(a <= b <= d for a, b, d in zip(lo.entries, m, hi.entries))
 
 
 def test_gapless_characterizations_agree_n6():

@@ -23,6 +23,7 @@ from parakat.rtuples import (
     FAMILIES,
     MAX_SIZE,
     RTuple,
+    core,
     enumerate_critical_lists,
     enumerate_tuples,
     equivalent,
@@ -248,6 +249,16 @@ def test_intro_row_bound_sets():
     q = row_bound_max(RTuple.of(3, (2,), (3, 3, 3)), sh)
     assert q.columns == ((2, 3),)
     assert q == row_end_max(RTuple.of(3, (2,), (2, 3, 3)), sh)
+
+
+def test_row_bound_max_equals_brute_force_join():
+    for sh in SMALL_SHAPES:
+        for b in enumerate_tuples(sh.n, sh.r_subset.elements, "upper"):
+            ends_below = lambda t: all(map(operator.le, row_end_list(t).entries, b.entries))
+            below = [t for t in tableaux_of(sh) if ends_below(t)]
+            q = row_bound_max(b, sh)
+            assert q == functools.reduce(tableau_join, below) and q in below
+            assert q == row_end_max(core(b), sh)
 
 
 def test_row_bound_set_requires_upper():

@@ -82,20 +82,35 @@ def test_suite_cap():
         suite_convexity(99, 3)
 
 
-@pytest.mark.parametrize(
-    "name", ["bijections", "counts", "convexity", "coincidence", "polynomials", "lifts", "accidental"]
-)
+# the suites that take a range, and the bound each takes besides max_n
+_RANGED_SUITES = [
+    "bijections", "counts", "convexity", "coincidence", "polynomials", "lifts", "accidental"
+]
+_SECOND_BOUND = {"counts": "poly_max_n", "convexity": "max_col", "coincidence": "max_col",
+                 "polynomials": "max_col", "accidental": "max_col"}
+
+
+@pytest.mark.parametrize("name", _RANGED_SUITES)
 def test_suite_rejects_empty_range(name):
     # a range with no n would check nothing and still read "pass"
     for max_n in (0, -2):
         with pytest.raises(ValueError):
             run_suite(name, max_n=max_n)
     # so would a negative column or polynomial range
-    negative = {"counts": "poly_max_n", "convexity": "max_col", "coincidence": "max_col",
-                "polynomials": "max_col", "accidental": "max_col"}
-    if name in negative:
-        with pytest.raises(ValueError, match=f"{negative[name]} must be nonnegative"):
-            run_suite(name, max_n=3, **{negative[name]: -1})
+    if name in _SECOND_BOUND:
+        with pytest.raises(ValueError, match=f"{_SECOND_BOUND[name]} must be nonnegative"):
+            run_suite(name, max_n=3, **{_SECOND_BOUND[name]: -1})
+
+
+@pytest.mark.parametrize(
+    "name,bound,value",
+    [(name, "max_n", value) for name in _RANGED_SUITES for value in (True, 2.0)]
+    + [(name, bound, value) for name, bound in _SECOND_BOUND.items() for value in (True, 1.5)],
+)
+def test_suite_refuses_a_bound_that_is_not_an_int(name, bound, value):
+    # a bool or a float would run and be echoed in the report, or fail deep in a walk
+    with pytest.raises(ValueError, match=f"^{bound} must be an integer, got {value!r}$"):
+        run_suite(name, **{"max_n": 2, bound: value})
 
 
 def test_accidental_over_the_cap_raises_cap_exceeded(monkeypatch):
