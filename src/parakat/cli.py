@@ -269,6 +269,14 @@ def _cmd_count(args) -> tuple[list, int]:
     else:  # ui: carrel (lo, hi] holds any hi - lo values from [lo + 1, n], sorted
         carrels = RSubset(args.n, r_elements).carrels
         value = math.prod(math.comb(args.n - lo, hi - lo) for lo, hi in carrels)
+    try:
+        str(value)
+    except ValueError:  # past the int-to-str digit limit, so this Python has one to read
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"the count has more than {limit} digits, Python's limit for printing an integer;"
+            " PYTHONINTMAXSTRDIGITS=0 lifts it"
+        ) from None
     return [value], 0
 
 

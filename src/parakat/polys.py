@@ -19,7 +19,17 @@ from typing import Mapping, Sequence, Union
 
 from .rperms import RPermutation, reduced_word
 from .rtuples import RTuple, _check_n, _is_int_array, _json_fields, is_gapless_core, is_upper_flag
-from .tableaux import Shape, TableauSet, _require_over, content, demazure_set, row_bound_set
+from .tableaux import (
+    Shape,
+    TableauSet,
+    _pack,
+    _require_over,
+    _unpack,
+    _width,
+    content,
+    demazure_set,
+    row_bound_set,
+)
 
 
 class Polynomial:
@@ -142,34 +152,9 @@ def isobaric_divided_difference(f: Polynomial, i: int) -> Polynomial:
     """
     if not 1 <= i <= f.n - 1:
         raise ValueError(f"operator index must lie in [1, {f.n - 1}]: {i}")
-    width = _width(max((sum(exp) for exp in f._terms), default=0))
-    terms = _packed_pi(_pack(f._terms, width), i, f.n, width)
+    width = _width(max((max(exp) for exp in f._terms), default=0))
+    terms = _packed_pi({_pack(exp, width): coef for exp, coef in f._terms.items()}, i, f.n, width)
     return Polynomial._of(f.n, _unpack(terms, f.n, width))
-
-
-# Packed exponents.  A divided difference keeps each term's total degree, so
-# an exponent vector packs into one int with a field of ``width`` bits per
-# variable, enough for the largest total degree, and x1 in the top field.
-
-
-def _width(degree: int) -> int:
-    return max(degree, 1).bit_length()
-
-
-def _pack(terms: Mapping[tuple[int, ...], int], width: int) -> dict[int, int]:
-    out = {}
-    for exp, coef in terms.items():
-        key = 0
-        for e in exp:
-            key = key << width | e
-        out[key] = coef
-    return out
-
-
-def _unpack(terms: Mapping[int, int], n: int, width: int) -> dict[tuple[int, ...], int]:
-    mask = (1 << width) - 1
-    fields = [[key >> width * (n - 1 - j) & mask for key in terms] for j in range(n)]
-    return dict(zip(zip(*fields), terms.values()))
 
 
 def _packed_pi(terms: Mapping[int, int], i: int, n: int, width: int) -> dict[int, int]:
@@ -259,8 +244,8 @@ def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:
     'x1*x2 + x1*x3 + x2*x3'
     """
     _require_over(p, shape, "permutation")
-    n, width = shape.n, _width(sum(shape.parts))
-    terms = _pack({shape.parts: 1}, width)
+    n, width = shape.n, _width(shape.parts[0])
+    terms = {_pack(shape.parts, width): 1}
     for i in reduced_word(p.entries):
         terms = _packed_pi(terms, i, n, width)
     return Polynomial._of(n, _unpack(terms, n, width))

@@ -158,16 +158,7 @@ def is_312_avoiding(word: Sequence[int]) -> bool:
     >>> is_312_avoiding((2, 3, 1))
     True
     """
-    n = len(word)
-    for b in range(1, n - 1):
-        # any earlier entry above word[c] witnesses, so the left max suffices
-        left_max = max(word[:b])
-        if left_max <= word[b]:
-            continue
-        for c in range(b + 1, n):
-            if word[b] < word[c] < left_max:
-                return False
-    return True
+    return _avoids_312(word, range(len(word) + 1))
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -220,17 +211,20 @@ def r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
 
 def is_r312_avoiding(p: RPermutation) -> bool:
     """No a <= q_h < b <= q_{h+1} < c with p_a > p_b < p_c and p_a > p_c."""
-    e = p.entries
-    qs = p.r_subset.qs
-    n = p.n
-    for h in range(1, p.r_subset.r):
+    return _avoids_312(p.entries, p.r_subset.qs)
+
+
+def _avoids_312(e: Sequence[int], qs: Sequence[int]) -> bool:
+    """R-312-avoidance of ``e`` over carrel bounds ``qs``; plain 312-avoidance is R = [n-1]."""
+    for h in range(1, len(qs) - 2):
         q, q_next = qs[h], qs[h + 1]
+        # any earlier entry above e[c] witnesses, so the left max suffices
         left_max = max(e[:q])
-        for b in range(q + 1, q_next + 1):
-            if left_max <= e[b - 1]:
+        for b in range(q, q_next):
+            if left_max <= e[b]:
                 continue
-            for c in range(q_next + 1, n + 1):
-                if e[b - 1] < e[c - 1] < left_max:
+            for c in range(q_next, len(e)):
+                if e[b] < e[c] < left_max:
                     return False
     return True
 

@@ -661,6 +661,24 @@ def _chains(depth: int, options: Callable[[int, tuple], Iterable[tuple]]) -> Ite
         stack.pop()
 
 
+def _ruled_chains(first: Iterable, later: Sequence[list], last: Callable) -> Iterator[tuple]:
+    """:func:`_chains` of one piece of ``first``, which streams, then one of each list
+    in ``later``: a ``(piece, key)`` follows a prefix only if key >= ``last(prefix)``,
+    and each list is filtered once per boundary value."""
+    admissible: list[dict[int, list[tuple]]] = [{} for _ in later]
+
+    def options(h: int, prefix: tuple) -> Iterable[tuple]:
+        if h == 0:
+            return first
+        a = last(prefix)
+        pieces = admissible[h - 1].get(a)
+        if pieces is None:
+            pieces = admissible[h - 1][a] = [p for p, key in later[h - 1] if key >= a]
+        return pieces
+
+    return _chains(1 + len(later), options)
+
+
 def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, ...]]:
     """The segments of a kind on carrel (lo, hi], in lexicographic order."""
     if kind == "upper":
@@ -710,11 +728,7 @@ def _walk(n: int, r_elements: Sequence[int], family: str):
         return (s for s in segs if keep(s, caches[h - 1][s], n, lo))
 
     def boundary_key(h: int, seg: tuple[int, ...]) -> int:
-        # without a rule every key is 0 and options asks for keys >= 0, so one
-        # list of a carrel's segments serves every start
-        if rule is None:
-            return 0
-        return seg[0] if rule == "first" else caches[h - 1][seg][0][1]
+        return caches[h - 1][seg][0][1] if rule == "critical" else seg[0]
 
     # an upper tuple meets no condition tied to its carrels, so the upper
     # family walks [n] as one carrel
@@ -723,18 +737,10 @@ def _walk(n: int, r_elements: Sequence[int], family: str):
         [(s, boundary_key(h, s)) for s in segments(h, lo, hi)]
         for h, (lo, hi) in enumerate(rest, 1)
     ]
-    admissible: list[dict[int, list[tuple[int, ...]]]] = [{} for _ in later]
-
-    def options(h: int, acc: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-        if h == 0:
-            return segments(0, *first)
-        a = acc[-1] if rule else 0
-        segs = admissible[h - 1].get(a)
-        if segs is None:
-            segs = admissible[h - 1][a] = [s for s, key in later[h - 1] if key >= a]
-        return segs
-
-    return r, caches, pred, _chains(1 + len(later), options)
+    # without a rule every boundary value is 0, below every key, so one list
+    # of a carrel's segments serves every start
+    last = (lambda acc: acc[-1]) if rule else (lambda acc: 0)
+    return r, caches, pred, _ruled_chains(segments(0, *first), later, last)
 
 
 def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:
@@ -804,15 +810,9 @@ def enumerate_critical_lists(
         # one piece of the walk per list: its carrel's entry in the critical list
         return [(pairs,) for pairs in sorted(out)]
 
-    per_carrel = [carrel_options(lo, hi) for lo, hi in r.carrels]
-    admissible: list[dict[int, list]] = [{} for _ in per_carrel]
-
-    def options(h: int, acc: tuple) -> list:
-        a = acc[-1][-1][1] if flag_only and acc else 0
-        pieces = admissible[h].get(a)
-        if pieces is None:
-            pieces = admissible[h][a] = [p for p in per_carrel[h] if p[0][0][1] >= a]
-        return pieces
-
-    for carrels in _chains(len(per_carrel), options):
+    first, *rest = (carrel_options(lo, hi) for lo, hi in r.carrels)
+    # a piece's key is its first critical entry; a prefix's boundary value its last
+    later = [[(p, p[0][0][1]) for p in pieces] for pieces in rest]
+    last = (lambda acc: acc[-1][-1][1]) if flag_only else (lambda acc: 0)
+    for carrels in _ruled_chains(first, later, last):
         yield _unchecked(CriticalList, r_subset=r, carrels=carrels)

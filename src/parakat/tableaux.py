@@ -371,6 +371,28 @@ def content(t: Tableau) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _width(largest: int) -> int:
+    """Bits per packed field to hold exponents up to ``largest``: λ1 for a content of
+    shape λ, as a value occurs at most once per column, and so for every divided
+    difference of x^λ, as none raises a term's largest exponent."""
+    return max(largest, 1).bit_length()
+
+
+def _pack(exp: Iterable[int], width: int) -> int:
+    """An exponent vector as one int, ``width`` bits per variable, x1 in the top field."""
+    key = 0
+    for e in exp:
+        key = key << width | e
+    return key
+
+
+def _unpack(terms: dict[int, int], n: int, width: int) -> dict[tuple[int, ...], int]:
+    """Packed key -> value, as exponent vector -> value."""
+    mask = (1 << width) - 1
+    fields = [[key >> width * (n - 1 - j) & mask for key in terms] for j in range(n)]
+    return dict(zip(zip(*fields), terms.values()))
+
+
 def row_end_max(a: RTuple, shape: Shape) -> Tableau:
     """The largest tableau whose row-end list is ``a``.
 
@@ -500,25 +522,19 @@ def _scanning_below(y: Tableau) -> Callable:
 
 def _with_cell(shape: Shape) -> Callable:
     """The atlas step: keep every column; the state, from ``((), (), (), 0)``, is
-    ``(columns, flat right key, ends of the nonempty rows, packed content)``,
-    with the count of value v at bit ``(v - 1) * width`` (:func:`_content_width`).
+    ``(columns, flat right key, ends of the nonempty rows, packed content)``.
     """
-    width = _content_width(shape)
+    width, values = _width(shape.parts[0]), range(1, shape.n + 1)
     packed: dict = {}  # column -> its packed content
 
     def step(state: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
         cols, key, ends, weight = state
         w = packed.get(c)
         if w is None:
-            w = packed[c] = sum(1 << (v - 1) * width for v in c)
+            w = packed[c] = _pack([v in c for v in values], width)
         return (c, *cols), _scan_column(c, cols) + key, ends + c[len(right) :], weight + w
 
     return step
-
-
-def _content_width(shape: Shape) -> int:
-    """Bits per value of a packed content: a value occurs at most once per column."""
-    return len(shape.column_lengths).bit_length()
 
 
 def ideal(t: Tableau) -> TableauSet:
@@ -566,8 +582,6 @@ class ShapeTableaux:
                 entry = self.cells[cell] = [0, Counter()]
             entry[0] += 1
             entry[1][weight] += 1
-        width = _content_width(shape)
-        self._fields = [(v * width, (1 << width) - 1) for v in range(shape.n)]
         self._contents: dict = {}  # packed content -> its vector, one tuple each
 
     @staticmethod
@@ -593,13 +607,10 @@ class ShapeTableaux:
         packed = Counter()
         for c in cells:
             packed.update(self.cells[c][1])
-        return {self._content(w): m for w, m in packed.items()}
-
-    def _content(self, w: int) -> tuple[int, ...]:
-        got = self._contents.get(w)
-        if got is None:
-            got = self._contents[w] = tuple(w >> shift & mask for shift, mask in self._fields)
-        return got
+        new = {w: w for w in packed if w not in self._contents}
+        unpacked = _unpack(new, self.shape.n, _width(self.shape.parts[0]))
+        self._contents.update((w, exp) for exp, w in unpacked.items())
+        return {self._contents[w]: m for w, m in packed.items()}
 
 
 def _flat(t: Tableau) -> tuple[int, ...]:

@@ -90,10 +90,13 @@ def test_count_ui_costs_no_walk(capsys):
 
 def test_count_ui_past_the_digit_limit_is_a_usage_error(capsys):
     # 1559! has more digits than Python turns into a string by default
-    code = main(["count", "ui", "--n", "1559", "--R", ",".join(map(str, range(1, 1559)))])
-    captured = capsys.readouterr()
-    assert code == 64 and captured.out == ""
-    assert captured.err.startswith("parakat: error: ") and "Traceback" not in captured.err
+    for fmt in ("--text", "--json", "--csv"):
+        code = main(["count", "ui", "--n", "1559", "--R", ",".join(map(str, range(1, 1559))), fmt])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err.startswith("parakat: error: ") and "Traceback" not in captured.err
+        assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
+        assert "set_int_max_str_digits" not in captured.err
 
 
 def test_critlist_json_round_trips_through_make(capsys):

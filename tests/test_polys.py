@@ -177,9 +177,14 @@ def _pi_by_definition(terms, i):
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 15, 16])
 def test_dd_matches_the_definition_across_pack_widths(size):
-    # the one-row shape puts the whole degree in one exponent, the widest field
+    # the one-row shape puts the whole degree in one exponent, the widest field;
+    # the one-column shape keeps a 1-bit field under the same total degree
     third = size // 3
-    for shape in (Shape(3, (size, 0, 0)), Shape(4, (size - 2 * third, third, third, 0))):
+    for shape in (
+        Shape(3, (size, 0, 0)),
+        Shape(4, (size - 2 * third, third, third, 0)),
+        Shape.of(size + 2, (1,) * size),
+    ):
         for p in enumerate_rperms(shape.n, shape.r_subset.elements):
             terms = {shape.parts: 1}
             for i in reduced_word(p.entries):

@@ -65,6 +65,19 @@ def test_avoidance_matches_brute_force():
                 assert is_r312_avoiding(p) == (not brute_contains_r312(p))
 
 
+def test_312_avoidance_matches_a_triple_loop():
+    # every permutation of length <= 7, and every word over {1, 2, 3} of length <= 7
+    for n in range(8):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for w in perms + list(itertools.product((1, 2, 3), repeat=n)):
+            contains = any(
+                w[a] > w[b] < w[c] and w[a] > w[c]
+                for a, b, c in itertools.combinations(range(n), 3)
+            )
+            assert is_312_avoiding(w) == (not contains), w
+        assert sum(map(is_312_avoiding, perms)) == catalan(n)
+
+
 def test_short_divider_sets_are_always_avoiding():
     for n in range(1, 6):
         for r in all_r_subsets(n):

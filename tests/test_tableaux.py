@@ -422,8 +422,9 @@ def test_z_walk_costs_what_it_yields():
 
 
 def test_shape_tableaux_cells_match_a_per_tableau_build():
-    # the atlas reads each cell and content off its column walk; rebuild both per tableau
-    for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
+    # the atlas reads each cell and content off its column walk; rebuild both per
+    # tableau.  λ1 = 4 is the first shape whose packed fields are 3 bits wide
+    for sh in [*SMALL_SHAPES, Shape.of(3, ()), Shape.of(3, (4, 2))]:
         built: dict = {}
         for t in enumerate_tableaux(sh):
             built.setdefault(ShapeTableaux.cell_of(t), Counter())[content(t)] += 1
