@@ -14,6 +14,7 @@ code with the scanning route and is used to cross-check it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -201,11 +202,7 @@ def _as_poly(p: PolyLike) -> Polynomial:
 
 def gen_fn(ts: TableauSet) -> GFHandle:
     """Sum of tableau weights over an explicit set."""
-    acc: dict[tuple[int, ...], int] = {}
-    for t in ts:
-        exp = content(t)
-        acc[exp] = acc.get(exp, 0) + 1
-    return GFHandle(Polynomial._of(ts.shape.n, acc), ts.shape, ts)
+    return GFHandle(Polynomial._of(ts.shape.n, dict(Counter(map(content, ts)))), ts.shape, ts)
 
 
 def row_bound_sum(b: RTuple, shape: Shape) -> GFHandle:

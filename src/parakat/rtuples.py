@@ -177,10 +177,6 @@ class RTuple:
     def n(self) -> int:
         return self.r_subset.n
 
-    def entry(self, i: int) -> int:
-        """1-based entry access."""
-        return self.entries[i - 1]
-
     def __str__(self) -> str:
         return _carrel_text(self.entries, self.r_subset.qs)
 
@@ -364,12 +360,10 @@ def _upper_critical_list(t: RTuple) -> CriticalList:
 
 
 def _gapless_critical_list(g: RTuple) -> CriticalList:
-    """The critical list of a gapless tuple, computed once; NotGapless otherwise."""
-    if is_upper(g) and is_r_increasing(g):
-        c = _upper_critical_list(g)
-        if c.is_flag:
-            return c
-    raise NotGapless(f"tuple is not gapless: {g}")
+    """The critical list of a gapless tuple; NotGapless otherwise."""
+    if not is_gapless(g):
+        raise NotGapless(f"tuple is not gapless: {g}")
+    return _upper_critical_list(g)
 
 
 def _staircase_below(entries: Sequence[int]) -> tuple[int, ...]:
@@ -510,27 +504,17 @@ def is_shell(t: RTuple) -> bool:
 
 
 def is_canopy(t: RTuple) -> bool:
-    if not is_upper(t):
-        return False
-    c = _upper_critical_list(t)
-    return c.is_flag and _is_shell_over(t.entries, c.pairs, t.n)
+    return is_gapless_core(t) and is_shell(t)
 
 
 def is_floor_flag(t: RTuple) -> bool:
-    """Upper flag whose non-trivial plateaus each start at a carrel boundary."""
+    """Upper flag whose non-trivial plateaus each start at a carrel boundary: every
+    start p, where e_{p-1} < e_p = e_{p+1} with e_0 read as 0, lies in R."""
     if not is_upper_flag(t):
         return False
-    boundary = set(t.r_subset.elements)
-    e = t.entries
-    i = 0
-    while i < len(e):
-        j = i
-        while j + 1 < len(e) and e[j + 1] == e[i]:
-            j += 1
-        if j > i and (i + 1) not in boundary:
-            return False
-        i = j + 1
-    return True
+    boundary = t.r_subset.elements
+    e = (0, *t.entries)
+    return all(p in boundary for p in range(1, t.n) if e[p - 1] < e[p] == e[p + 1])
 
 
 def is_ceiling_flag(t: RTuple) -> bool:
@@ -661,22 +645,28 @@ def _chains(depth: int, options: Callable[[int, tuple], Iterable[tuple]]) -> Ite
         stack.pop()
 
 
+class _Memo(dict):
+    """``fn(key)`` at each key, computed on the first lookup and kept."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def _ruled_chains(first: Iterable, later: Sequence[list], last: Callable) -> Iterator[tuple]:
     """:func:`_chains` of one piece of ``first``, which streams, then one of each list
     in ``later``: a ``(piece, key)`` follows a prefix only if key >= ``last(prefix)``,
     and each list is filtered once per boundary value."""
-    admissible: list[dict[int, list[tuple]]] = [{} for _ in later]
-
-    def options(h: int, prefix: tuple) -> Iterable[tuple]:
-        if h == 0:
-            return first
-        a = last(prefix)
-        pieces = admissible[h - 1].get(a)
-        if pieces is None:
-            pieces = admissible[h - 1][a] = [p for p, key in later[h - 1] if key >= a]
-        return pieces
-
-    return _chains(1 + len(later), options)
+    admissible = [
+        _Memo(lambda a, pieces=pieces: [p for p, key in pieces if key >= a]) for pieces in later
+    ]
+    return _chains(
+        1 + len(later), lambda h, prefix: admissible[h - 1][last(prefix)] if h else first
+    )
 
 
 def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, ...]]:
@@ -690,34 +680,20 @@ def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, 
     return _chains(hi - lo, lambda h, seg: singles[max(lo + 1 + h, seg[-1] if seg else 0):])
 
 
-class _CarrelPairs(dict):
-    """The critical pairs of one carrel's segments, each computed once.
-
-    A cache serves one carrel only: the same entries at another carrel's
-    positions have other critical indices.
-    """
-
-    def __init__(self, lo: int):
-        super().__init__()
-        self.lo = lo
-
-    def __missing__(self, seg: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-        pairs = self[seg] = _critical_pairs(seg, self.lo)
-        return pairs
-
-
 def _walk(n: int, r_elements: Sequence[int], family: str):
     """The state of one walk over a family: see :func:`enumerate_tuples`.
 
-    Returns R, one :class:`_CarrelPairs` per carrel of R after the first, the
-    family's per-tuple predicate (or None) and an iterator over the entries
-    of the tuples the walk builds, which the predicate still has to pass.
+    Returns R, one :class:`_Memo` of each segment's critical pairs per carrel
+    of R after the first (the same entries at another carrel's positions have
+    other critical indices), the family's per-tuple predicate (or None) and an
+    iterator over the entries of the tuples the walk builds, which the
+    predicate still has to pass.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     r = RSubset(n, tuple(r_elements))
     kind, rule, keep, pred = _WALKS[family]
-    caches = [_CarrelPairs(lo) for lo, _ in r.carrels[1:]]
+    caches = [_Memo(lambda seg, lo=lo: _critical_pairs(seg, lo)) for lo, _ in r.carrels[1:]]
 
     def segments(h: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
         segs = _carrel_entries(n, lo, hi, kind)

@@ -16,7 +16,6 @@ import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter, le
 from typing import Callable, Iterable, Iterator, Sequence
@@ -31,6 +30,7 @@ from .rtuples import (
     _check_size,
     _is_int_array,
     _json_fields,
+    _Memo,
     _staircase_below,
     _unchecked,
     is_r_increasing,
@@ -244,16 +244,16 @@ class TableauSet:
 
 
 def count_tableaux(shape: Shape) -> int:
-    """Number of semistandard fillings, by the hook-content product."""
-    total = Fraction(1)
+    """Number of semistandard fillings, by the hook-content formula: the product
+    of the contents n + j - i over the product of the hooks."""
+    contents = hooks = 1
     parts = shape.parts
     conj = shape.column_lengths
     for i in range(1, shape.n + 1):
         for j in range(1, parts[i - 1] + 1):
-            hook = (parts[i - 1] - j) + (conj[j - 1] - i) + 1
-            total *= Fraction(shape.n + j - i, hook)
-    assert total.denominator == 1
-    return int(total)
+            contents *= shape.n + j - i
+            hooks *= (parts[i - 1] - j) + (conj[j - 1] - i) + 1
+    return contents // hooks
 
 
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
@@ -274,17 +274,20 @@ def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
     """
     los, his = lo.columns, hi.columns
     singles = [(v,) for v in range(lo.n + 1)]
-    between: dict = {}  # (lo_j, bound) -> the columns between them
+
+    def columns_between(bounds: tuple) -> list:
+        low, bound = bounds
+        return list(_chains(len(bound), lambda i, part: singles[
+            max(low[i], part[-1] + 1 if part else 0) : bound[i] + 1
+        ]))
+
+    between = _Memo(columns_between)  # (lo_j, bound) -> the columns between them
 
     def options(h: int, prefix: tuple) -> list:
         right, state = prefix[-1] if prefix else ((), start)
         low, top = los[-1 - h], his[-1 - h]
         bound = (*map(min, top, right), *top[len(right) :])
-        found = between.get((low, bound))
-        if found is None:
-            found = between[low, bound] = list(_chains(len(bound), lambda i, part: singles[
-                max(low[i], part[-1] + 1 if part else 0) : bound[i] + 1
-            ]))
+        found = between[low, bound]
         return [((c, after),) for c in found if (after := step(state, c, right)) is not None]
 
     for placed in _chains(len(his), options):
@@ -525,14 +528,11 @@ def _with_cell(shape: Shape) -> Callable:
     ``(columns, flat right key, ends of the nonempty rows, packed content)``.
     """
     width, values = _width(shape.parts[0]), range(1, shape.n + 1)
-    packed: dict = {}  # column -> its packed content
+    packed = _Memo(lambda c: _pack([v in c for v in values], width))  # column -> its content
 
     def step(state: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
         cols, key, ends, weight = state
-        w = packed.get(c)
-        if w is None:
-            w = packed[c] = _pack([v in c for v in values], width)
-        return (c, *cols), _scan_column(c, cols) + key, ends + c[len(right) :], weight + w
+        return (c, *cols), _scan_column(c, cols) + key, ends + c[len(right) :], weight + packed[c]
 
     return step
 

@@ -13,6 +13,7 @@ from parakat.rtuples import (
     RSubset,
     RTuple,
     _entries_with_critical_pairs,
+    _Memo,
     ceiling_map,
     class_interval,
     classify,
@@ -310,6 +311,28 @@ def test_floor_and_ceiling_are_the_extreme_flags_of_their_class():
                     assert all(a <= b <= d for a, b, d in zip(lo.entries, m, hi.entries))
 
 
+def test_floor_flags_are_the_floors_of_their_classes():
+    # the floor walk filters by is_floor_flag itself, so the plateau rule is
+    # checked against the floor built from each flag's own critical list
+    for n in range(1, 7):
+        for r in all_r_subsets(n):
+            for phi in enumerate_tuples(n, r, "flag"):
+                assert is_floor_flag(phi) == (phi == from_critical_list(critical_list(phi), "floor"))
+
+
+def test_memo_computes_each_value_once_and_keeps_it():
+    calls = []
+
+    def fn(key):
+        calls.append(key)
+        return [key]
+
+    memo = _Memo(fn)
+    first = memo[3]
+    assert first == [3] and memo[3] is first and memo[4] == [4]
+    assert calls == [3, 4] and memo == {3: [3], 4: [4]}
+
+
 def test_gapless_characterizations_agree_n6():
     for n in range(1, 7):
         for r in all_r_subsets(n):
@@ -430,8 +453,8 @@ def test_not_gapless_errors():
 
 
 def test_gapless_maps_match_their_two_step_definition():
-    # floor_map and ceiling_map compute the critical list once; the definition
-    # tests gaplessness, then builds from a second critical list
+    # the definition tests gaplessness from its three conditions, then builds
+    # from the critical list
     for n in range(1, 6):
         for r in all_r_subsets(n):
             for entries in itertools.product(range(1, n + 1), repeat=n):

@@ -64,6 +64,7 @@ from parakat.tableaux import (
     _tableaux_in,
     _with_cell,
 )
+from parakat.verify import canonical_shape, subsets_of_interval
 
 SMALL_SHAPES = [
     Shape.of(2, (1,)),
@@ -663,6 +664,16 @@ def test_count_tableaux_matches_enumeration():
     for sh in SMALL_SHAPES:
         assert count_tableaux(sh) == len(tableaux_of(sh))
     assert count_tableaux(Shape.of(3, ())) == 1
+
+
+def test_count_tableaux_known_totals():
+    for n in range(1, 13):
+        assert count_tableaux(Shape.of(n, range(n - 1, 0, -1))) == 2 ** (n * (n - 1) // 2)
+    totals = {
+        n: sum(count_tableaux(canonical_shape(n, r)) for r in subsets_of_interval(n))
+        for n in (7, 8)
+    }
+    assert totals == {7: 4_463_641, 8: 550_769_902}
 
 
 def test_materialization_cap(monkeypatch):
