@@ -4,15 +4,18 @@ the rank-tuple bijection, clump machinery, and lifting to plain permutations.
 An R-permutation is a permutation of [n] that increases within each carrel;
 these are the minimal-length coset representatives for the parabolic quotient
 of the symmetric group cut out by R.  The 312 pattern generalizes to carrels:
-a witness needs its first position in some carrel h, its second in carrel
-h + 1, and its third anywhere later.  The number of R-312-avoiding
+a witness needs its first position in some carrel h or before it, its second
+in carrel h + 1, and its third anywhere later.  The number of R-312-avoiding
 R-permutations is the parabolic Catalan number; :func:`count_cnr` computes it
-carrel by carrel from the gapless tuples, and filtering the enumeration with
-``avoiding_only=True`` is kept as its oracle.
+carrel by carrel from the gapless tuples, and ``enumerate_rperms(...,
+avoiding_only=True)``, which prunes every block that would complete a
+pattern, is kept as its oracle.  Filtering the whole enumeration with
+:func:`is_r312_avoiding` is in turn the tests' oracle for that pruned walk.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -28,8 +31,8 @@ from .rtuples import (
     _check_n,
     _is_int_array,
     _json_fields,
+    _staircase_below,
     _unchecked,
-    core,
     is_gapless,
 )
 
@@ -268,32 +271,6 @@ def is_rightmost_clump_deleting(chain: RChain) -> bool:
     return True
 
 
-def rightmost_clump_deleting_variants(chain: RChain) -> tuple[bool, bool, bool]:
-    """Three reformulations of :func:`is_rightmost_clump_deleting`.
-
-    (interval containment, open-interval containment, new-low-elements are the
-    largest available below max(B_h)); all three agree with the clump form.
-    """
-    closed = True
-    open_ = True
-    largest = True
-    for h in range(1, chain.r_subset.r + 1):
-        bh = chain.level(h)
-        bh1 = chain.level(h + 1)
-        new = bh1 - bh
-        b = min(new)
-        m = max(bh)
-        if not all(v in bh1 for v in range(b, m + 1)):
-            closed = False
-        if not all(v in bh1 for v in range(b + 1, m)):
-            open_ = False
-        low = sorted(v for v in new if v < m)
-        available = sorted(v for v in range(1, m + 1) if v not in bh)
-        if low != available[len(available) - len(low) :]:
-            largest = False
-    return closed, open_, largest
-
-
 # ---------------------------------------------------------------------------
 # the rank-tuple bijection
 
@@ -450,18 +427,36 @@ def _arrangements(values: tuple[int, ...], threshold: int | None) -> tuple[tuple
 def enumerate_rperms(
     n: int, r_elements: Sequence[int], avoiding_only: bool = False
 ) -> Iterator[RPermutation]:
-    """All R-permutations in lexicographic one-line order."""
+    """All R-permutations in lexicographic one-line order; with ``avoiding_only``,
+    the R-312-avoiding ones.
+
+    The walk places one carrel's block at a time.  An entry b of a later
+    block below m, the largest entry placed before it, is the middle of an
+    R-312 pattern exactly when some value strictly between b and m is still
+    unused, as that value comes later.  So an avoiding walk keeps only
+    blocks whose entries below m are the largest unused values below m;
+    the largest unused values always form one, so the walk never dead-ends
+    and costs what it yields.  The unpruned walk reads m as 0.
+    """
     r = RSubset(n, tuple(r_elements))
     sizes = r.block_sizes
 
     def options(h: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         left = [v for v in range(1, n + 1) if v not in acc]
-        return itertools.combinations(left, sizes[h])
+        size = sizes[h]
+        cut = bisect.bisect_left(left, max(acc, default=0)) if avoiding_only else 0
+        if not cut:  # no unused value below m, so every block is admissible
+            return itertools.combinations(left, size)
+        # a block takes the k largest unused values below m, and any values
+        # above it; the larger k, the smaller its first entry
+        below, above = tuple(left[:cut]), left[cut:]
+        return itertools.chain.from_iterable(
+            map(below[cut - k :].__add__, itertools.combinations(above, size - k))
+            for k in range(min(cut, size), -1, -1)
+        )
 
     for entries in _chains(len(sizes), options):
-        p = _unchecked(RPermutation, r_subset=r, entries=entries)
-        if not avoiding_only or is_r312_avoiding(p):
-            yield p
+        yield _unchecked(RPermutation, r_subset=r, entries=entries)
 
 
 def count_cnr(n: int, r_elements: Sequence[int]) -> int:
@@ -535,14 +530,20 @@ def count_total(n: int) -> int:
     return sum(counts)
 
 
-def full_rank_tuple(sigma: Sequence[int]) -> RTuple:
-    """Rank tuple of a plain permutation (every position its own carrel)."""
-    n = len(sigma)
-    p = RPermutation.of(n, tuple(range(1, n)), tuple(sigma))
-    return rank_tuple(p)
-
-
 def project_rank_core(sigma: Sequence[int], r_subset: RSubset) -> RTuple:
-    """Core of the full rank tuple of sigma, re-read against R's carrels."""
-    psi = full_rank_tuple(sigma)
-    return core(RTuple(r_subset, psi.entries))
+    """Core of the full rank tuple of sigma, re-read against R's carrels.
+
+    >>> str(project_rank_core((2, 4, 3, 1), RSubset(4, (2,))))
+    '(2,4;3,4)'
+    """
+    _require_permutation(sigma, r_subset.n)
+    return _project_rank_core(sigma, r_subset)
+
+
+def _project_rank_core(sigma: Sequence[int], r_subset: RSubset) -> RTuple:
+    """:func:`project_rank_core` of a permutation of [n]: its full rank tuple,
+    with every position its own carrel, is its running maximum, and the core
+    lowers each carrel of R to the largest increasing segment below it."""
+    psi = tuple(itertools.accumulate(sigma, max))
+    entries = tuple(v for lo, hi in r_subset.carrels for v in _staircase_below(psi[lo:hi]))
+    return _unchecked(RTuple, r_subset=r_subset, entries=entries)

@@ -21,6 +21,7 @@ from .rperms import (
     RPermutation,
     RSubset,
     _pi_map,
+    _project_rank_core,
     count_total,
     enumerate_rperms,
     inversions,
@@ -29,12 +30,14 @@ from .rperms import (
     minimal_lift,
     all_lifts,
     pi_map,
-    project_rank_core,
     r_projection,
     rank_tuple,
 )
 from .rtuples import (
     RTuple,
+    _WALKS,
+    _carrel_entries,
+    _critical_pairs,
     _entries_with_critical_pairs,
     _from_critical_list,
     _unchecked,
@@ -219,8 +222,29 @@ def suite_bijections(max_n: int = 6) -> SuiteReport:
 
 
 def _class_count(n: int, r_elements: tuple[int, ...], family: str) -> int:
-    """The number of classes among a family's members: their distinct critical lists."""
-    return len({pairs for _, pairs in _entries_with_critical_pairs(n, r_elements, family)})
+    """The number of classes among a family's members: their distinct critical lists.
+
+    A carrel's critical pairs depend on its segment alone, so each carrel's
+    segments are listed once and grouped by their pairs.  Each group keeps
+    the most permissive key of the family's boundary rule among its
+    segments, the largest; a list of pairs then follows a prefix exactly
+    when its key is at least the prefix's last entry, which is its last
+    critical entry.  So the count carries one number per such boundary
+    value: how many distinct critical-list prefixes end there.
+    """
+    kind, rule, _, _ = _WALKS[family]
+    ending = [1] + [0] * n  # before the first carrel, one empty prefix at 0
+    for lo, hi in RSubset(n, r_elements).carrels:
+        keys: dict = {}
+        for seg in _carrel_entries(n, lo, hi, kind):
+            pairs = _critical_pairs(seg, lo)
+            key = pairs[0][1] if rule == "critical" else seg[0]
+            keys[pairs] = max(key, keys.get(pairs, 0))
+        at_most = list(itertools.accumulate(ending))
+        ending = [0] * (n + 1)
+        for pairs, key in keys.items():
+            ending[pairs[-1][1]] += at_most[key]
+    return sum(ending)
 
 
 def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
@@ -229,8 +253,9 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
     Tuple-level families run to max_n; the polynomial-level counts (distinct
     Demazure and flag Schur polynomials, coincident pairs) are far costlier
     and run to poly_max_n on the canonical shape of each carrel set.  Every
-    family is compared with the avoidance filter's count for its R, and each
-    n's total over all R with the transfer-matrix :func:`count_total`.
+    family is compared with the number of avoiding R-permutations that the
+    pruned walk ``enumerate_rperms(..., avoiding_only=True)`` yields for its
+    R, and each n's total over all R with the transfer-matrix :func:`count_total`.
     """
     _check_ranges(max_n, poly_max_n=poly_max_n)
     run = _Run("counts", max_n=max_n, poly_max_n=poly_max_n)
@@ -484,7 +509,7 @@ def suite_lifts(max_n: int = 5) -> SuiteReport:
                 )
                 psi = rank_tuple(p)
                 run.check(
-                    all(project_rank_core(w, rs) == psi for w in lifts),
+                    all(_project_rank_core(w, rs) == psi for w in lifts),
                     **base, pi=p, law="all lifts share the projected rank core",
                 )
     return run.report()

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from parakat.errors import NotAvoiding, NotGapless
 from parakat.rperms import (
     ClumpDecomposition,
+    RChain,
     RPermutation,
     RSubset,
     all_lifts,
@@ -15,7 +17,6 @@ from parakat.rperms import (
     count_total,
     enumerate_rperms,
     from_chain,
-    full_rank_tuple,
     inversions,
     is_312_avoiding,
     is_r312_avoiding,
@@ -26,10 +27,9 @@ from parakat.rperms import (
     r_projection,
     rank_tuple,
     reduced_word,
-    rightmost_clump_deleting_variants,
     to_chain,
 )
-from parakat.rtuples import RTuple, enumerate_tuples
+from parakat.rtuples import RTuple, core, enumerate_tuples
 from parakat.verify import catalan
 
 
@@ -120,6 +120,32 @@ def test_clump_decomposition_example():
         for values in itertools.combinations(range(1, 8), k):
             d = ClumpDecomposition.of(values)
             assert ClumpDecomposition(d.blocks) == d and d.support == frozenset(values)
+
+
+def rightmost_clump_deleting_variants(chain: RChain) -> tuple[bool, bool, bool]:
+    """Three reformulations of :func:`is_rightmost_clump_deleting`.
+
+    (interval containment, open-interval containment, new-low-elements are the
+    largest available below max(B_h)); all three agree with the clump form.
+    """
+    closed = True
+    open_ = True
+    largest = True
+    for h in range(1, chain.r_subset.r + 1):
+        bh = chain.level(h)
+        bh1 = chain.level(h + 1)
+        new = bh1 - bh
+        b = min(new)
+        m = max(bh)
+        if not all(v in bh1 for v in range(b, m + 1)):
+            closed = False
+        if not all(v in bh1 for v in range(b + 1, m)):
+            open_ = False
+        low = sorted(v for v in new if v < m)
+        available = sorted(v for v in range(1, m + 1) if v not in bh)
+        if low != available[len(available) - len(low) :]:
+            largest = False
+    return closed, open_, largest
 
 
 def test_rightmost_clump_deleting_matches_avoidance():
@@ -282,6 +308,25 @@ def test_count_cnr_matches_the_avoidance_filter():
             assert count_cnr(n, r) == by_filter, (n, r)
 
 
+def test_avoiding_walk_is_the_avoidance_filter():
+    # the pruned walk yields the filtered enumeration, item for item
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            walked = list(enumerate_rperms(n, r, avoiding_only=True))
+            filtered = [p for p in enumerate_rperms(n, r) if is_r312_avoiding(p)]
+            assert walked == filtered, (n, r)
+    for r in all_r_subsets(8):
+        assert sum(1 for _ in enumerate_rperms(8, r, avoiding_only=True)) == count_cnr(8, r), r
+
+
+def test_avoiding_walk_costs_what_it_yields():
+    # the filter would walk all 10! = 3,628,800 permutations to keep C_10 of them
+    started = time.perf_counter()
+    walked = sum(1 for _ in enumerate_rperms(10, range(1, 10), avoiding_only=True))
+    assert walked == catalan(10) == 16796
+    assert time.perf_counter() - started < 1.0
+
+
 def test_count_total_known_values():
     assert count_total(9) == 275_808
     assert count_total(12) == 58_510_912
@@ -359,9 +404,37 @@ def test_reduced_word_rebuilds_permutation():
             assert x == sorted(x)
 
 
+def full_rank_tuple(sigma: Sequence[int]) -> RTuple:
+    """Rank tuple of a plain permutation (every position its own carrel)."""
+    n = len(sigma)
+    p = RPermutation.of(n, tuple(range(1, n)), tuple(sigma))
+    return rank_tuple(p)
+
+
 def test_full_rank_tuple_is_running_maximum():
     assert full_rank_tuple((2, 4, 3, 1)).entries == (2, 4, 4, 4)
     assert str(full_rank_tuple((3, 1, 2))) == "(3;3;3)"
+
+
+def test_project_rank_core_matches_the_rank_tuple_route(rebuilt):
+    # the running-maximum route against the core of the checked full rank tuple
+    for n in range(1, 8):
+        perms312 = [
+            w for w in itertools.permutations(range(1, n + 1)) if is_312_avoiding(w)
+        ]
+        for r in all_r_subsets(n):
+            rs = RSubset(n, r)
+            for w in perms312:
+                got = project_rank_core(w, rs)
+                assert got == core(RTuple(rs, full_rank_tuple(w).entries)), (w, r)
+                assert rebuilt(got) == got
+
+
+def test_project_rank_core_refuses_a_word_that_is_no_permutation_of_n():
+    rs = RSubset(3, (1,))
+    for word in [(1, 2), (1, 2, 3, 4), (1, 1, 2), (2, 3, 4), (0, 1, 2)]:
+        with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
+            project_rank_core(word, rs)
 
 
 def test_validation():

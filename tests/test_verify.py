@@ -6,9 +6,11 @@ import pytest
 
 from parakat import verify
 from parakat.errors import CapExceeded
+from parakat.rtuples import _entries_with_critical_pairs
 from parakat.tableaux import Shape
 from parakat.verify import (
     _Run,
+    _class_count,
     canonical_shape,
     catalan,
     dimension_tables,
@@ -153,6 +155,17 @@ def test_dimension_tables():
     sizes = {row["pi"]: row["size"] for row in tables["demazure"]}
     assert sizes["(3;1;2)"] == 5
     assert max(row["size"] for row in tables["row_bound"]) == 8
+
+
+def test_class_count_is_the_number_of_distinct_member_critical_lists():
+    # the count over each carrel's distinct critical pairs against deduplicating
+    # the critical lists of every member the family's walk builds
+    for n in range(1, 7):
+        for r in subsets_of_interval(n):
+            for family in ("gapless-core", "flag"):
+                members = _entries_with_critical_pairs(n, r, family)
+                expected = len({pairs for _, pairs in members})
+                assert _class_count(n, r, family) == expected, (n, r, family)
 
 
 def test_counts_total_route_catches_a_wrong_transfer_count(monkeypatch):
