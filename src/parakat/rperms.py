@@ -206,6 +206,11 @@ def r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
     """
     # a word of another length would lose or miss entries in the carrels
     _require_permutation(sigma, r_subset.n)
+    return _r_projection(sigma, r_subset)
+
+
+def _r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
+    """:func:`r_projection` of a permutation of [n]."""
     entries: list[int] = []
     for lo, hi in r_subset.carrels:
         entries.extend(sorted(sigma[lo:hi]))
@@ -357,6 +362,11 @@ def _lift_blocks(p: RPermutation) -> list[tuple[range, tuple[int, ...], int | No
     return blocks
 
 
+def _require_avoiding(p: RPermutation) -> None:
+    if not is_r312_avoiding(p):
+        raise NotAvoiding(f"not R-312-avoiding: {p}")
+
+
 def minimal_lift(p: RPermutation) -> tuple[int, ...]:
     """The unique minimum-length 312-avoiding permutation projecting onto p.
 
@@ -367,8 +377,12 @@ def minimal_lift(p: RPermutation) -> tuple[int, ...]:
     >>> minimal_lift(RPermutation.of(4, (2,), (2, 4, 1, 3)))
     (2, 4, 3, 1)
     """
-    if not is_r312_avoiding(p):
-        raise NotAvoiding(f"not R-312-avoiding: {p}")
+    _require_avoiding(p)
+    return _minimal_lift(p)
+
+
+def _minimal_lift(p: RPermutation) -> tuple[int, ...]:
+    """:func:`minimal_lift` of an R-312-avoiding permutation."""
     e = p.entries
     (_, q), *rest = p.r_subset.carrels
     out = list(e[:q])
@@ -392,8 +406,12 @@ def all_lifts(p: RPermutation) -> Iterator[tuple[int, ...]]:
     >>> list(all_lifts(RPermutation.of(3, (1,), (1, 2, 3))))
     [(1, 2, 3), (1, 3, 2)]
     """
-    if not is_r312_avoiding(p):
-        raise NotAvoiding(f"not R-312-avoiding: {p}")
+    _require_avoiding(p)
+    return _all_lifts(p)
+
+
+def _all_lifts(p: RPermutation) -> Iterator[tuple[int, ...]]:
+    """:func:`all_lifts` of an R-312-avoiding permutation."""
     choices = [_arrangements(values, threshold) for _, values, threshold in _lift_blocks(p)]
     return _chains(len(choices), lambda h, _: choices[h])
 

@@ -262,18 +262,11 @@ def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     return _tableaux_in(minimal_tableau(shape), _below_row_ends((shape.n,) * shape.n, shape))
 
 
-def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
-    """The final states of every tableau in the box [lo, hi] that ``step`` keeps.
-
-    The walk fills one whole column per level, from the rightmost leftwards:
-    column j ranges over the strictly increasing columns between lo_j and
-    the entrywise minimum of hi_j and the column on its right, listed once
-    per walk.  ``step(state, c, right)`` returns the state once ``c`` is placed
-    left of ``right`` (``()`` at first), or None to drop ``c``.  A step that
-    drops nothing never dead-ends (lo_j <= lo_{j+1} <= right, lo_j <= hi_j).
-    """
-    los, his = lo.columns, hi.columns
-    singles = [(v,) for v in range(lo.n + 1)]
+def _columns_between(n: int) -> Callable:
+    """``between(low, top, right)``: the strictly increasing columns with values
+    in [n] between ``low`` and the entrywise minimum of ``top`` and ``right``,
+    the column on their right (``()`` at first), each bound listed once."""
+    singles = [(v,) for v in range(n + 1)]
 
     def columns_between(bounds: tuple) -> list:
         low, bound = bounds
@@ -281,17 +274,53 @@ def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
             max(low[i], part[-1] + 1 if part else 0) : bound[i] + 1
         ]))
 
-    between = _Memo(columns_between)  # (lo_j, bound) -> the columns between them
+    listed = _Memo(columns_between)  # (low, bound) -> the columns between them
+
+    def between(low: tuple, top: tuple, right: tuple) -> list:
+        return listed[low, (*map(min, top, right), *top[len(right) :])]
+
+    return between
+
+
+def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
+    """The final states of every tableau in the box [lo, hi] that ``step`` keeps.
+
+    The walk fills one whole column per level, from the rightmost leftwards:
+    column j ranges over the columns between lo_j and hi_j left of the column
+    on its right (:func:`_columns_between`).  ``step(state, c, right)``
+    returns the state once ``c`` is placed left of ``right`` (``()`` at
+    first), or None to drop ``c``.  A step that drops nothing never dead-ends
+    (lo_j <= lo_{j+1} <= right, lo_j <= hi_j).
+    """
+    los, his = lo.columns, hi.columns
+    between = _columns_between(lo.n)
 
     def options(h: int, prefix: tuple) -> list:
         right, state = prefix[-1] if prefix else ((), start)
-        low, top = los[-1 - h], his[-1 - h]
-        bound = (*map(min, top, right), *top[len(right) :])
-        found = between[low, bound]
+        found = between(los[-1 - h], his[-1 - h], right)
         return [((c, after),) for c in found if (after := step(state, c, right)) is not None]
 
     for placed in _chains(len(his), options):
         yield placed[-1][1] if placed else start  # a shape without columns has one filling
+
+
+def count_ideal(t: Tableau) -> int:
+    """The number of tableaux entrywise below ``t``, by column transfer.
+
+    The box is that of :func:`ideal`, filled as :func:`_column_walk` fills
+    it, but the state is only the column placed on the right, which is all
+    the next column reads; each state carries the number of fillings from
+    it rightwards, so no tableau is built.
+    """
+    between = _columns_between(t.n)
+    ways = {(): 1}  # the column on the right -> the fillings from it rightwards
+    for low, top in zip(reversed(minimal_tableau(t.shape).columns), reversed(t.columns)):
+        placed: Counter = Counter()
+        for right, count in ways.items():
+            for c in between(low, top, right):
+                placed[c] += count
+        ways = placed
+    return sum(ways.values())
 
 
 def _place(cols: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:

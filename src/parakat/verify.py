@@ -20,17 +20,17 @@ from .polys import Polynomial, compose_alpha, demazure_poly_dd
 from .rperms import (
     RPermutation,
     RSubset,
+    _all_lifts,
+    _minimal_lift,
     _pi_map,
     _project_rank_core,
+    _r_projection,
     count_total,
     enumerate_rperms,
     inversions,
     is_312_avoiding,
     is_r312_avoiding,
-    minimal_lift,
-    all_lifts,
     pi_map,
-    r_projection,
     rank_tuple,
 )
 from .rtuples import (
@@ -54,7 +54,7 @@ from .tableaux import (
     Shape,
     ShapeTableaux,
     content,
-    ideal,
+    count_ideal,
     is_key,
     key_of_perm,
     row_bound_max,
@@ -188,6 +188,18 @@ def shapes_in_range(max_n: int, max_col: int, all_shapes: bool = False) -> list[
     return out
 
 
+def _by_carrel_set(shapes: list[Shape]) -> list[tuple[tuple[int, tuple[int, ...]], list[Shape]]]:
+    """The shapes grouped by (n, carrel set), in order of first appearance.
+
+    The tuple side of a suite depends on (n, R) alone, so a suite builds it
+    once per group and reads it on each of the group's shapes.
+    """
+    groups: dict = {}
+    for shape in shapes:
+        groups.setdefault((shape.n, shape.r_subset.elements), []).append(shape)
+    return list(groups.items())
+
+
 def catalan(n: int) -> int:
     out = 1
     for i in range(n):
@@ -314,21 +326,22 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
     """Demazure sets are convex exactly for avoiding indexes, exactly as ideals."""
     _check_ranges(max_n, max_col=max_col)
     run = _Run("convexity", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
-    for shape in shapes_in_range(max_n, max_col, all_shapes):
-        atlas = ShapeTableaux(shape)
-        for p in enumerate_rperms(shape.n, shape.r_subset.elements):
-            y = key_of_perm(p, shape)
-            d = atlas.demazure_cells(p)
-            avoiding = is_r312_avoiding(p)
-            # t <= scanning(t) <= y for every member, so the set lies in the
-            # ideal of y: it is that ideal if the sizes agree and y is a member
-            convex = atlas.size(d) == len(ideal(y))
-            is_ideal = convex and atlas.cell_of(y) in d
-            run.check(
-                convex == avoiding == is_ideal,
-                shape=shape.parts, n=shape.n, pi=p,
-                avoiding=avoiding, convex=convex, equals_ideal=is_ideal,
-            )
+    for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
+        perms = [(p, is_r312_avoiding(p)) for p in enumerate_rperms(n, r_elements)]
+        for shape in shapes:
+            atlas = ShapeTableaux(shape)
+            for p, avoiding in perms:
+                y = key_of_perm(p, shape)
+                d = atlas.demazure_cells(p)
+                # t <= scanning(t) <= y for every member, so the set lies in the
+                # ideal of y: it is that ideal if the sizes agree and y is a member
+                convex = atlas.size(d) == count_ideal(y)
+                is_ideal = convex and atlas.cell_of(y) in d
+                run.check(
+                    convex == avoiding == is_ideal,
+                    shape=shape.parts, n=n, pi=p,
+                    avoiding=avoiding, convex=convex, equals_ideal=is_ideal,
+                )
     return run.report()
 
 
@@ -341,30 +354,33 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     """
     _check_ranges(max_n, max_col=max_col)
     run = _Run("coincidence", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
-    for shape in shapes_in_range(max_n, max_col, all_shapes):
-        r_elements = shape.r_subset.elements
-        base = {"shape": shape.parts, "n": shape.n}
-        atlas = ShapeTableaux(shape)
-        # each Demazure set -> the permutations indexing it, in enumeration order
-        indexing: dict = {}
-        for p in enumerate_rperms(shape.n, r_elements):
-            indexing.setdefault(atlas.demazure_cells(p), []).append(p)
-        gapless_images = {}
-        for b in enumerate_tuples(shape.n, r_elements, "upper"):
-            sset = atlas.row_bound_cells(b)
+    for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
+        perms = list(enumerate_rperms(n, r_elements))
+        bounds = []  # each upper bound, its core, and the core's image if it is gapless
+        for b in enumerate_tuples(n, r_elements, "upper"):
             delta = core(b)
-            matches = indexing.get(sset, [])
-            if is_gapless(delta):
-                p = pi_map(delta)
-                ok = matches == [p] and row_bound_max(b, shape) == key_of_perm(p, shape)
-                gapless_images[delta.entries] = sset
-            else:
-                ok = matches == []
-            run.check(ok, **base, beta=b, core=delta, matches=matches)
-        run.check(
-            len(gapless_images) == len(set(gapless_images.values())),
-            **base, law="gapless tuples index coincident sets faithfully",
-        )
+            bounds.append((b, delta, _pi_map(delta) if is_gapless(delta) else None))
+        for shape in shapes:
+            base = {"shape": shape.parts, "n": n}
+            atlas = ShapeTableaux(shape)
+            # each Demazure set -> the permutations indexing it, in enumeration order
+            indexing: dict = {}
+            for p in perms:
+                indexing.setdefault(atlas.demazure_cells(p), []).append(p)
+            gapless_images = {}
+            for b, delta, p in bounds:
+                sset = atlas.row_bound_cells(b)
+                matches = indexing.get(sset, [])
+                if p is None:
+                    ok = matches == []
+                else:
+                    ok = matches == [p] and row_bound_max(b, shape) == key_of_perm(p, shape)
+                    gapless_images[delta.entries] = sset
+                run.check(ok, **base, beta=b, core=delta, matches=matches)
+            run.check(
+                len(gapless_images) == len(set(gapless_images.values())),
+                **base, law="gapless tuples index coincident sets faithfully",
+            )
     return run.report()
 
 
@@ -375,97 +391,105 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     run = _Run("polynomials", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     s_poly_owner: dict = {}
     d_poly_owner: dict = {}
-    for shape in shapes_in_range(max_n, max_col, all_shapes):
-        r_elements = shape.r_subset.elements
-        shape_key = (shape.n, shape.parts)
-        atlas = ShapeTableaux(shape)
-        perms = list(enumerate_rperms(shape.n, r_elements))
-        d_cells = {p: atlas.demazure_cells(p) for p in perms}
-        d_polys = {p: Polynomial._of(shape.n, atlas.weights(d_cells[p])) for p in perms}
-        base = {"shape": shape.parts, "n": shape.n}
+    for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
+        perms = list(enumerate_rperms(n, r_elements))
+        ranks = {p: rank_tuple(p) for p in perms if is_r312_avoiding(p)}  # the avoiding ones
+        cores = [
+            (delta, is_gapless(delta)) for delta in enumerate_tuples(n, r_elements, "increasing")
+        ]
+        bounds = [(b, core(b).entries) for b in enumerate_tuples(n, r_elements, "upper")]
+        images = [  # each gapless-core bound and the image of its core
+            (eta, _pi_map(core(eta))) for eta in enumerate_tuples(n, r_elements, "gapless-core")
+        ]
+        flags = list(enumerate_tuples(n, r_elements, "flag"))
+        for shape in shapes:
+            shape_key = (n, shape.parts)
+            atlas = ShapeTableaux(shape)
+            d_cells = {p: atlas.demazure_cells(p) for p in perms}
+            d_polys = {p: Polynomial._of(n, atlas.weights(d_cells[p])) for p in perms}
+            base = {"shape": shape.parts, "n": n}
 
-        for p in perms:
-            dd = demazure_poly_dd(p, shape)
-            run.check(d_polys[p] == dd, **base, pi=p, law="scanning route equals recursion route")
-            run.check(
-                compose_alpha(p, shape) == content(key_of_perm(p, shape)),
-                **base, pi=p, law="key content is the placed composition",
-            )
-            owner = d_poly_owner.setdefault((shape.n, d_polys[p]), (shape_key, p))
-            run.check(
-                owner == (shape_key, p), **base, pi=p, law="demazure polynomials are faithful"
-            )
-
-        cores = list(enumerate_tuples(shape.n, r_elements, "increasing"))
-        s_cells = {delta.entries: atlas.row_bound_cells(delta) for delta in cores}
-        s_polys = {e: Polynomial._of(shape.n, atlas.weights(c)) for e, c in s_cells.items()}
-        for b in enumerate_tuples(shape.n, r_elements, "upper"):
-            # every bound's set is its core's set, so the core scan is exhaustive;
-            # the bound's set is read off its row ends, never through its core
-            run.check(
-                atlas.row_bound_cells(b) == s_cells[core(b).entries],
-                **base, beta=b, law="bounds and their core agree",
-            )
-        for delta in cores:
-            h = s_polys[delta.entries]
-            run.check(
-                h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
-                **base, core=delta, law="degree and leading weight",
-            )
-            owner = s_poly_owner.setdefault((shape.n, h), shape_key)
-            run.check(
-                owner == shape_key, **base, core=delta, law="row bound sums detect the shape"
-            )
-
-        avoiding = [p for p in perms if is_r312_avoiding(p)]
-        for p in avoiding:
-            run.check(
-                d_cells[p] == atlas.row_bound_cells(rank_tuple(p)),
-                **base, pi=p, law="avoiding index matches its rank bounds",
-            )
-        for eta in enumerate_tuples(shape.n, r_elements, "gapless-core"):
-            run.check(
-                atlas.row_bound_cells(eta) == d_cells[pi_map(core(eta))],
-                **base, eta=eta, law="gapless-core bounds match an index",
-            )
-
-        # each polynomial's owners in enumeration order, so equal polynomials are looked up
-        perms_of: dict = {}
-        for p in perms:
-            perms_of.setdefault(d_polys[p], []).append(p)
-        cores_of: dict = {}
-        for delta in cores:
-            cores_of.setdefault(s_polys[delta.entries], []).append(delta)
-        avoiding_set = set(avoiding)
-        for delta in cores:
-            h = s_polys[delta.entries]
-            for p in perms_of.get(h, ()):
-                ok = (
-                    p in avoiding_set
-                    and is_gapless(delta)
-                    and delta == rank_tuple(p)
-                    and row_end_max(delta, shape) == key_of_perm(p, shape)
-                    and s_cells[delta.entries] == d_cells[p]
+            for p in perms:
+                dd = demazure_poly_dd(p, shape)
+                run.check(
+                    d_polys[p] == dd, **base, pi=p, law="scanning route equals recursion route"
                 )
                 run.check(
-                    ok,
-                    **base, core=delta, pi=p,
-                    law="polynomial coincidence forces the set coincidence",
+                    compose_alpha(p, shape) == content(key_of_perm(p, shape)),
+                    **base, pi=p, law="key content is the placed composition",
                 )
-            if not is_gapless(delta):
-                continue
-            for other in cores_of[h]:
+                owner = d_poly_owner.setdefault((n, d_polys[p]), (shape_key, p))
                 run.check(
-                    other == delta,
-                    **base, core=other, eta=delta,
-                    law="gapless-core sums admit no accidental equals",
+                    owner == (shape_key, p), **base, pi=p, law="demazure polynomials are faithful"
                 )
 
-        for phi in enumerate_tuples(shape.n, r_elements, "flag"):
-            run.check(
-                is_key(row_bound_max(phi, shape)),
-                **base, phi=phi, law="row bound max of a flag is a key",
-            )
+            s_cells = {delta.entries: atlas.row_bound_cells(delta) for delta, _ in cores}
+            s_polys = {e: Polynomial._of(n, atlas.weights(c)) for e, c in s_cells.items()}
+            for b, core_entries in bounds:
+                # every bound's set is its core's set, so the core scan is exhaustive;
+                # the bound's set is read off its row ends, never through its core
+                run.check(
+                    atlas.row_bound_cells(b) == s_cells[core_entries],
+                    **base, beta=b, law="bounds and their core agree",
+                )
+            for delta, _ in cores:
+                h = s_polys[delta.entries]
+                run.check(
+                    h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
+                    **base, core=delta, law="degree and leading weight",
+                )
+                owner = s_poly_owner.setdefault((n, h), shape_key)
+                run.check(
+                    owner == shape_key, **base, core=delta, law="row bound sums detect the shape"
+                )
+
+            for p, psi in ranks.items():
+                run.check(
+                    d_cells[p] == atlas.row_bound_cells(psi),
+                    **base, pi=p, law="avoiding index matches its rank bounds",
+                )
+            for eta, p in images:
+                run.check(
+                    atlas.row_bound_cells(eta) == d_cells[p],
+                    **base, eta=eta, law="gapless-core bounds match an index",
+                )
+
+            # each polynomial's owners in enumeration order, so equal polynomials are looked up
+            perms_of: dict = {}
+            for p in perms:
+                perms_of.setdefault(d_polys[p], []).append(p)
+            cores_of: dict = {}
+            for delta, _ in cores:
+                cores_of.setdefault(s_polys[delta.entries], []).append(delta)
+            for delta, gapless in cores:
+                h = s_polys[delta.entries]
+                for p in perms_of.get(h, ()):
+                    ok = (
+                        p in ranks
+                        and gapless
+                        and delta == ranks[p]
+                        and row_end_max(delta, shape) == key_of_perm(p, shape)
+                        and s_cells[delta.entries] == d_cells[p]
+                    )
+                    run.check(
+                        ok,
+                        **base, core=delta, pi=p,
+                        law="polynomial coincidence forces the set coincidence",
+                    )
+                if not gapless:
+                    continue
+                for other in cores_of[h]:
+                    run.check(
+                        other == delta,
+                        **base, core=other, eta=delta,
+                        law="gapless-core sums admit no accidental equals",
+                    )
+
+            for phi in flags:
+                run.check(
+                    is_key(row_bound_max(phi, shape)),
+                    **base, phi=phi, law="row bound max of a flag is a key",
+                )
     return run.report()
 
 
@@ -487,18 +511,18 @@ def suite_lifts(max_n: int = 5) -> SuiteReport:
             # lexicographic order
             lifts_of: dict = {}
             for w in perms312:
-                image = r_projection(w, rs)
+                image = _r_projection(w, rs)
                 lifts_of.setdefault(image, []).append(w)
                 run.check(
                     is_r312_avoiding(image), **base, sigma=w, law="projection preserves avoidance"
                 )
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
-                ml = minimal_lift(p)
-                lifts = list(all_lifts(p))
+                ml = _minimal_lift(p)
+                lifts = list(_all_lifts(p))
                 oracle = lifts_of.get(p, [])
                 run.check(lifts == oracle, **base, pi=p, law="lift recipe equals filter")
                 run.check(
-                    is_312_avoiding(ml) and r_projection(ml, rs) == p,
+                    is_312_avoiding(ml) and _r_projection(ml, rs) == p,
                     **base, pi=p, law="minimal lift is an avoiding lift",
                 )
                 lm = inversions(ml)
@@ -524,18 +548,19 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     """
     _check_ranges(max_n, max_col=max_col)
     run = _Run("accidental", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
-    for shape in shapes_in_range(max_n, max_col, all_shapes):
-        atlas = ShapeTableaux(shape)
-        by_poly: dict = {}
-        for delta in enumerate_tuples(shape.n, shape.r_subset.elements, "increasing"):
-            if is_gapless(delta):
-                continue
-            poly = Polynomial._of(shape.n, atlas.weights(atlas.row_bound_cells(delta)))
-            by_poly.setdefault(poly, []).append(delta)
-        for poly, deltas in by_poly.items():
-            run.check(
-                len(deltas) == 1, shape=shape.parts, n=shape.n, cores=deltas, polynomial=poly
-            )
+    for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
+        increasing = enumerate_tuples(n, r_elements, "increasing")
+        non_gapless = [delta for delta in increasing if not is_gapless(delta)]
+        for shape in shapes:
+            atlas = ShapeTableaux(shape)
+            by_poly: dict = {}
+            for delta in non_gapless:
+                poly = Polynomial._of(n, atlas.weights(atlas.row_bound_cells(delta)))
+                by_poly.setdefault(poly, []).append(delta)
+            for poly, deltas in by_poly.items():
+                run.check(
+                    len(deltas) == 1, shape=shape.parts, n=n, cores=deltas, polynomial=poly
+                )
     return run.report()
 
 

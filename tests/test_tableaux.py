@@ -34,6 +34,7 @@ from parakat.tableaux import (
     Tableau,
     TableauSet,
     content,
+    count_ideal,
     count_tableaux,
     demazure_set,
     entrywise_le,
@@ -64,7 +65,7 @@ from parakat.tableaux import (
     _tableaux_in,
     _with_cell,
 )
-from parakat.verify import canonical_shape, subsets_of_interval
+from parakat.verify import canonical_shape, shapes_in_range, subsets_of_interval
 
 SMALL_SHAPES = [
     Shape.of(2, (1,)),
@@ -365,6 +366,21 @@ def test_convexity_dichotomy():
             assert is_gapless_key(y) == avoiding
             if avoiding:
                 assert row_end_max(rank_tuple(p), sh) == y
+
+
+def test_count_ideal_is_the_size_of_the_ideal():
+    # the transfer count against the walked ideal: every key of every shape
+    # with n <= 5 and col <= 3, and every row-bound maximum, some not a key
+    keys, tops = set(), set()
+    for sh in shapes_in_range(5, 3, all_shapes=True):
+        r = sh.r_subset.elements
+        keys.update(key_of_perm(p, sh) for p in enumerate_rperms(sh.n, r))
+        tops.update(row_bound_max(b, sh) for b in enumerate_tuples(sh.n, r, "upper"))
+    assert len(keys) == 1364 and not all(map(is_key, tops))
+    for t in keys | tops:
+        assert count_ideal(t) == len(ideal(t)), t.columns
+    # a shape without columns has one filling
+    assert count_ideal(minimal_tableau(Shape.of(3, ()))) == 1
 
 
 def _brute_force_set(shape, pred):

@@ -178,6 +178,36 @@ def test_counts_total_route_catches_a_wrong_transfer_count(monkeypatch):
     )
 
 
+def test_convexity_sizes_catch_a_wrong_ideal_count(monkeypatch):
+    from parakat import tableaux
+
+    wrong = ((1, 2), (2,))  # the key of (2;1;3) on the shape (2,1,0)
+    monkeypatch.setattr(
+        verify, "count_ideal", lambda y: tableaux.count_ideal(y) + (y.columns == wrong)
+    )
+    report = suite_convexity(3, 2)
+    assert report.counterexamples == (
+        {"shape": [2, 1, 0], "n": 3, "pi": "(2;1;3)", "avoiding": True, "convex": False,
+         "equals_ideal": False},
+    )
+
+
+def test_tableau_suites_build_the_tuple_side_once_per_carrel_set(monkeypatch):
+    from parakat import rtuples, tableaux
+
+    calls = []
+    monkeypatch.setattr(verify, "core", lambda b: calls.append(b) or rtuples.core(b))
+    assert suite_coincidence(4, 3, all_shapes=True).passed
+    # once per upper tuple of each of the 15 carrel sets, not once per shape
+    assert len(calls) == 1 + 2 * 2 + 4 * 6 + 8 * 24 == 221
+
+    def refused(shape, source):
+        raise AssertionError("convexity materialized a set")
+
+    monkeypatch.setattr(tableaux, "materialize", refused)
+    assert suite_convexity(4, 3, all_shapes=True).passed
+
+
 @pytest.mark.parametrize(
     "scale, instances",
     [
