@@ -312,18 +312,37 @@ def pi_map(g: RTuple) -> RPermutation:
 
 
 def _pi_map(g: RTuple) -> RPermutation:
-    """:func:`pi_map` of a tuple known to be gapless."""
+    """:func:`pi_map` of a tuple known to be gapless.
+
+    One pass over the carrels, with a bitmask of the values placed so far:
+    where the entry drops from a to b at a boundary, the next carrel opens
+    with the a - b + 1 largest unplaced values up to a, read off the mask's
+    top bits, and goes on with its own entries past that run.
+    """
     e = g.entries
     qs = g.r_subset.qs
-    entries: list[int] = list(e[: qs[1]])
-    for h in range(1, g.r_subset.r + 1):
-        q, q_next = qs[h], qs[h + 1]
-        s = max(0, e[q - 1] - e[q] + 1)
-        used = set(entries)
-        pool = sorted(v for v in range(1, e[q - 1] + 1) if v not in used)
-        entries.extend(pool[len(pool) - s :])
-        entries.extend(e[q + s : q_next])
-    return _unchecked(RPermutation, r_subset=g.r_subset, entries=tuple(entries))
+    q = qs[1]
+    entries = e[:q]
+    placed = 0  # bit v is set once the value v is placed
+    for v in entries:
+        placed |= 1 << v
+    for q_next in qs[2:]:
+        a = e[q - 1]
+        s = a - e[q] + 1  # how many of the carrel's entries in g lie at or below a
+        block = e[q:q_next]
+        if s > 0:
+            free = ~placed & ((2 << a) - 2)  # the unplaced values 1, ..., a
+            below = ()
+            for _ in range(s):
+                v = free.bit_length() - 1
+                free ^= 1 << v
+                below = (v, *below)
+            block = below + block[s:]
+        for v in block:
+            placed |= 1 << v
+        entries += block
+        q = q_next
+    return _unchecked(RPermutation, r_subset=g.r_subset, entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +352,34 @@ def _pi_map(g: RTuple) -> RPermutation:
 def _lift_blocks(p: RPermutation) -> list[tuple[range, tuple[int, ...], int | None]]:
     """Per-carrel local blocks (positions, values, decreasing-threshold).
 
-    Positions are 0-based ranges into the one-line word.  The threshold is
-    None for a wholly-new clump; for the subclump straddling max(B_h) it is
-    that maximum, and values below it must stay in decreasing order.
+    Positions are 0-based ranges into the one-line word, and the blocks tile
+    it in order.  One pass reads each carrel's values against m, the largest
+    value placed before it, as :func:`_minimal_lift` does.  The values below
+    m, which in an avoiding p are the largest unused ones and so join m's
+    clump, and the run m + 1, m + 2, ... after them form the subclump
+    straddling m; its threshold is m, and its values below m must stay in
+    decreasing order.  Every other run of consecutive values is a wholly-new
+    clump, with threshold None.  Before the first carrel nothing is placed.
     """
-    chain = to_chain(p)
+    e = p.entries
     blocks: list[tuple[range, tuple[int, ...], int | None]] = []
-    qs = p.r_subset.qs
-    first = sorted(chain.level(1))
-    pos = 0
-    for blk in ClumpDecomposition.of(first).blocks:
-        blocks.append((range(pos, pos + len(blk)), blk, None))
-        pos += len(blk)
-    for h in range(1, p.r_subset.r + 1):
-        bh = chain.level(h)
-        new = chain.level(h + 1) - bh
-        m = max(bh)
-        clumps = ClumpDecomposition.of(chain.level(h + 1)).blocks
-        e = next(i for i, blk in enumerate(clumps) if m in blk)
-        sub = tuple(sorted(set(clumps[e]) & new))
-        pos = qs[h]
-        if sub:
-            blocks.append((range(pos, pos + len(sub)), sub, m))
-            pos += len(sub)
-        for blk in clumps[e + 1 :]:
-            blocks.append((range(pos, pos + len(blk)), blk, None))
-            pos += len(blk)
+    m = 0
+    for lo, hi in p.r_subset.carrels:
+        i = lo
+        if m:
+            top = m
+            while i < hi and e[i] <= top + 1:
+                top = max(top, e[i])
+                i += 1
+            if i > lo:
+                blocks.append((range(lo, i), e[lo:i], m))
+        while i < hi:
+            j = i + 1
+            while j < hi and e[j] == e[j - 1] + 1:
+                j += 1
+            blocks.append((range(i, j), e[i:j], None))
+            i = j
+        m = max(m, e[hi - 1])
     return blocks
 
 
@@ -563,5 +584,4 @@ def _project_rank_core(sigma: Sequence[int], r_subset: RSubset) -> RTuple:
     with every position its own carrel, is its running maximum, and the core
     lowers each carrel of R to the largest increasing segment below it."""
     psi = tuple(itertools.accumulate(sigma, max))
-    entries = tuple(v for lo, hi in r_subset.carrels for v in _staircase_below(psi[lo:hi]))
-    return _unchecked(RTuple, r_subset=r_subset, entries=entries)
+    return _unchecked(RTuple, r_subset=r_subset, entries=_staircase_below(psi, r_subset.qs))

@@ -315,11 +315,6 @@ def is_upper_flag(t: RTuple) -> bool:
 # critical lists and the core map
 
 
-def _require_upper(t: RTuple) -> None:
-    if not is_upper(t):
-        raise NotUpper(f"tuple is not upper: {t}")
-
-
 def _critical_pairs(seg: Sequence[int], lo: int) -> tuple[tuple[int, int], ...]:
     """Critical pairs of one carrel, whose entries ``seg`` sit at lo + 1, lo + 2, ...
 
@@ -348,7 +343,8 @@ def critical_list(t: RTuple) -> CriticalList:
     >>> str(critical_list(RTuple.of(9, (3, 8), (2, 7, 5, 8, 6, 6, 9, 9, 9))))
     '({(1,2),(3,5)};{(6,6),(8,9)};{(9,9)})'
     """
-    _require_upper(t)
+    if not is_upper(t):
+        raise NotUpper(f"tuple is not upper: {t}")
     return _upper_critical_list(t)
 
 
@@ -366,28 +362,45 @@ def _gapless_critical_list(g: RTuple) -> CriticalList:
     return _upper_critical_list(g)
 
 
-def _staircase_below(entries: Sequence[int]) -> tuple[int, ...]:
-    """The largest strictly increasing sequence entrywise below ``entries``.
+def _staircase_below(entries: Sequence[int], qs: Sequence[int]) -> tuple[int, ...] | None:
+    """The largest tuple below ``entries`` that is upper and strictly increasing
+    on each carrel of the bounds ``qs = (0, ..., n)``; None when ``entries``
+    is not upper, as then no such tuple exists.
 
-    Its entry i is the least ``entries[k] - (k - i)`` over k >= i: read from
-    the right, one running minimum of each entry plus its distance from the end.
+    One running minimum from the right that restarts at each carrel's end:
+    entry i is ``min(entries[i], out[i + 1] - 1)``, the least
+    ``entries[k] - (k - i)`` over k >= i in its carrel.  So ``out[i] - i`` is
+    the least ``entries[k] - k`` over those k, which rises along the carrel:
+    ``entries`` is upper exactly when each carrel's first entry is at least
+    its position.
     """
-    lows = itertools.accumulate((e + j for j, e in enumerate(reversed(entries))), min)
-    return tuple(low - j for j, low in enumerate(lows))[::-1]
+    out = list(entries)
+    for lo, hi in zip(qs, qs[1:]):
+        low = out[hi - 1]
+        for i in range(hi - 2, lo - 1, -1):
+            low -= 1
+            if out[i] > low:
+                out[i] = low
+            else:
+                low = out[i]
+        if low <= lo:
+            return None
+    return tuple(out)
 
 
 def core(t: RTuple) -> RTuple:
     """The minimum member of the equivalence class of an upper tuple.
 
     Each carrel is lowered to the largest strictly increasing segment below
-    it, which is the staircase fill of the carrel's critical pairs.
+    it, which is the staircase fill of the carrel's critical pairs; the same
+    scan finds a tuple that is not upper (:func:`_staircase_below`).
 
     >>> str(core(RTuple.of(9, (3, 8), (7, 9, 6, 5, 5, 9, 8, 9, 9))))
     '(4,5,6;4,5,7,8,9;9)'
     """
-    _require_upper(t)
-    e = t.entries
-    entries = tuple(v for lo, hi in t.r_subset.carrels for v in _staircase_below(e[lo:hi]))
+    entries = _staircase_below(t.entries, t.r_subset.qs)
+    if entries is None:
+        raise NotUpper(f"tuple is not upper: {t}")
     return _unchecked(RTuple, r_subset=t.r_subset, entries=entries)
 
 
@@ -469,8 +482,30 @@ def is_gapless_core(t: RTuple) -> bool:
 
 
 def is_gapless(t: RTuple) -> bool:
-    """Increasing on each carrel, upper, with a flag critical list."""
-    return is_upper(t) and is_r_increasing(t) and _upper_critical_list(t).is_flag
+    """Increasing on each carrel, upper, with a flag critical list.
+
+    One scan per carrel from its right end reads the three conditions: each
+    entry lies below the one on its right; the first entry is at least its
+    position, which makes an increasing carrel upper; and the carrel's first
+    critical entry is at least the previous carrel's last entry, which makes
+    the critical list a flag, as critical entries rise within a carrel.  In an
+    increasing carrel the critical entries end its runs of consecutive
+    values, so the first is the last entry that the scan sees below a gap.
+    """
+    e = t.entries
+    qs = t.r_subset.qs
+    for lo, hi in zip(qs, qs[1:]):
+        first_critical = right = e[hi - 1]
+        for i in range(hi - 2, lo - 1, -1):
+            v = e[i]
+            if v >= right:
+                return False
+            if v < right - 1:
+                first_critical = v
+            right = v
+        if right <= lo or (lo and first_critical < e[lo - 1]):
+            return False
+    return True
 
 
 def is_gapless_staircase(t: RTuple) -> bool:
@@ -509,12 +544,22 @@ def is_canopy(t: RTuple) -> bool:
 
 def is_floor_flag(t: RTuple) -> bool:
     """Upper flag whose non-trivial plateaus each start at a carrel boundary: every
-    start p, where e_{p-1} < e_p = e_{p+1} with e_0 read as 0, lies in R."""
-    if not is_upper_flag(t):
-        return False
+    start p, where e_{p-1} < e_p = e_{p+1} with e_0 read as 0, lies in R.
+
+    One pass from the left: each entry is at least its position (upper) and
+    at least the entry before it (flag), and the second entry of a plateau
+    checks where its plateau started.
+    """
     boundary = t.r_subset.elements
-    e = (0, *t.entries)
-    return all(p in boundary for p in range(1, t.n) if e[p - 1] < e[p] == e[p + 1])
+    prev = start = 0  # the entry before, and the position where its value began
+    for p, v in enumerate(t.entries, 1):
+        if v < p or v < prev:
+            return False
+        if v > prev:
+            prev, start = v, p
+        elif start == p - 1 and start not in boundary:
+            return False
+    return True
 
 
 def is_ceiling_flag(t: RTuple) -> bool:

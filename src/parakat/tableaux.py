@@ -12,6 +12,7 @@ row-end value of an empty row i is i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from collections import Counter
@@ -21,7 +22,7 @@ from operator import attrgetter, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
-from .rperms import RChain, RPermutation, from_chain
+from .rperms import RPermutation
 from .rtuples import (
     RSubset,
     RTuple,
@@ -179,17 +180,6 @@ def entrywise_le(t: Tableau, u: Tableau) -> bool:
     return all(all(map(le, tc, uc)) for tc, uc in _column_pairs(t, u, "compare"))
 
 
-def tableau_meet(t: Tableau, u: Tableau) -> Tableau:
-    """Entrywise minimum; semistandard because the lattice is distributive."""
-    cols = tuple(tuple(map(min, tc, uc)) for tc, uc in _column_pairs(t, u, "meet"))
-    return _unchecked(Tableau, shape=t.shape, columns=cols)
-
-
-def tableau_join(t: Tableau, u: Tableau) -> Tableau:
-    cols = tuple(tuple(map(max, tc, uc)) for tc, uc in _column_pairs(t, u, "join"))
-    return _unchecked(Tableau, shape=t.shape, columns=cols)
-
-
 def minimal_tableau(shape: Shape) -> Tableau:
     """Every value equals its row index."""
     cols = tuple(tuple(range(1, z + 1)) for z in shape.column_lengths)
@@ -226,10 +216,9 @@ class TableauSet:
     def join_of_all(self) -> Tableau:
         if not self.tableaux:
             raise ValueError("empty tableau set has no join")
-        out = self.tableaux[0]
-        for t in self.tableaux[1:]:
-            out = tableau_join(out, t)
-        return out
+        # column j of the join is the entrywise maximum of every member's column j
+        columns = tuple(tuple(map(max, zip(*c))) for c in zip(*map(_columns, self.tableaux)))
+        return _unchecked(Tableau, shape=self.shape, columns=columns)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,6 +293,17 @@ def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
         yield placed[-1][1] if placed else start  # a shape without columns has one filling
 
 
+@functools.lru_cache(maxsize=1)
+def _ideal_columns(n: int) -> Callable:
+    """The :func:`_columns_between` that every :func:`count_ideal` over [n] shares.
+
+    An ideal's columns lie between 1, 2, ..., z and a strictly increasing
+    column of length z, so the memo holds at most one listing per subset of
+    [n], and every key of every shape with this n reads the same listings.
+    """
+    return _columns_between(n)
+
+
 def count_ideal(t: Tableau) -> int:
     """The number of tableaux entrywise below ``t``, by column transfer.
 
@@ -312,7 +312,7 @@ def count_ideal(t: Tableau) -> int:
     the next column reads; each state carries the number of fillings from
     it rightwards, so no tableau is built.
     """
-    between = _columns_between(t.n)
+    between = _ideal_columns(t.n)
     ways = {(): 1}  # the column on the right -> the fillings from it rightwards
     for low, top in zip(reversed(minimal_tableau(t.shape).columns), reversed(t.columns)):
         placed: Counter = Counter()
@@ -373,11 +373,6 @@ def key_of_perm(p: RPermutation, shape: Shape) -> Tableau:
     lengths = shape.column_lengths
     firsts = {z: tuple(sorted(p.entries[:z])) for z in set(lengths)}
     return _unchecked(Tableau, shape=shape, columns=tuple(map(firsts.__getitem__, lengths)))
-
-
-def key_of_chain(chain: RChain, shape: Shape) -> Tableau:
-    """The key of the R-permutation of a chain: a column of length q_h holds B_h."""
-    return key_of_perm(from_chain(chain), shape)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +473,7 @@ def _below_row_ends(bounds: Sequence[int], shape: Shape) -> Tableau:
     ``bounds[:z]``; each distinct length is built once.
     """
     lengths = shape.column_lengths
-    tops = {z: _staircase_below(bounds[:z]) for z in set(lengths)}
+    tops = {z: _staircase_below(bounds[:z], (0, z)) for z in set(lengths)}
     return _unchecked(Tableau, shape=shape, columns=tuple(map(tops.__getitem__, lengths)))
 
 
@@ -649,18 +644,6 @@ def _flat(t: Tableau) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # convexity and gapless keys
-
-
-def is_interval_closed(ts: TableauSet) -> bool:
-    """Every semistandard point entrywise between two members is a member."""
-    members = ts.tableaux
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            lo = tableau_meet(members[a], members[b])
-            hi = tableau_join(members[a], members[b])
-            if any(v not in ts for v in _tableaux_in(lo, hi)):
-                return False
-    return True
 
 
 def is_convex(ts: TableauSet) -> bool:

@@ -28,6 +28,9 @@ from parakat.rperms import (
     rank_tuple,
     reduced_word,
     to_chain,
+    _lift_blocks,
+    _pi_map,
+    _project_rank_core,
 )
 from parakat.rtuples import RTuple, core, enumerate_tuples
 from parakat.verify import catalan
@@ -182,6 +185,32 @@ def test_pi_map_examples():
         pi_map(RTuple.of(4, (1, 3), (4, 2, 3, 4)))
 
 
+def pi_map_by_pools(g):
+    """Carrel by carrel: the largest unused values up to the boundary entry,
+    from a sorted pool rebuilt for each carrel, then the carrel's own entries."""
+    e = g.entries
+    qs = g.r_subset.qs
+    entries = list(e[: qs[1]])
+    for h in range(1, g.r_subset.r + 1):
+        q, q_next = qs[h], qs[h + 1]
+        s = max(0, e[q - 1] - e[q] + 1)
+        used = set(entries)
+        pool = sorted(v for v in range(1, e[q - 1] + 1) if v not in used)
+        entries.extend(pool[len(pool) - s :])
+        entries.extend(e[q + s : q_next])
+    return RPermutation(g.r_subset, tuple(entries))
+
+
+def test_pi_map_matches_the_pool_route_on_every_gapless_tuple():
+    seen = 0
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            for g in enumerate_tuples(n, r, "gapless"):
+                assert _pi_map(g) == pi_map_by_pools(g), g
+                seen += 1
+    assert seen == sum(count_total(n) for n in range(1, 8))
+
+
 def test_rank_pi_bijection():
     for n in range(1, 6):
         for r in all_r_subsets(n):
@@ -197,6 +226,40 @@ def test_rank_pi_bijection():
 
 # ---------------------------------------------------------------------------
 # lifts
+
+
+def lift_blocks_by_clumps(p):
+    """The lift blocks read off the chain of p and the clumps of each level."""
+    chain = to_chain(p)
+    blocks = []
+    qs = p.r_subset.qs
+    first = sorted(chain.level(1))
+    pos = 0
+    for blk in ClumpDecomposition.of(first).blocks:
+        blocks.append((range(pos, pos + len(blk)), blk, None))
+        pos += len(blk)
+    for h in range(1, p.r_subset.r + 1):
+        bh = chain.level(h)
+        new = chain.level(h + 1) - bh
+        m = max(bh)
+        clumps = ClumpDecomposition.of(chain.level(h + 1)).blocks
+        e = next(i for i, blk in enumerate(clumps) if m in blk)
+        sub = tuple(sorted(set(clumps[e]) & new))
+        pos = qs[h]
+        if sub:
+            blocks.append((range(pos, pos + len(sub)), sub, m))
+            pos += len(sub)
+        for blk in clumps[e + 1 :]:
+            blocks.append((range(pos, pos + len(blk)), blk, None))
+            pos += len(blk)
+    return blocks
+
+
+def test_lift_blocks_match_the_chain_and_clump_route():
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            for p in enumerate_rperms(n, r, avoiding_only=True):
+                assert _lift_blocks(p) == lift_blocks_by_clumps(p), p
 
 
 def test_minimal_lift_examples():
@@ -428,6 +491,22 @@ def test_project_rank_core_matches_the_rank_tuple_route(rebuilt):
                 got = project_rank_core(w, rs)
                 assert got == core(RTuple(rs, full_rank_tuple(w).entries)), (w, r)
                 assert rebuilt(got) == got
+
+
+def test_project_rank_core_matches_the_per_carrel_staircase_on_every_permutation():
+    # the running maximum lowered carrel by carrel, each carrel a running
+    # minimum of its own
+    def staircase(entries):
+        lows = itertools.accumulate((e + j for j, e in enumerate(reversed(entries))), min)
+        return tuple(low - j for j, low in enumerate(lows))[::-1]
+
+    for n in range(1, 7):
+        for r in all_r_subsets(n):
+            rs = RSubset(n, r)
+            for w in itertools.permutations(range(1, n + 1)):
+                psi = tuple(itertools.accumulate(w, max))
+                expected = tuple(v for lo, hi in rs.carrels for v in staircase(psi[lo:hi]))
+                assert _project_rank_core(w, rs).entries == expected, (w, r)
 
 
 def test_project_rank_core_refuses_a_word_that_is_no_permutation_of_n():

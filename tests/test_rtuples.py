@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parakat.errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
-from parakat.rperms import ClumpDecomposition, RChain, RPermutation
+from parakat.rperms import ClumpDecomposition, RChain, RPermutation, pi_map
 from parakat.rtuples import (
     CONSTRUCTION_KINDS,
     FAMILIES,
@@ -14,6 +14,7 @@ from parakat.rtuples import (
     RTuple,
     _entries_with_critical_pairs,
     _Memo,
+    _staircase_below,
     ceiling_map,
     class_interval,
     classify,
@@ -442,6 +443,78 @@ def test_classify_agrees_with_each_predicate():
             for entries in itertools.product(range(1, n + 1), repeat=n):
                 t = RTuple.of(n, r, entries)
                 assert classify(t).as_dict() == {k: p(t) for k, p in predicates.items()}
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernels against the formulations they replaced
+
+
+def staircase_by_accumulate(entries):
+    """The largest strictly increasing sequence entrywise below ``entries``: its
+    entry i is the least ``entries[k] - (k - i)`` over k >= i."""
+    lows = itertools.accumulate((e + j for j, e in enumerate(reversed(entries))), min)
+    return tuple(low - j for j, low in enumerate(lows))[::-1]
+
+
+def core_by_carrels(t):
+    """Refuse a tuple that is not upper, then lower each carrel on its own."""
+    if not is_upper(t):
+        raise NotUpper(f"tuple is not upper: {t}")
+    e = t.entries
+    staircase = (v for lo, hi in t.r_subset.carrels for v in staircase_by_accumulate(e[lo:hi]))
+    return RTuple(t.r_subset, tuple(staircase))
+
+
+def is_gapless_by_definition(t):
+    return is_upper(t) and is_r_increasing(t) and critical_list(t).is_flag
+
+
+def is_floor_flag_by_plateaus(t):
+    """Every plateau start p, where e_{p-1} < e_p = e_{p+1} with e_0 read as 0, in R."""
+    if not is_upper_flag(t):
+        return False
+    boundary = t.r_subset.elements
+    e = (0, *t.entries)
+    return all(p in boundary for p in range(1, t.n) if e[p - 1] < e[p] == e[p + 1])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_pass_kernels_match_their_old_formulations_on_every_tuple(n):
+    # every tuple in [n]^n under every R: 52,165 tuples for n <= 5
+    seen = 0
+    for r in all_r_subsets(n):
+        qs = RSubset(n, r).qs
+        for entries in itertools.product(range(1, n + 1), repeat=n):
+            t = RTuple.of(n, r, entries)
+            seen += 1
+            upper = is_upper(t)
+            staircase = _staircase_below(entries, qs)
+            assert (staircase is None) == (not upper), t
+            if upper:
+                assert core(t) == core_by_carrels(t), t
+                assert staircase == core(t).entries
+            else:
+                with pytest.raises(NotUpper) as info:
+                    core(t)
+                assert str(info.value) == f"tuple is not upper: {t}"
+            gapless = is_gapless_by_definition(t)
+            assert is_gapless(t) == gapless, t
+            if not gapless:
+                with pytest.raises(NotGapless) as info:
+                    pi_map(t)
+                assert str(info.value) == f"tuple is not gapless: {t}"
+            assert is_floor_flag(t) == is_floor_flag_by_plateaus(t), t
+    assert seen == n**n * 2 ** (n - 1)
+
+
+def test_staircase_kernel_reads_each_prefix_as_one_carrel():
+    # the tableau side lowers a prefix of row bounds as a single carrel
+    for n in range(1, 6):
+        for entries in itertools.product(range(1, n + 1), repeat=n):
+            for z in range(1, n + 1):
+                got = _staircase_below(entries[:z], (0, z))
+                upper = all(e > i for i, e in enumerate(entries[:z]))
+                assert got == (staircase_by_accumulate(entries[:z]) if upper else None)
 
 
 def test_not_gapless_errors():

@@ -13,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 from parakat.errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
 from parakat.polys import Polynomial, gen_fn
 from parakat.rperms import (
+    RChain,
     RPermutation,
     enumerate_rperms,
+    from_chain,
     is_r312_avoiding,
     rank_tuple,
     to_chain,
@@ -27,6 +29,7 @@ from parakat.rtuples import (
     enumerate_critical_lists,
     enumerate_tuples,
     equivalent,
+    _unchecked,
 )
 from parakat.tableaux import (
     Shape,
@@ -44,9 +47,7 @@ from parakat.tableaux import (
     in_row_bound_set,
     is_convex,
     is_gapless_key,
-    is_interval_closed,
     is_key,
-    key_of_chain,
     key_of_perm,
     materialize,
     minimal_tableau,
@@ -55,9 +56,8 @@ from parakat.tableaux import (
     row_end_list,
     row_end_max,
     scanning,
-    tableau_join,
-    tableau_meet,
     z_set,
+    _column_pairs,
     _column_walk,
     _ending_in,
     _place,
@@ -66,6 +66,39 @@ from parakat.tableaux import (
     _with_cell,
 )
 from parakat.verify import canonical_shape, shapes_in_range, subsets_of_interval
+
+
+# ---------------------------------------------------------------------------
+# the general convexity test, its lattice operations and the key of a chain:
+# oracles that only the tests call
+
+
+def tableau_meet(t: Tableau, u: Tableau) -> Tableau:
+    """Entrywise minimum; semistandard because the lattice is distributive."""
+    cols = tuple(tuple(map(min, tc, uc)) for tc, uc in _column_pairs(t, u, "meet"))
+    return _unchecked(Tableau, shape=t.shape, columns=cols)
+
+
+def tableau_join(t: Tableau, u: Tableau) -> Tableau:
+    cols = tuple(tuple(map(max, tc, uc)) for tc, uc in _column_pairs(t, u, "join"))
+    return _unchecked(Tableau, shape=t.shape, columns=cols)
+
+
+def key_of_chain(chain: RChain, shape: Shape) -> Tableau:
+    """The key of the R-permutation of a chain: a column of length q_h holds B_h."""
+    return key_of_perm(from_chain(chain), shape)
+
+
+def is_interval_closed(ts: TableauSet) -> bool:
+    """Every semistandard point entrywise between two members is a member."""
+    members = ts.tableaux
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            lo = tableau_meet(members[a], members[b])
+            hi = tableau_join(members[a], members[b])
+            if any(v not in ts for v in _tableaux_in(lo, hi)):
+                return False
+    return True
 
 SMALL_SHAPES = [
     Shape.of(2, (1,)),
@@ -350,9 +383,18 @@ def test_demazure_set_max_is_key_and_contains_minimum():
             d = demazure_set(p, sh)
             y = key_of_perm(p, sh)
             assert y in d and t0 in d
-            assert d.join_of_all() == y
+            assert d.join_of_all() == functools.reduce(tableau_join, d) == y
             assert all(entrywise_le(t, y) for t in d)
             assert all(in_demazure_set(t, y) for t in d)
+
+
+def test_join_of_all_is_the_pairwise_join():
+    for sh in SMALL_SHAPES:
+        lo = minimal_tableau(sh)
+        assert ideal(lo).join_of_all() == lo  # one member
+        for b in enumerate_tuples(sh.n, sh.r_subset.elements, "upper"):
+            s = row_bound_set(b, sh)
+            assert s.join_of_all() == functools.reduce(tableau_join, s) == row_bound_max(b, sh)
 
 
 def test_convexity_dichotomy():
