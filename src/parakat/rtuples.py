@@ -476,6 +476,23 @@ def _is_ceiling_over(
     return True
 
 
+def _is_floor_segment(seg: Sequence[int], n: int, lo: int) -> bool:
+    """A weakly increasing carrel segment ``seg`` at (lo, hi] rises strictly
+    after its opening run of equal entries, a run of one entry when ``lo`` is 0.
+
+    No plateau of a floor flag starts inside a carrel, so only a later
+    carrel's opening run may repeat, continuing a plateau from the previous
+    carrel.  ``n`` is unused; it keeps the signature of a segment filter.
+    """
+    return all(a < b or (lo and b == seg[0]) for a, b in zip(seg, seg[1:]))
+
+
+def _over_own_pairs(test: Callable) -> Callable:
+    """The segment filter ``(seg, n, lo)`` that runs ``test``, :func:`_is_shell_over`
+    or :func:`_is_ceiling_over`, on a carrel's segment against its critical pairs."""
+    return lambda seg, n, lo: test(seg, _critical_pairs(seg, lo), n, lo)
+
+
 def is_gapless_core(t: RTuple) -> bool:
     """Upper with a flag critical list."""
     return is_upper(t) and _upper_critical_list(t).is_flag
@@ -627,39 +644,43 @@ def class_interval(t: RTuple) -> tuple[RTuple, RTuple]:
 
 def floor_map(g: RTuple) -> RTuple:
     """The floor flag sharing a critical list with a gapless tuple."""
-    return from_critical_list(_gapless_critical_list(g), "floor")
+    return _from_critical_list(g.r_subset, _gapless_critical_list(g).carrels, "floor")
 
 
 def ceiling_map(g: RTuple) -> RTuple:
     """The ceiling flag sharing a critical list with a gapless tuple."""
-    return from_critical_list(_gapless_critical_list(g), "ceiling")
+    return _from_critical_list(g.r_subset, _gapless_critical_list(g).carrels, "ceiling")
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-# family: (segment kind, boundary rule, segment filter, per-tuple predicate).
-# A segment is the entries of one carrel, each at least its position, of any
-# order ("upper"), weakly increasing ("weak") or strictly increasing
-# ("strict").  The boundary rule keeps a segment only if its first entry
-# ("first") or its first critical entry ("critical") is at least the previous
-# carrel's last entry: that makes the tuple weakly increasing, or its critical
-# list a flag, as critical entries strictly rise inside a carrel.  A segment
-# filter keeps only the segments whose entries it accepts against their
-# critical pairs: the shell families those whose non-critical entries are all
-# n, the ceiling family those constant up to each critical index.  Both are
-# conditions on each carrel alone, as every carrel's last index is critical.
+# family: (segment kind, boundary rule, segment filter).  A segment is the
+# entries of one carrel, each at least its position, of any order ("upper"),
+# weakly increasing ("weak") or strictly increasing ("strict").  The boundary
+# rule gives each segment the interval that the previous carrel's last entry
+# must lie in, 0 before the first carrel.  Its upper end is the segment's
+# first entry ("first") or first critical entry ("critical"): that makes the
+# tuple weakly increasing, or its critical list a flag, as critical entries
+# strictly rise inside a carrel.  "plateau" is "first", except that a segment
+# opening with two or more equal entries may only continue a plateau: its
+# interval is that one value.  A segment filter keeps only the segments it
+# accepts: read against their critical pairs, the shell families those whose
+# non-critical entries are all n and the ceiling family those constant up to
+# each critical index; the floor family those that rise after their opening
+# run.  Each is a condition on one carrel, as every carrel's last index is
+# critical and a floor flag's plateaus may only start at a divider.
 _WALKS = {
-    "upper": ("upper", None, None, None),
-    "flag": ("weak", "first", None, None),
-    "increasing": ("strict", None, None, None),
-    "gapless": ("strict", "critical", None, None),
-    "gapless-core": ("upper", "critical", None, None),
-    "floor": ("weak", "first", None, is_floor_flag),
-    "ceiling": ("weak", "first", _is_ceiling_over, None),
-    "shell": ("upper", None, _is_shell_over, None),
-    "canopy": ("upper", "critical", _is_shell_over, None),
+    "upper": ("upper", None, None),
+    "flag": ("weak", "first", None),
+    "increasing": ("strict", None, None),
+    "gapless": ("strict", "critical", None),
+    "gapless-core": ("upper", "critical", None),
+    "floor": ("weak", "plateau", _is_floor_segment),
+    "ceiling": ("weak", "first", _over_own_pairs(_is_ceiling_over)),
+    "shell": ("upper", None, _over_own_pairs(_is_shell_over)),
+    "canopy": ("upper", "critical", _over_own_pairs(_is_shell_over)),
 }
 
 FAMILIES = tuple(_WALKS)
@@ -704,10 +725,11 @@ class _Memo(dict):
 
 def _ruled_chains(first: Iterable, later: Sequence[list], last: Callable) -> Iterator[tuple]:
     """:func:`_chains` of one piece of ``first``, which streams, then one of each list
-    in ``later``: a ``(piece, key)`` follows a prefix only if key >= ``last(prefix)``,
-    and each list is filtered once per boundary value."""
+    in ``later``: a ``(piece, low, high)`` follows a prefix only if
+    ``low <= last(prefix) <= high``, and each list is filtered once per boundary value."""
     admissible = [
-        _Memo(lambda a, pieces=pieces: [p for p, key in pieces if key >= a]) for pieces in later
+        _Memo(lambda a, pieces=pieces: [p for p, low, high in pieces if low <= a <= high])
+        for pieces in later
     ]
     return _chains(
         1 + len(later), lambda h, prefix: admissible[h - 1][last(prefix)] if h else first
@@ -725,84 +747,54 @@ def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, 
     return _chains(hi - lo, lambda h, seg: singles[max(lo + 1 + h, seg[-1] if seg else 0):])
 
 
-def _walk(n: int, r_elements: Sequence[int], family: str):
-    """The state of one walk over a family: see :func:`enumerate_tuples`.
+def _kept_segments(n: int, lo: int, hi: int, family: str) -> Iterator[tuple[int, ...]]:
+    """The segments of a family's kind on carrel (lo, hi] that its filter keeps,
+    in lexicographic order."""
+    kind, _, keep = _WALKS[family]
+    segs = _carrel_entries(n, lo, hi, kind)
+    if keep is None:
+        return segs
+    return (s for s in segs if keep(s, n, lo))
 
-    Returns R, one :class:`_Memo` of each segment's critical pairs per carrel
-    of R after the first (the same entries at another carrel's positions have
-    other critical indices), the family's per-tuple predicate (or None) and an
-    iterator over the entries of the tuples the walk builds, which the
-    predicate still has to pass.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    r = RSubset(n, tuple(r_elements))
-    kind, rule, keep, pred = _WALKS[family]
-    caches = [_Memo(lambda seg, lo=lo: _critical_pairs(seg, lo)) for lo, _ in r.carrels[1:]]
 
-    def segments(h: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-        segs = _carrel_entries(n, lo, hi, kind)
-        if keep is None:
-            return segs
-        if h == 0:  # these stream past once each, so their pairs are not kept
-            return (s for s in segs if keep(s, _critical_pairs(s, lo), n, lo))
-        return (s for s in segs if keep(s, caches[h - 1][s], n, lo))
-
-    def boundary_key(h: int, seg: tuple[int, ...]) -> int:
-        return caches[h - 1][seg][0][1] if rule == "critical" else seg[0]
-
-    # an upper tuple meets no condition tied to its carrels, so the upper
-    # family walks [n] as one carrel
-    first, *rest = ((0, n),) if family == "upper" else r.carrels
-    later = [
-        [(s, boundary_key(h, s)) for s in segments(h, lo, hi)]
-        for h, (lo, hi) in enumerate(rest, 1)
-    ]
-    # without a rule every boundary value is 0, below every key, so one list
-    # of a carrel's segments serves every start
-    last = (lambda acc: acc[-1]) if rule else (lambda acc: 0)
-    return r, caches, pred, _ruled_chains(segments(0, *first), later, last)
+def _ruled_segments(
+    n: int, lo: int, hi: int, family: str
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each of :func:`_kept_segments` as ``(segment, low, high)``: the interval
+    of the previous carrel's last entries that its boundary rule admits it
+    after (see ``_WALKS``)."""
+    rule = _WALKS[family][1]
+    for seg in _kept_segments(n, lo, hi, family):
+        high = _critical_pairs(seg, lo)[0][1] if rule == "critical" else seg[0]
+        low = high if rule == "plateau" and seg[1:2] == seg[:1] else 0
+        yield seg, low, (high if rule else n)
 
 
 def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:
     """All members of a family, each once, in lexicographic entry order.
 
-    The walk goes carrel by carrel (see ``_WALKS``): the first carrel's
-    segments stream, each later carrel's segments are listed once, and a
-    later segment follows a tuple's start only where the family's boundary
-    rule admits it.  Every tuple built is an upper tuple, so it is built
-    unchecked; the floor family then tests each one.
+    The walk goes carrel by carrel (see ``_WALKS``): the first carrel's kept
+    segments stream, each later carrel's are listed once with their boundary
+    intervals, and a later segment follows a tuple's start only where its
+    interval holds the start's last entry.  The first carrel's kept segments
+    all follow the empty start, whose last entry reads as 0.  Every tuple
+    built is a member, so it is built unchecked.
 
     >>> sum(1 for _ in enumerate_tuples(4, (1, 2, 3), "gapless"))
     14
     """
-    r, _, pred, walk = _walk(n, r_elements, family)
-    for entries in walk:
-        t = _unchecked(RTuple, r_subset=r, entries=entries)
-        if pred is None or pred(t):
-            yield t
-
-
-def _entries_with_critical_pairs(
-    n: int, r_elements: Sequence[int], family: str
-) -> Iterator[tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]]:
-    """:func:`enumerate_tuples` as entries, each with its critical list's carrels.
-
-    A tuple is built only for a per-tuple predicate.  The pairs of a later
-    carrel come from the walk's cache for that carrel; those of the first
-    carrel are computed again only when its segment changes, which the
-    depth-first walk makes rare.
-    """
-    r, caches, pred, walk = _walk(n, r_elements, family)
-    (_, q), *rest = r.carrels
-    spans = [(cache, lo, hi) for cache, (lo, hi) in zip(caches, rest)]
-    head = None
-    for entries in walk:
-        if pred is None or pred(_unchecked(RTuple, r_subset=r, entries=entries)):
-            if entries[:q] != head:
-                head = entries[:q]
-                head_pairs = _critical_pairs(head, 0)
-            yield entries, (head_pairs, *[cache[entries[lo:hi]] for cache, lo, hi in spans])
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    r = RSubset(n, tuple(r_elements))
+    # an upper tuple meets no condition tied to its carrels, so the upper
+    # family walks [n] as one carrel
+    (_, q), *rest = ((0, n),) if family == "upper" else r.carrels
+    later = [list(_ruled_segments(n, lo, hi, family)) for lo, hi in rest]
+    # without a rule every boundary value is 0, inside every interval, so one
+    # list of a carrel's segments serves every start
+    last = (lambda acc: acc[-1]) if _WALKS[family][1] else (lambda acc: 0)
+    for entries in _ruled_chains(_kept_segments(n, 0, q, family), later, last):
+        yield _unchecked(RTuple, r_subset=r, entries=entries)
 
 
 def enumerate_critical_lists(
@@ -832,8 +824,8 @@ def enumerate_critical_lists(
         return [(pairs,) for pairs in sorted(out)]
 
     first, *rest = (carrel_options(lo, hi) for lo, hi in r.carrels)
-    # a piece's key is its first critical entry; a prefix's boundary value its last
-    later = [[(p, p[0][0][1]) for p in pieces] for pieces in rest]
+    # a piece admits the last critical entries up to its first; a prefix's boundary value its last
+    later = [[(p, 0, p[0][0][1]) for p in pieces] for pieces in rest]
     last = (lambda acc: acc[-1][-1][1]) if flag_only else (lambda acc: 0)
     for carrels in _ruled_chains(first, later, last):
         yield _unchecked(CriticalList, r_subset=r, carrels=carrels)

@@ -35,12 +35,10 @@ from .rperms import (
 )
 from .rtuples import (
     RTuple,
-    _WALKS,
-    _carrel_entries,
     _critical_pairs,
-    _entries_with_critical_pairs,
     _from_critical_list,
-    _unchecked,
+    _ruled_segments,
+    _upper_critical_list,
     ceiling_map,
     classify,
     core,
@@ -220,13 +218,10 @@ def suite_bijections(max_n: int = 6) -> SuiteReport:
             base = {"n": n, "R": r_elements}
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
                 run.check(pi_map(rank_tuple(p)) == p, **base, pi=p, law="pi(psi)=id")
-            # each gapless tuple comes with its critical list, so only the
-            # cores of its floor and ceiling compute one
-            rs = RSubset(n, r_elements)
-            for entries, pairs in _entries_with_critical_pairs(n, r_elements, "gapless"):
-                g = _unchecked(RTuple, r_subset=rs, entries=entries)
-                floor = _from_critical_list(rs, pairs, "floor")
-                ceiling = _from_critical_list(rs, pairs, "ceiling")
+            for g in enumerate_tuples(n, r_elements, "gapless"):
+                pairs = _upper_critical_list(g).carrels
+                floor = _from_critical_list(g.r_subset, pairs, "floor")
+                ceiling = _from_critical_list(g.r_subset, pairs, "ceiling")
                 run.check(rank_tuple(_pi_map(g)) == g, **base, gamma=g, law="psi(pi)=id")
                 run.check(core(floor) == g, **base, gamma=g, law="core(floor)=id")
                 run.check(core(ceiling) == g, **base, gamma=g, law="core(ceiling)=id")
@@ -237,20 +232,19 @@ def _class_count(n: int, r_elements: tuple[int, ...], family: str) -> int:
     """The number of classes among a family's members: their distinct critical lists.
 
     A carrel's critical pairs depend on its segment alone, so each carrel's
-    segments are listed once and grouped by their pairs.  Each group keeps
-    the most permissive key of the family's boundary rule among its
-    segments, the largest; a list of pairs then follows a prefix exactly
-    when its key is at least the prefix's last entry, which is its last
-    critical entry.  So the count carries one number per such boundary
-    value: how many distinct critical-list prefixes end there.
+    segments are listed once and grouped by their pairs.  For a family whose
+    boundary intervals all start at 0, as those of gapless cores and upper
+    flags do, each group keeps the largest upper end among its segments; a
+    list of pairs then follows a prefix exactly when that end is at least
+    the prefix's last entry, which is its last critical entry.  So the count
+    carries one number per such boundary value: how many distinct
+    critical-list prefixes end there.
     """
-    kind, rule, _, _ = _WALKS[family]
     ending = [1] + [0] * n  # before the first carrel, one empty prefix at 0
     for lo, hi in RSubset(n, r_elements).carrels:
         keys: dict = {}
-        for seg in _carrel_entries(n, lo, hi, kind):
+        for seg, _, key in _ruled_segments(n, lo, hi, family):
             pairs = _critical_pairs(seg, lo)
-            key = pairs[0][1] if rule == "critical" else seg[0]
             keys[pairs] = max(key, keys.get(pairs, 0))
         at_most = list(itertools.accumulate(ending))
         ending = [0] * (n + 1)

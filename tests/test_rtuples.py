@@ -12,7 +12,6 @@ from parakat.rtuples import (
     CriticalList,
     RSubset,
     RTuple,
-    _entries_with_critical_pairs,
     _Memo,
     _staircase_below,
     ceiling_map,
@@ -216,7 +215,7 @@ def test_carrel_walk_matches_the_brute_filter():
     # the public predicates over every upper tuple, in lexicographic order
     assert set(FAMILY_PREDICATES) == set(FAMILIES)
     for n in range(1, 7):
-        families = FAMILIES if n <= 5 else ("gapless-core", "shell", "canopy")
+        families = FAMILIES if n <= 5 else ("gapless-core", "floor", "shell", "canopy")
         for r in all_r_subsets(n):
             uppers = [
                 RTuple.of(n, r, e)
@@ -229,27 +228,21 @@ def test_carrel_walk_matches_the_brute_filter():
                 ], (n, r, family)
 
 
-def test_walk_yields_each_members_critical_list():
-    for n in range(1, 7):
+def test_floor_walk_is_the_flag_walk_filtered_by_the_plateau_rule():
+    # the floor family's segment filter and plateau boundary rule against the
+    # per-tuple predicate over every upper flag, in the same order
+    for n in range(1, 8):
         for r in all_r_subsets(n):
-            for family in FAMILIES:
-                walked = list(_entries_with_critical_pairs(n, r, family))
-                members = [RTuple.of(n, r, entries) for entries, _ in walked]
-                if n <= 5:
-                    assert members == list(enumerate_tuples(n, r, family))
-                    assert all(
-                        pairs == critical_list(t).carrels for t, (_, pairs) in zip(members, walked)
-                    )
-                classes = {pairs for _, pairs in walked}
-                assert len(classes) == len({core(t).entries for t in members}), (n, r, family)
-    # equal segments in two carrels have critical indices of their own carrel
+            flags = [t for t in enumerate_tuples(n, r, "flag") if is_floor_flag(t)]
+            assert list(enumerate_tuples(n, r, "floor")) == flags, (n, r)
+
+
+def test_equal_segments_in_two_carrels_have_their_own_critical_indices():
     for n, r, entries, expected in [
         (4, (2,), (3, 4, 3, 4), (((2, 4),), ((4, 4),))),
         (6, (2, 4), (5, 6, 5, 6, 5, 6), (((2, 6),), ((4, 6),), ((6, 6),))),
     ]:
-        for family in ("upper", "increasing", "gapless", "gapless-core"):
-            walked = dict(_entries_with_critical_pairs(n, r, family))
-            assert walked[entries] == expected, (n, r, family)
+        assert critical_list(RTuple.of(n, r, entries)).carrels == expected
 
 
 def test_critical_list_enumeration_counts():
@@ -313,8 +306,8 @@ def test_floor_and_ceiling_are_the_extreme_flags_of_their_class():
 
 
 def test_floor_flags_are_the_floors_of_their_classes():
-    # the floor walk filters by is_floor_flag itself, so the plateau rule is
-    # checked against the floor built from each flag's own critical list
+    # the plateau rule of is_floor_flag, which the floor walk is checked
+    # against, against the floor built from each flag's own critical list
     for n in range(1, 7):
         for r in all_r_subsets(n):
             for phi in enumerate_tuples(n, r, "flag"):

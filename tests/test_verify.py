@@ -6,7 +6,7 @@ import pytest
 
 from parakat import verify
 from parakat.errors import CapExceeded
-from parakat.rtuples import _entries_with_critical_pairs
+from parakat.rtuples import critical_list, enumerate_tuples
 from parakat.tableaux import Shape
 from parakat.verify import (
     _Run,
@@ -163,8 +163,7 @@ def test_class_count_is_the_number_of_distinct_member_critical_lists():
     for n in range(1, 7):
         for r in subsets_of_interval(n):
             for family in ("gapless-core", "flag"):
-                members = _entries_with_critical_pairs(n, r, family)
-                expected = len({pairs for _, pairs in members})
+                expected = len({critical_list(t) for t in enumerate_tuples(n, r, family)})
                 assert _class_count(n, r, family) == expected, (n, r, family)
 
 
