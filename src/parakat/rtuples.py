@@ -593,31 +593,19 @@ def classify(t: RTuple) -> ClassificationReport:
     upper = is_upper(t)
     flag = is_weakly_increasing(t)
     increasing = is_r_increasing(t)
-    if not upper:
-        return ClassificationReport(
-            upper=False,
-            flag=flag,
-            increasing=increasing,
-            gapless=False,
-            gapless_core=False,
-            shell=False,
-            canopy=False,
-            floor_flag=False,
-            ceiling_flag=False,
-        )
-    c = _upper_critical_list(t)
-    gapless = increasing and c.is_flag
-    shell = _is_shell_over(t.entries, c.pairs, t.n)
+    c = _upper_critical_list(t) if upper else None
+    gapless_core = upper and c.is_flag
+    shell = upper and _is_shell_over(t.entries, c.pairs, t.n)
     return ClassificationReport(
-        upper=True,
+        upper=upper,
         flag=flag,
         increasing=increasing,
-        gapless=gapless,
-        gapless_core=c.is_flag,
+        gapless=increasing and gapless_core,
+        gapless_core=gapless_core,
         shell=shell,
-        canopy=shell and c.is_flag,
-        floor_flag=flag and is_floor_flag(t),
-        ceiling_flag=flag and _is_ceiling_over(t.entries, c.pairs, t.n),
+        canopy=shell and gapless_core,
+        floor_flag=is_floor_flag(t),
+        ceiling_flag=upper and flag and _is_ceiling_over(t.entries, c.pairs, t.n),
     )
 
 

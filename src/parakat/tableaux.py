@@ -45,7 +45,7 @@ _columns = attrgetter("columns")
 
 def materialization_cap() -> int:
     """The one limit on tableaux (``PARAKAT_CAP``, else ``DEFAULT_CAP``): on a
-    set's members in :func:`materialize` and a shape's SSYT in :class:`ShapeTableaux`."""
+    set's members in :func:`_set_below` and a shape's SSYT in :class:`ShapeTableaux`."""
     raw = os.environ.get("PARAKAT_CAP")
     if raw is None:
         return DEFAULT_CAP
@@ -247,77 +247,71 @@ def count_tableaux(shape: Shape) -> int:
 
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
     """All semistandard tableaux, each once, lexicographic in their columns
-    read from the rightmost; :func:`materialize` puts them in canonical order."""
-    return _tableaux_in(minimal_tableau(shape), _below_row_ends((shape.n,) * shape.n, shape))
-
-
-def _columns_between(n: int) -> Callable:
-    """``between(low, top, right)``: the strictly increasing columns with values
-    in [n] between ``low`` and the entrywise minimum of ``top`` and ``right``,
-    the column on their right (``()`` at first), each bound listed once."""
-    singles = [(v,) for v in range(n + 1)]
-
-    def columns_between(bounds: tuple) -> list:
-        low, bound = bounds
-        return list(_chains(len(bound), lambda i, part: singles[
-            max(low[i], part[-1] + 1 if part else 0) : bound[i] + 1
-        ]))
-
-    listed = _Memo(columns_between)  # (low, bound) -> the columns between them
-
-    def between(low: tuple, top: tuple, right: tuple) -> list:
-        return listed[low, (*map(min, top, right), *top[len(right) :])]
-
-    return between
-
-
-def _column_walk(lo: Tableau, hi: Tableau, step: Callable, start) -> Iterator:
-    """The final states of every tableau in the box [lo, hi] that ``step`` keeps.
-
-    The walk fills one whole column per level, from the rightmost leftwards:
-    column j ranges over the columns between lo_j and hi_j left of the column
-    on its right (:func:`_columns_between`).  ``step(state, c, right)``
-    returns the state once ``c`` is placed left of ``right`` (``()`` at
-    first), or None to drop ``c``.  A step that drops nothing never dead-ends
-    (lo_j <= lo_{j+1} <= right, lo_j <= hi_j).
-    """
-    los, his = lo.columns, hi.columns
-    between = _columns_between(lo.n)
-
-    def options(h: int, prefix: tuple) -> list:
-        right, state = prefix[-1] if prefix else ((), start)
-        found = between(los[-1 - h], his[-1 - h], right)
-        return [((c, after),) for c in found if (after := step(state, c, right)) is not None]
-
-    for placed in _chains(len(his), options):
-        yield placed[-1][1] if placed else start  # a shape without columns has one filling
+    read from the rightmost, the order of every walk below a tableau."""
+    for cols in _column_walk(_below_row_ends((shape.n,) * shape.n, shape), _place, ()):
+        yield _unchecked(Tableau, shape=shape, columns=cols)
 
 
 @functools.lru_cache(maxsize=1)
-def _ideal_columns(n: int) -> Callable:
-    """The :func:`_columns_between` that every :func:`count_ideal` over [n] shares.
+def _columns_below(n: int) -> Callable:
+    """``below(top, right)``: the strictly increasing columns with values in
+    [n] below the entrywise minimum of ``top`` and ``right``, the column on
+    their right (``()`` at first), shared by every walk and count over [n].
 
-    An ideal's columns lie between 1, 2, ..., z and a strictly increasing
-    column of length z, so the memo holds at most one listing per subset of
-    [n], and every key of every shape with this n reads the same listings.
+    Each listing is keyed by its bound, itself a strictly increasing column,
+    so the memo holds at most one listing per subset of [n].
     """
-    return _columns_between(n)
+    singles = [(v,) for v in range(n + 1)]
+
+    def columns_below(bound: tuple) -> list:
+        return list(_chains(len(bound), lambda i, part: singles[
+            part[-1] + 1 if part else 1 : bound[i] + 1
+        ]))
+
+    listed = _Memo(columns_below)  # bound -> the columns below it
+
+    def below(top: tuple, right: tuple) -> list:
+        return listed[(*map(min, top, right), *top[len(right) :])]
+
+    return below
+
+
+def _column_walk(top: Tableau, step: Callable, start) -> Iterator:
+    """The final states of every tableau entrywise below ``top`` that ``step`` keeps.
+
+    The walk fills one whole column per level, from the rightmost leftwards:
+    column j ranges over the columns below top_j left of the column on its
+    right (:func:`_columns_below`).  ``step(state, c, right)`` returns the
+    state once ``c`` is placed left of ``right`` (``()`` at first), or None
+    to drop ``c``.  A step that drops nothing never dead-ends, as the column
+    1, 2, ..., z lies below every bound.
+    """
+    tops = top.columns
+    below = _columns_below(top.n)
+
+    def options(h: int, prefix: tuple) -> list:
+        right, state = prefix[-1] if prefix else ((), start)
+        found = below(tops[-1 - h], right)
+        return [((c, after),) for c in found if (after := step(state, c, right)) is not None]
+
+    for placed in _chains(len(tops), options):
+        yield placed[-1][1] if placed else start  # a shape without columns has one filling
 
 
 def count_ideal(t: Tableau) -> int:
     """The number of tableaux entrywise below ``t``, by column transfer.
 
-    The box is that of :func:`ideal`, filled as :func:`_column_walk` fills
-    it, but the state is only the column placed on the right, which is all
-    the next column reads; each state carries the number of fillings from
-    it rightwards, so no tableau is built.
+    The columns are those :func:`_column_walk` fills below ``t``, but the
+    state is only the column placed on the right, which is all the next
+    column reads; each state carries the number of fillings from it
+    rightwards, so no tableau is built.
     """
-    between = _ideal_columns(t.n)
+    below = _columns_below(t.n)
     ways = {(): 1}  # the column on the right -> the fillings from it rightwards
-    for low, top in zip(reversed(minimal_tableau(t.shape).columns), reversed(t.columns)):
+    for top in reversed(t.columns):
         placed: Counter = Counter()
         for right, count in ways.items():
-            for c in between(low, top, right):
+            for c in below(top, right):
                 placed[c] += count
         ways = placed
     return sum(ways.values())
@@ -328,22 +322,18 @@ def _place(cols: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
     return (c, *cols)
 
 
-def _tableaux_in(lo: Tableau, hi: Tableau, step: Callable = _place) -> Iterator[Tableau]:
-    for cols in _column_walk(lo, hi, step, ()):
-        yield _unchecked(Tableau, shape=lo.shape, columns=cols)
+def _set_below(top: Tableau, step: Callable = _place) -> TableauSet:
+    """The tableaux below ``top`` that ``step`` keeps, as an explicit set of at
+    most ``PARAKAT_CAP`` members.
 
-
-def materialize(shape: Shape, source: Iterable[Tableau]) -> TableauSet:
-    """Collect tableaux into an explicit set of at most ``PARAKAT_CAP`` members.
-
-    ``source`` yields distinct tableaux of ``shape``, as the walks do, so the
-    set is built unchecked; its members are sorted once by columns, since no
-    walk yields them in that order.
+    The walk yields distinct tableaux of one shape, so the set is built
+    unchecked; its members are sorted once by columns, since no walk yields
+    them in that order.
     """
-    limit = materialization_cap()
+    limit, shape = materialization_cap(), top.shape
     out = []
-    for t in source:
-        out.append(t)
+    for cols in _column_walk(top, step, ()):
+        out.append(_unchecked(Tableau, shape=shape, columns=cols))
         if len(out) > limit:
             raise CapExceeded(f"materialization exceeds cap of {limit} tableaux")
     out.sort(key=_columns)
@@ -434,8 +424,7 @@ def row_end_max(a: RTuple, shape: Shape) -> Tableau:
 
 def z_set(a: RTuple, shape: Shape) -> TableauSet:
     """All tableaux with row-end list ``a``, walked below its row-end maximum."""
-    top = row_end_max(a, shape)
-    return materialize(shape, _tableaux_in(minimal_tableau(shape), top, _ending_in(a.entries)))
+    return _set_below(row_end_max(a, shape), _ending_in(a.entries))
 
 
 def _ending_in(ends: tuple[int, ...]) -> Callable:
@@ -530,7 +519,7 @@ def demazure_set(p: RPermutation, shape: Shape) -> TableauSet:
     The walk prunes each column at the key, so it yields only members.
     """
     y = key_of_perm(p, shape)
-    return materialize(shape, _tableaux_in(minimal_tableau(shape), y, _scanning_below(y)))
+    return _set_below(y, _scanning_below(y))
 
 
 def _scanning_below(y: Tableau) -> Callable:
@@ -563,7 +552,7 @@ def _with_cell(shape: Shape) -> Callable:
 
 def ideal(t: Tableau) -> TableauSet:
     """The principal ideal: all tableaux entrywise below ``t``."""
-    return materialize(t.shape, _tableaux_in(minimal_tableau(t.shape), t))
+    return _set_below(t)
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +587,8 @@ class ShapeTableaux:
         self.cells: dict = {}  # cell_of(t) -> [size, packed content -> count]
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
-        lo, hi = minimal_tableau(shape), _below_row_ends((shape.n,) * shape.n, shape)
-        for _, key, ends, weight in _column_walk(lo, hi, _with_cell(shape), ((), (), (), 0)):
+        top = _below_row_ends((shape.n,) * shape.n, shape)
+        for _, key, ends, weight in _column_walk(top, _with_cell(shape), ((), (), (), 0)):
             cell = key, ends + empty_rows
             entry = self.cells.get(cell)
             if entry is None:

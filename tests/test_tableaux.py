@@ -49,7 +49,6 @@ from parakat.tableaux import (
     is_gapless_key,
     is_key,
     key_of_perm,
-    materialize,
     minimal_tableau,
     row_bound_max,
     row_bound_set,
@@ -62,7 +61,7 @@ from parakat.tableaux import (
     _ending_in,
     _place,
     _scanning_below,
-    _tableaux_in,
+    _set_below,
     _with_cell,
 )
 from parakat.verify import canonical_shape, shapes_in_range, subsets_of_interval
@@ -96,7 +95,7 @@ def is_interval_closed(ts: TableauSet) -> bool:
         for b in range(a + 1, len(members)):
             lo = tableau_meet(members[a], members[b])
             hi = tableau_join(members[a], members[b])
-            if any(v not in ts for v in _tableaux_in(lo, hi)):
+            if any(v not in ts for v in ideal(hi) if entrywise_le(lo, v)):
                 return False
     return True
 
@@ -425,6 +424,35 @@ def test_count_ideal_is_the_size_of_the_ideal():
     assert count_ideal(minimal_tableau(Shape.of(3, ()))) == 1
 
 
+def test_walks_and_counts_share_one_listing_per_n(monkeypatch):
+    # the atlas walk, every key's count and the Demazure walks over [6] read
+    # one memo of column listings, so no bound is listed twice
+    from parakat import tableaux
+
+    listed = Counter()
+
+    class Recording(tableaux._Memo):
+        def __missing__(self, key):
+            listed[self.fn.__qualname__, key] += 1
+            return super().__missing__(key)
+
+    tableaux._columns_below.cache_clear()
+    monkeypatch.setattr(tableaux, "_Memo", Recording)
+    try:
+        sh = Shape.of(6, (5, 4, 3, 2, 1))
+        atlas = ShapeTableaux(sh)
+        assert atlas.size(atlas.cells) == 2**15
+        perms = list(enumerate_rperms(6, sh.r_subset.elements))
+        counts = [count_ideal(key_of_perm(p, sh)) for p in perms]
+        assert min(counts) == 1 and max(counts) == 2**15
+        for p, count in list(zip(perms, counts))[::97]:
+            assert 0 < len(demazure_set(p, sh)) <= count
+        bounds = [k for (name, _), k in listed.items() if name.endswith("columns_below")]
+        assert 1 < len(bounds) <= 2**6 and max(listed.values()) == 1
+    finally:
+        tableaux._columns_below.cache_clear()
+
+
 def _brute_force_set(shape, pred):
     return TableauSet(shape, tuple(t for t in tableaux_of(shape) if pred(t)))
 
@@ -457,7 +485,7 @@ def test_demazure_walk_matches_the_filter_of_the_key_ideal():
             filtered = tuple(t for t in ideal(y) if in_demazure_set(t, y))
             d = demazure_set(p, sh)
             assert d.tableaux == filtered
-            assert d == materialize(sh, iter(filtered))
+            assert d == TableauSet(sh, filtered)
 
 
 def test_demazure_walk_costs_what_it_yields():
@@ -589,7 +617,7 @@ def test_trusted_tableaux_pass_the_public_checks(rebuilt):
         r = sh.r_subset.elements
         ts = tableaux_of(sh)
         lo, top = minimal_tableau(sh), functools.reduce(tableau_join, ts)
-        built = [lo, top, *ts, *_tableaux_in(lo, top)]
+        built = [lo, top, *ts, *ideal(top)]
         built += [scanning(t) for t in ts]
         built += [tableau_meet(t, u) for t, u in zip(ts, ts[::-1])]
         built += [key_of_perm(p, sh) for p in enumerate_rperms(sh.n, r)]
@@ -659,8 +687,8 @@ def _brute_force_columns(shape):
 
 
 def test_tableau_walks_match_a_brute_filter():
-    # the walk over SSYT and over a box, items and order, against a filter of
-    # the product of columns, re-sorted by the columns read from the rightmost
+    # the walk over SSYT and below a tableau, items and order, against a filter
+    # of the product of columns, re-sorted by the columns read from the rightmost
     for sh in [*SMALL_SHAPES, Shape.of(3, ())]:
         brute = sorted(_brute_force_columns(sh), key=lambda cols: cols[::-1])
         assert [t.columns for t in enumerate_tableaux(sh)] == brute
@@ -668,9 +696,9 @@ def test_tableau_walks_match_a_brute_filter():
         rng = random.Random(len(members))
         for _ in range(20):
             a, b = rng.choice(members), rng.choice(members)
-            lo, hi = tableau_meet(a, b), tableau_join(a, b)
-            box = [t.columns for t in members if entrywise_le(lo, t) and entrywise_le(t, hi)]
-            assert [t.columns for t in _tableaux_in(lo, hi)] == box
+            hi = tableau_join(a, b)
+            below = [t.columns for t in members if entrywise_le(t, hi)]
+            assert list(_column_walk(hi, _place, ())) == below
 
 
 def test_narrow_boxes_cost_what_they_yield():
@@ -681,9 +709,8 @@ def test_narrow_boxes_cost_what_they_yield():
     start = time.perf_counter()
     assert len(ideal(top)) == 21
     wide = Shape.of(40, (2,) * 20)
-    lo = Tableau(wide, (tuple(range(1, 21)),) * 2)
     hi = Tableau(wide, (tuple(range(1, 20)) + (40,),) * 2)
-    assert sum(1 for _ in _tableaux_in(lo, hi)) == 21 * 22 // 2
+    assert sum(1 for _ in _column_walk(hi, _place, ())) == 21 * 22 // 2
     assert time.perf_counter() - start < 0.5
 
 
@@ -691,16 +718,16 @@ def test_walks_leave_no_reference_cycles():
     # a self-recursive generator closure would leave a function-cell cycle per call
     sh = Shape.of(4, (3, 2, 1))
     p = RPermutation.of(4, (1, 2, 3), (3, 1, 4, 2))
-    lo, top, y = minimal_tableau(sh), tableaux_of(sh)[-1], key_of_perm(p, sh)
+    top, y = tableaux_of(sh)[-1], key_of_perm(p, sh)
     a = rank_tuple(p)  # increasing upper, so it has a z set
     walks = [
         functools.partial(enumerate_tableaux, sh),
         functools.partial(ideal, top),
         # the column walk under each of its four steps
-        functools.partial(_column_walk, lo, top, _place, ()),
-        functools.partial(_column_walk, lo, y, _scanning_below(y), ()),
-        functools.partial(_column_walk, lo, row_end_max(a, sh), _ending_in(a.entries), ()),
-        functools.partial(_column_walk, lo, top, _with_cell(sh), ((), (), (), 0)),
+        functools.partial(_column_walk, top, _place, ()),
+        functools.partial(_column_walk, y, _scanning_below(y), ()),
+        functools.partial(_column_walk, row_end_max(a, sh), _ending_in(a.entries), ()),
+        functools.partial(_column_walk, top, _with_cell(sh), ((), (), (), 0)),
         functools.partial(demazure_set, p, sh),
         functools.partial(z_set, a, sh),
         functools.partial(enumerate_rperms, 5, (2, 4)),
@@ -744,7 +771,7 @@ def test_materialization_cap(monkeypatch):
     assert len(demazure_set(RPermutation.of(4, (1, 2, 3), (1, 2, 3, 4)), sh)) == 1
     monkeypatch.setenv("PARAKAT_CAP", "3")
     with pytest.raises(CapExceeded):
-        materialize(sh, enumerate_tableaux(sh))
+        _set_below(tableaux_of(sh)[-1])
 
 
 def test_cap_env_override(monkeypatch):

@@ -200,10 +200,10 @@ def test_tableau_suites_build_the_tuple_side_once_per_carrel_set(monkeypatch):
     # once per upper tuple of each of the 15 carrel sets, not once per shape
     assert len(calls) == 1 + 2 * 2 + 4 * 6 + 8 * 24 == 221
 
-    def refused(shape, source):
+    def refused(top, step=None):
         raise AssertionError("convexity materialized a set")
 
-    monkeypatch.setattr(tableaux, "materialize", refused)
+    monkeypatch.setattr(tableaux, "_set_below", refused)
     assert suite_convexity(4, 3, all_shapes=True).passed
 
 
