@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
-from .rperms import RPermutation, reduced_word
+from .rperms import RPermutation, _lower_cover, reduced_word
 from .rtuples import RTuple, _check_n, _is_int_array, _json_fields, is_gapless_core, is_upper_flag
 from .tableaux import (
     Shape,
@@ -246,6 +246,33 @@ def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:
     for i in reduced_word(p.entries):
         terms = _packed_pi(terms, i, n, width)
     return Polynomial._of(n, _unpack(terms, n, width))
+
+
+def _demazure_walk(shape: Shape) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+    """The entries of every R-permutation w over the shape's carrel set, with
+    κ_w packed as :func:`demazure_poly_dd` packs it, one divided difference each.
+
+    κ_w = π_i(κ_u) for ``(i, u) = rperms._lower_cover(w)``, so the walk runs
+    the tree of lower covers depth first from the identity's x^λ, and only the
+    polynomials on the path and those that pending children read stay alive.
+    """
+    n, width = shape.n, _width(shape.parts[0])
+    carrel = [h for h, (lo, hi) in enumerate(shape.r_subset.carrels) for _ in range(lo, hi)]
+    stack = [(tuple(range(1, n + 1)), 0, {_pack(shape.parts, width): 1})]
+    while stack:
+        u, i, terms = stack.pop()
+        if i:  # a child: its parent's polynomial until now
+            terms = _packed_pi(terms, i, n, width)
+        yield u, terms
+        # the children: u with some j before j + 1, in an earlier carrel, swapped
+        where = {v: pos for pos, v in enumerate(u)}
+        for j in range(1, n):
+            a, b = where[j], where[j + 1]
+            if carrel[a] < carrel[b]:
+                w = list(u)
+                w[a], w[b] = j + 1, j
+                if _lower_cover(w)[0] == j:
+                    stack.append((tuple(w), j, terms))
 
 
 def compose_alpha(p: RPermutation, shape: Shape) -> tuple[int, ...]:

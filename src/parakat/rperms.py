@@ -160,8 +160,19 @@ def is_312_avoiding(word: Sequence[int]) -> bool:
     False
     >>> is_312_avoiding((2, 3, 1))
     True
+
+    One pass from the right: an entry pops each larger entry c off a stack,
+    as the b of a pattern, and any later entry above the least c popped is its a.
     """
-    return _avoids_312(word, range(len(word) + 1))
+    stack: list[int] = []
+    low = math.inf
+    for v in reversed(word):
+        if v > low:
+            return False
+        while stack and stack[-1] > v:
+            low = stack.pop()
+        stack.append(v)
+    return True
 
 
 def inversions(word: Sequence[int]) -> int:
@@ -194,6 +205,19 @@ def reduced_word(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _lower_cover(entries: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+    """``(i, u)`` for the first value i that sits after i + 1, and ``u`` the
+    entries with the two swapped, one inversion fewer; None for the identity.
+    An R-permutation's u is one over the same R, as i + 1 lies in an earlier carrel."""
+    where = {v: pos for pos, v in enumerate(entries)}
+    for i in range(1, len(entries)):
+        if where[i + 1] < where[i]:
+            u = list(entries)
+            u[where[i]], u[where[i + 1]] = i + 1, i
+            return i, tuple(u)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # projections, chains, avoidance
 
@@ -223,7 +247,7 @@ def is_r312_avoiding(p: RPermutation) -> bool:
 
 
 def _avoids_312(e: Sequence[int], qs: Sequence[int]) -> bool:
-    """R-312-avoidance of ``e`` over carrel bounds ``qs``; plain 312-avoidance is R = [n-1]."""
+    """R-312-avoidance of ``e`` over carrel bounds ``qs``."""
     for h in range(1, len(qs) - 2):
         q, q_next = qs[h], qs[h + 1]
         # any earlier entry above e[c] witnesses, so the left max suffices

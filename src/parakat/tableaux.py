@@ -45,7 +45,7 @@ _columns = attrgetter("columns")
 
 def materialization_cap() -> int:
     """The one limit on tableaux (``PARAKAT_CAP``, else ``DEFAULT_CAP``): on a
-    set's members in :func:`_set_below` and a shape's SSYT in :class:`ShapeTableaux`."""
+    set's members in :func:`_set_below` and a shape's SSYT in :func:`_require_within_cap`."""
     raw = os.environ.get("PARAKAT_CAP")
     if raw is None:
         return DEFAULT_CAP
@@ -243,6 +243,15 @@ def count_tableaux(shape: Shape) -> int:
             contents *= shape.n + j - i
             hooks *= (parts[i - 1] - j) + (conj[j - 1] - i) + 1
     return contents // hooks
+
+
+def _require_within_cap(shape: Shape) -> None:
+    """Refuse a shape with more SSYT than ``PARAKAT_CAP``: the cap of each shape
+    that a suite reads, whether it walks the tableaux or only sizes their sets."""
+    limit = materialization_cap()
+    total = count_tableaux(shape)
+    if total > limit:
+        raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")
 
 
 def enumerate_tableaux(shape: Shape) -> Iterator[Tableau]:
@@ -579,10 +588,7 @@ class ShapeTableaux:
     """
 
     def __init__(self, shape: Shape):
-        limit = materialization_cap()
-        total = count_tableaux(shape)
-        if total > limit:
-            raise CapExceeded(f"shape {shape} has {total} tableaux, over the cap of {limit}")
+        _require_within_cap(shape)
         self.shape = shape
         self.cells: dict = {}  # cell_of(t) -> [size, packed content -> count]
         # the walk yields the ends of the nonempty rows; an empty row i reads i

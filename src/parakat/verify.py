@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import CapExceeded
-from .polys import Polynomial, compose_alpha, demazure_poly_dd
+from .polys import Polynomial, _demazure_walk, compose_alpha
 from .rperms import (
     RPermutation,
     RSubset,
@@ -34,10 +34,12 @@ from .rperms import (
     rank_tuple,
 )
 from .rtuples import (
+    _WALKS,
     RTuple,
     _critical_pairs,
     _from_critical_list,
-    _ruled_segments,
+    _kept_segments,
+    _unchecked,
     _upper_critical_list,
     ceiling_map,
     classify,
@@ -51,8 +53,12 @@ from .rtuples import (
 from .tableaux import (
     Shape,
     ShapeTableaux,
+    _require_within_cap,
+    _unpack,
+    _width,
     content,
     count_ideal,
+    in_demazure_set,
     is_key,
     key_of_perm,
     row_bound_max,
@@ -240,11 +246,14 @@ def _class_count(n: int, r_elements: tuple[int, ...], family: str) -> int:
     carries one number per such boundary value: how many distinct
     critical-list prefixes end there.
     """
+    critical = _WALKS[family][1] == "critical"
     ending = [1] + [0] * n  # before the first carrel, one empty prefix at 0
     for lo, hi in RSubset(n, r_elements).carrels:
         keys: dict = {}
-        for seg, _, key in _ruled_segments(n, lo, hi, family):
+        for seg in _kept_segments(n, lo, hi, family):
             pairs = _critical_pairs(seg, lo)
+            # the boundary interval's upper end (``rtuples._ruled_segments``)
+            key = pairs[0][1] if critical else seg[0]
             keys[pairs] = max(key, keys.get(pairs, 0))
         at_most = list(itertools.accumulate(ending))
         ending = [0] * (n + 1)
@@ -316,26 +325,32 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
     return run.report()
 
 
+def _convexity(shape: Shape):
+    """Each index p of a shape within the cap, its key y, and whether D(p) is
+    the ideal of y.  It lies in that ideal, as t <= scanning(t) <= y for each
+    member, so it is the ideal when the sizes agree.  |D(p)| is κ_p(1, ..., 1)
+    (the Demazure character formula, which the polynomials suite checks)."""
+    _require_within_cap(shape)
+    for entries, terms in _demazure_walk(shape):
+        p = _unchecked(RPermutation, r_subset=shape.r_subset, entries=entries)
+        y = key_of_perm(p, shape)
+        yield p, y, sum(terms.values()) == count_ideal(y)
+
+
 def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) -> SuiteReport:
-    """Demazure sets are convex exactly for avoiding indexes, exactly as ideals."""
+    """Demazure sets are convex exactly for avoiding indexes, exactly as ideals
+    (:func:`_convexity`)."""
     _check_ranges(max_n, max_col=max_col)
     run = _Run("convexity", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
-    for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
-        perms = [(p, is_r312_avoiding(p)) for p in enumerate_rperms(n, r_elements)]
-        for shape in shapes:
-            atlas = ShapeTableaux(shape)
-            for p, avoiding in perms:
-                y = key_of_perm(p, shape)
-                d = atlas.demazure_cells(p)
-                # t <= scanning(t) <= y for every member, so the set lies in the
-                # ideal of y: it is that ideal if the sizes agree and y is a member
-                convex = atlas.size(d) == count_ideal(y)
-                is_ideal = convex and atlas.cell_of(y) in d
-                run.check(
-                    convex == avoiding == is_ideal,
-                    shape=shape.parts, n=n, pi=p,
-                    avoiding=avoiding, convex=convex, equals_ideal=is_ideal,
-                )
+    for shape in shapes_in_range(max_n, max_col, all_shapes):
+        for p, y, convex in _convexity(shape):
+            avoiding = is_r312_avoiding(p)
+            is_ideal = convex and in_demazure_set(y, y)
+            run.check(
+                convex == avoiding == is_ideal,
+                shape=shape.parts, n=shape.n, pi=p,
+                avoiding=avoiding, convex=convex, equals_ideal=is_ideal,
+            )
     return run.report()
 
 
@@ -344,35 +359,31 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
     For every upper bound tuple: if its core is gapless the unique matching
     index is the image of the core, the maxima agree, and no other index
-    matches; otherwise no index matches at all.
+    matches; otherwise no index matches at all.  A row-bound set is the ideal
+    of its maximum, so it is D(p) exactly when that is p's key and D(p) is convex.
     """
     _check_ranges(max_n, max_col=max_col)
     run = _Run("coincidence", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
-        perms = list(enumerate_rperms(n, r_elements))
         bounds = []  # each upper bound, its core, and the core's image if it is gapless
         for b in enumerate_tuples(n, r_elements, "upper"):
             delta = core(b)
             bounds.append((b, delta, _pi_map(delta) if is_gapless(delta) else None))
         for shape in shapes:
             base = {"shape": shape.parts, "n": n}
-            atlas = ShapeTableaux(shape)
-            # each Demazure set -> the permutations indexing it, in enumeration order
-            indexing: dict = {}
-            for p in perms:
-                indexing.setdefault(atlas.demazure_cells(p), []).append(p)
-            gapless_images = {}
+            convex_keys = {y.columns: p for p, y, convex in _convexity(shape) if convex}
+            gapless_maxima = {}
             for b, delta, p in bounds:
-                sset = atlas.row_bound_cells(b)
-                matches = indexing.get(sset, [])
+                top = row_bound_max(b, shape)
+                matches = [convex_keys[top.columns]] if top.columns in convex_keys else []
                 if p is None:
                     ok = matches == []
                 else:
-                    ok = matches == [p] and row_bound_max(b, shape) == key_of_perm(p, shape)
-                    gapless_images[delta.entries] = sset
+                    ok = matches == [p] and top == key_of_perm(p, shape)
+                    gapless_maxima[delta.entries] = top
                 run.check(ok, **base, beta=b, core=delta, matches=matches)
             run.check(
-                len(gapless_images) == len(set(gapless_images.values())),
+                len(gapless_maxima) == len(set(gapless_maxima.values())),
                 **base, law="gapless tuples index coincident sets faithfully",
             )
     return run.report()
@@ -403,8 +414,10 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             d_polys = {p: Polynomial._of(n, atlas.weights(d_cells[p])) for p in perms}
             base = {"shape": shape.parts, "n": n}
 
+            # the polynomials that convexity and coincidence size their sets by
+            walked, width = dict(_demazure_walk(shape)), _width(shape.parts[0])
             for p in perms:
-                dd = demazure_poly_dd(p, shape)
+                dd = Polynomial._of(n, _unpack(walked[p.entries], n, width))
                 run.check(
                     d_polys[p] == dd, **base, pi=p, law="scanning route equals recursion route"
                 )

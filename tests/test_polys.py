@@ -6,6 +6,7 @@ import pytest
 from parakat.polys import (
     GFHandle,
     Polynomial,
+    _demazure_walk,
     compose_alpha,
     demazure_poly,
     demazure_poly_dd,
@@ -28,6 +29,8 @@ from parakat.rperms import (
 from parakat.rtuples import MAX_SIZE, RTuple, core, enumerate_tuples
 from parakat.tableaux import (
     Shape,
+    _unpack,
+    _width,
     content,
     key_of_perm,
     minimal_tableau,
@@ -192,6 +195,21 @@ def test_dd_matches_the_definition_across_pack_widths(size):
             got = demazure_poly_dd(p, shape)
             expected = Polynomial(shape.n, terms)
             assert got == expected and hash(got) == hash(expected), (shape, p)
+
+
+def test_the_cover_walk_matches_the_reduced_word_recursion():
+    # one divided difference per cover against a whole reduced word per index,
+    # on every index of every shape, each index yielded once
+    for shape in shapes_up_to(5, 3):
+        n, width = shape.n, _width(shape.parts[0])
+        walked = {}
+        for entries, terms in _demazure_walk(shape):
+            assert entries not in walked
+            walked[entries] = Polynomial._of(n, _unpack(terms, n, width))
+        perms = list(enumerate_rperms(n, shape.r_subset.elements))
+        assert len(walked) == len(perms), shape
+        for p in perms:
+            assert walked[p.entries] == demazure_poly_dd(p, shape), (shape, p)
 
 
 def test_divided_difference_of_mixed_degrees_and_of_a_cancelling_input():

@@ -28,7 +28,9 @@ from parakat.rperms import (
     rank_tuple,
     reduced_word,
     to_chain,
+    _avoids_312,
     _lift_blocks,
+    _lower_cover,
     _pi_map,
     _project_rank_core,
 )
@@ -79,6 +81,31 @@ def test_312_avoidance_matches_a_triple_loop():
             )
             assert is_312_avoiding(w) == (not contains), w
         assert sum(map(is_312_avoiding, perms)) == catalan(n)
+
+
+def test_312_avoidance_matches_the_shared_r312_scan():
+    # plain 312-avoidance is R-312-avoidance with every position its own carrel
+    for n in range(8):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert is_312_avoiding(w) == _avoids_312(w, range(n + 1)), w
+
+
+def test_lower_cover_drops_one_inversion_and_stays_carrel_sorted():
+    for n in range(1, 7):
+        for r in all_r_subsets(n):
+            for p in enumerate_rperms(n, r):
+                cover = _lower_cover(p.entries)
+                if p.entries == tuple(range(1, n + 1)):
+                    assert cover is None
+                    continue
+                i, u = cover
+                # i is the first value after i + 1, and u swaps the two
+                where = {v: pos for pos, v in enumerate(p.entries)}
+                assert where[i + 1] < where[i]
+                assert all(where[v] < where[v + 1] for v in range(1, i))
+                assert u == tuple({i: i + 1, i + 1: i}.get(v, v) for v in p.entries)
+                RPermutation.of(n, r, u)  # refuses entries that are not carrel-sorted
+                assert inversions(u) == inversions(p.entries) - 1
 
 
 def test_short_divider_sets_are_always_avoiding():

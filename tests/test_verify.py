@@ -6,8 +6,9 @@ import pytest
 
 from parakat import verify
 from parakat.errors import CapExceeded
-from parakat.rtuples import critical_list, enumerate_tuples
-from parakat.tableaux import Shape
+from parakat.rperms import _pi_map, enumerate_rperms, is_r312_avoiding
+from parakat.rtuples import core, critical_list, enumerate_tuples, is_gapless
+from parakat.tableaux import Shape, ShapeTableaux, count_ideal, key_of_perm, row_bound_max
 from parakat.verify import (
     _Run,
     _class_count,
@@ -128,6 +129,16 @@ def test_accidental_over_the_cap_raises_cap_exceeded(monkeypatch):
         search_accidental(3, 3)
 
 
+@pytest.mark.parametrize("suite", [suite_convexity, suite_coincidence])
+def test_suites_that_build_no_tableau_keep_the_cap(monkeypatch, suite):
+    # they size each set by its polynomial, yet a shape over the cap still stops them
+    monkeypatch.setenv("PARAKAT_CAP", "7")
+    with pytest.raises(CapExceeded, match=r"shape \(2,1,0\) has 8 tableaux, over the cap of 7"):
+        suite(3, 3)
+    monkeypatch.setenv("PARAKAT_CAP", "8")
+    assert suite(3, 3).passed
+
+
 def test_failing_run_reports_sorted_counterexamples():
     run = _Run("demo", scope=1)
     run.check(True, id=0)
@@ -205,6 +216,85 @@ def test_tableau_suites_build_the_tuple_side_once_per_carrel_set(monkeypatch):
 
     monkeypatch.setattr(tableaux, "_set_below", refused)
     assert suite_convexity(4, 3, all_shapes=True).passed
+
+
+def test_convexity_and_coincidence_build_no_tableau(monkeypatch):
+    from parakat import tableaux
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the suite built tableaux")
+
+    monkeypatch.setattr(verify, "ShapeTableaux", refused)
+    monkeypatch.setattr(tableaux, "_set_below", refused)
+    for suite in (suite_convexity, suite_coincidence):
+        assert suite(4, 3, all_shapes=True).passed
+
+
+def _atlas_checks(shapes):
+    """Each convexity and coincidence check on ``shapes``, as (ok, payload), by
+    the route that walks every tableau of a shape into cells and compares the
+    cell sets of the Demazure and row-bound sets."""
+    out = {"convexity": [], "coincidence": []}
+    for (n, r), group in verify._by_carrel_set(shapes):
+        perms = list(enumerate_rperms(n, r))
+        bounds = [(b, core(b)) for b in enumerate_tuples(n, r, "upper")]
+        for shape in group:
+            base = {"shape": shape.parts, "n": n}
+            atlas = ShapeTableaux(shape)
+            indexing = {}  # each Demazure set -> its indexes, in enumeration order
+            for p in perms:
+                y = key_of_perm(p, shape)
+                d = atlas.demazure_cells(p)
+                indexing.setdefault(d, []).append(p)
+                avoiding = is_r312_avoiding(p)
+                convex = atlas.size(d) == count_ideal(y)
+                is_ideal = convex and atlas.cell_of(y) in d
+                out["convexity"].append((
+                    convex == avoiding == is_ideal,
+                    dict(base, pi=p, avoiding=avoiding, convex=convex, equals_ideal=is_ideal),
+                ))
+            images = {}
+            for b, delta in bounds:
+                sset = atlas.row_bound_cells(b)
+                matches = indexing.get(sset, [])
+                if is_gapless(delta):
+                    p = _pi_map(delta)
+                    ok = matches == [p] and row_bound_max(b, shape) == key_of_perm(p, shape)
+                    images[delta.entries] = sset
+                else:
+                    ok = matches == []
+                out["coincidence"].append((ok, dict(base, beta=b, core=delta, matches=matches)))
+            out["coincidence"].append((
+                len(images) == len(set(images.values())),
+                dict(base, law="gapless tuples index coincident sets faithfully"),
+            ))
+    return out
+
+
+def _as_json(checks):
+    return sorted(
+        (ok, json.dumps({k: verify._json_value(v) for k, v in payload.items()}, sort_keys=True))
+        for ok, payload in checks
+    )
+
+
+@pytest.mark.parametrize(
+    "scale", [{"max_n": 5, "max_col": 4, "all_shapes": True}, {"max_n": 6, "max_col": 5}]
+)
+def test_convexity_and_coincidence_agree_with_the_atlas_instance_by_instance(monkeypatch, scale):
+    oracle = _atlas_checks(verify.shapes_in_range(**scale))
+    seen = []
+    check = verify._Run.check
+
+    def record(run, ok, **payload):
+        seen.append((ok, payload))
+        check(run, ok, **payload)
+
+    monkeypatch.setattr(verify._Run, "check", record)
+    for name in ("convexity", "coincidence"):
+        seen.clear()
+        assert run_suite(name, **scale).passed
+        assert _as_json(seen) == _as_json(oracle[name]), name
 
 
 @pytest.mark.parametrize(
