@@ -170,15 +170,20 @@ def _packed_pi(terms: Mapping[int, int], i: int, n: int, width: int) -> dict[int
     step = (1 << hi) - (1 << lo)
     out: dict[int, int] = {}
     get = out.get
+    negative = []  # the keys that took a negative contribution, as only they can cancel
     for key, coef in terms.items():
         a, b = key >> hi & mask, key >> lo & mask
         if a >= b:  # k = b, ..., a
             news = range(key - (a - b) * step, key + 1, step)
         else:  # k = a + 1, ..., b - 1, negated
             news, coef = range(key + step, key + (b - a) * step, step), -coef
+        if coef < 0:
+            negative += news
         for new in news:
             out[new] = get(new, 0) + coef
-    return {key: coef for key, coef in out.items() if coef}
+    for new in {key for key in negative if not out[key]}:
+        del out[new]
+    return out
 
 
 @dataclass(frozen=True)

@@ -583,14 +583,14 @@ class ShapeTableaux:
     :func:`row_bound_set`), which stay the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
-    >>> len(atlas.cells), atlas.size(atlas.cells)
+    >>> len(atlas.cells), sum(size for size, _ in atlas.cells.values())
     (7, 8)
     """
 
     def __init__(self, shape: Shape):
         _require_within_cap(shape)
         self.shape = shape
-        self.cells: dict = {}  # cell_of(t) -> [size, packed content -> count]
+        self.cells: dict = {}  # (flat right key, row-end list) -> [size, packed content -> count]
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
         top = _below_row_ends((shape.n,) * shape.n, shape)
@@ -603,23 +603,15 @@ class ShapeTableaux:
             entry[1][weight] += 1
         self._contents: dict = {}  # packed content -> its vector, one tuple each
 
-    @staticmethod
-    def cell_of(t: Tableau) -> tuple:
-        """The cell holding ``t``: its flat right key and its row-end list."""
-        return _flat(scanning(t)), row_end_list(t).entries
-
     def demazure_cells(self, p: RPermutation) -> frozenset:
         """The cells whose right key lies entrywise below the key of ``p``."""
-        top = _flat(key_of_perm(p, self.shape))
+        top = tuple(itertools.chain.from_iterable(key_of_perm(p, self.shape).columns))
         return frozenset(c for c in self.cells if all(map(le, c[0], top)))
 
     def row_bound_cells(self, b: RTuple) -> frozenset:
         """The cells whose row-end list lies entrywise below ``b``; never via ``core``."""
         _require_bound(b, self.shape)
         return frozenset(c for c in self.cells if all(map(le, c[1], b.entries)))
-
-    def size(self, cells: Iterable) -> int:
-        return sum(self.cells[c][0] for c in cells)
 
     def weights(self, cells: Iterable) -> dict:
         """Content vector -> how many tableaux of ``cells`` have it."""
@@ -630,11 +622,6 @@ class ShapeTableaux:
         unpacked = _unpack(new, self.shape.n, _width(self.shape.parts[0]))
         self._contents.update((w, exp) for exp, w in unpacked.items())
         return {self._contents[w]: m for w, m in packed.items()}
-
-
-def _flat(t: Tableau) -> tuple[int, ...]:
-    """The entries of ``t`` column by column."""
-    return tuple(itertools.chain.from_iterable(t.columns))
 
 
 # ---------------------------------------------------------------------------

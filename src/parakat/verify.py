@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -53,11 +54,13 @@ from .rtuples import (
 from .tableaux import (
     Shape,
     ShapeTableaux,
+    _pack,
     _require_within_cap,
     _unpack,
     _width,
     content,
     count_ideal,
+    ideal,
     in_demazure_set,
     is_key,
     key_of_perm,
@@ -292,26 +295,7 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
                 "classes_upper_flags": _class_count(n, r_elements, "flag"),
             }
             if n <= poly_max_n:
-                atlas = ShapeTableaux(canonical_shape(n, r_elements))
-                dsets = {p: atlas.demazure_cells(p) for p in enumerate_rperms(n, r_elements)}
-                counts["demazure_polynomials"] = len(
-                    {
-                        Polynomial._of(n, atlas.weights(d))
-                        for p, d in dsets.items()
-                        if is_r312_avoiding(p)
-                    }
-                )
-                counts["flag_schur_polynomials"] = len(
-                    {
-                        Polynomial._of(n, atlas.weights(atlas.row_bound_cells(phi)))
-                        for phi in enumerate_tuples(n, r_elements, "flag")
-                    }
-                )
-                s_sets = {
-                    atlas.row_bound_cells(delta)
-                    for delta in enumerate_tuples(n, r_elements, "increasing")
-                }
-                counts["coincident_pairs"] = len(s_sets & set(dsets.values()))
+                counts.update(_polynomial_counts(canonical_shape(n, r_elements)))
             for family, value in counts.items():
                 run.check(value == cnr, **base, family=family, count=value)
             if r_elements == tuple(range(1, n)):
@@ -325,16 +309,42 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
     return run.report()
 
 
+def _polynomial_counts(shape: Shape) -> dict:
+    """Counts' polynomial-level families on a canonical shape.  D(p) is an ideal
+    exactly when it is convex, and then the ideal of key(p); a row-bound set is
+    the ideal of its maximum.  So a maximum that is a convex key has that key's κ,
+    and any other is weighed by its ideal: no flag's polynomial is assumed."""
+    kappa_of, avoiding = {}, set()  # each convex key -> its κ; the κ of avoiding indexes
+    for p, y, convex, terms in _convexity(shape):
+        kappa = frozenset(terms.items())
+        if convex:
+            kappa_of[y.columns] = kappa
+        if is_r312_avoiding(p):
+            avoiding.add(kappa)
+    n, r_elements, width = shape.n, shape.r_subset.elements, _width(shape.parts[0])
+    flags = (row_bound_max(phi, shape) for phi in enumerate_tuples(n, r_elements, "flag"))
+    maxima = {row_bound_max(a, shape).columns for a in enumerate_tuples(n, r_elements, "increasing")}
+    return {
+        "demazure_polynomials": len(avoiding),
+        "flag_schur_polynomials": len({
+            kappa_of.get(top.columns)
+            or frozenset(Counter(_pack(content(t), width) for t in ideal(top)).items())
+            for top in flags
+        }),
+        "coincident_pairs": len(maxima & kappa_of.keys()),
+    }
+
+
 def _convexity(shape: Shape):
-    """Each index p of a shape within the cap, its key y, and whether D(p) is
-    the ideal of y.  It lies in that ideal, as t <= scanning(t) <= y for each
-    member, so it is the ideal when the sizes agree.  |D(p)| is κ_p(1, ..., 1)
-    (the Demazure character formula, which the polynomials suite checks)."""
+    """Each index p of a shape within the cap, its key y, whether D(p) is the
+    ideal of y, and κ_p, packed.  D(p) lies in that ideal (t <= scanning(t) <=
+    y for each member), so it is the ideal when the sizes agree; |D(p)| is
+    κ_p(1, ..., 1) by the Demazure character formula, which polynomials checks."""
     _require_within_cap(shape)
     for entries, terms in _demazure_walk(shape):
         p = _unchecked(RPermutation, r_subset=shape.r_subset, entries=entries)
         y = key_of_perm(p, shape)
-        yield p, y, sum(terms.values()) == count_ideal(y)
+        yield p, y, sum(terms.values()) == count_ideal(y), terms
 
 
 def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) -> SuiteReport:
@@ -343,7 +353,7 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
     _check_ranges(max_n, max_col=max_col)
     run = _Run("convexity", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     for shape in shapes_in_range(max_n, max_col, all_shapes):
-        for p, y, convex in _convexity(shape):
+        for p, y, convex, _ in _convexity(shape):
             avoiding = is_r312_avoiding(p)
             is_ideal = convex and in_demazure_set(y, y)
             run.check(
@@ -371,7 +381,7 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             bounds.append((b, delta, _pi_map(delta) if is_gapless(delta) else None))
         for shape in shapes:
             base = {"shape": shape.parts, "n": n}
-            convex_keys = {y.columns: p for p, y, convex in _convexity(shape) if convex}
+            convex_keys = {y.columns: p for p, y, convex, _ in _convexity(shape) if convex}
             gapless_maxima = {}
             for b, delta, p in bounds:
                 top = row_bound_max(b, shape)
@@ -627,14 +637,11 @@ def suite_tables() -> SuiteReport:
 
 def dimension_tables(shape: Shape) -> dict:
     """Sizes of every Demazure set and every row-bound set class on a shape."""
+    sizes = {p: sum(terms.values()) for p, _, _, terms in _convexity(shape)}  # κ_p(1, ..., 1)
     r_elements = shape.r_subset.elements
-    atlas = ShapeTableaux(shape)
-    demazure = [
-        {"pi": str(p), "size": atlas.size(atlas.demazure_cells(p))}
-        for p in enumerate_rperms(shape.n, r_elements)
-    ]
-    row_bound = [
-        {"alpha": str(a), "size": atlas.size(atlas.row_bound_cells(a))}
+    demazure = [{"pi": str(p), "size": sizes[p]} for p in enumerate_rperms(shape.n, r_elements)]
+    row_bound = [  # a row-bound set is the ideal of its maximum
+        {"alpha": str(a), "size": count_ideal(row_bound_max(a, shape))}
         for a in enumerate_tuples(shape.n, r_elements, "increasing")
     ]
     return {

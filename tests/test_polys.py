@@ -220,6 +220,9 @@ def test_divided_difference_of_mixed_degrees_and_of_a_cancelling_input():
     cancels = Polynomial(3, {(2, 1, 1): 1, (1, 2, 1): 2, (0, 3, 1): 1})
     zero = isobaric_divided_difference(cancels, 1)
     assert zero == Polynomial.zero(3) and zero.terms == () and str(zero) == "0"
+    # a negative term with a >= b cancels a positive one at x1*x2, with no a < b term
+    mixed = Polynomial(3, {(2, 0, 0): -1, (1, 1, 0): 1})
+    assert isobaric_divided_difference(mixed, 1)._terms == {(2, 0, 0): -1, (0, 2, 0): -1}
     assert isobaric_divided_difference(Polynomial.zero(3), 2) == Polynomial.zero(3)
     one = Polynomial.monomial(3, (0, 0, 0))
     assert isobaric_divided_difference(one, 1) == one

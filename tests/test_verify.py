@@ -8,7 +8,16 @@ from parakat import verify
 from parakat.errors import CapExceeded
 from parakat.rperms import _pi_map, enumerate_rperms, is_r312_avoiding
 from parakat.rtuples import core, critical_list, enumerate_tuples, is_gapless
-from parakat.tableaux import Shape, ShapeTableaux, count_ideal, key_of_perm, row_bound_max
+from parakat.polys import Polynomial
+from parakat.tableaux import (
+    Shape,
+    ShapeTableaux,
+    count_ideal,
+    key_of_perm,
+    row_bound_max,
+    row_end_list,
+    scanning,
+)
 from parakat.verify import (
     _Run,
     _class_count,
@@ -129,7 +138,7 @@ def test_accidental_over_the_cap_raises_cap_exceeded(monkeypatch):
         search_accidental(3, 3)
 
 
-@pytest.mark.parametrize("suite", [suite_convexity, suite_coincidence])
+@pytest.mark.parametrize("suite", [suite_convexity, suite_coincidence, suite_counts])
 def test_suites_that_build_no_tableau_keep_the_cap(monkeypatch, suite):
     # they size each set by its polynomial, yet a shape over the cap still stops them
     monkeypatch.setenv("PARAKAT_CAP", "7")
@@ -158,7 +167,7 @@ def test_run_suite_dispatch():
         run_suite("nope")
 
 
-def test_dimension_tables():
+def test_dimension_tables(monkeypatch):
     tables = dimension_tables(Shape.of(3, (2, 1)))
     assert tables["n"] == 3 and tables["shape"] == [2, 1, 0]
     assert len(tables["demazure"]) == 6  # all carrel-sorted permutations
@@ -166,6 +175,10 @@ def test_dimension_tables():
     sizes = {row["pi"]: row["size"] for row in tables["demazure"]}
     assert sizes["(3;1;2)"] == 5
     assert max(row["size"] for row in tables["row_bound"]) == 8
+    # the sizes are counted, not walked, yet the shape's cap still holds
+    monkeypatch.setenv("PARAKAT_CAP", "7")
+    with pytest.raises(CapExceeded, match=r"shape \(2,1,0\) has 8 tableaux, over the cap of 7"):
+        dimension_tables(Shape.of(3, (2, 1)))
 
 
 def test_class_count_is_the_number_of_distinct_member_critical_lists():
@@ -228,6 +241,85 @@ def test_convexity_and_coincidence_build_no_tableau(monkeypatch):
     monkeypatch.setattr(tableaux, "_set_below", refused)
     for suite in (suite_convexity, suite_coincidence):
         assert suite(4, 3, all_shapes=True).passed
+    assert suite_counts(5, poly_max_n=5).passed
+    for shape in shapes_in_range(4, 3, all_shapes=True):
+        dimension_tables(shape)
+
+
+def _size(atlas, cells):
+    """The number of tableaux in ``cells``."""
+    return sum(atlas.cells[c][0] for c in cells)
+
+
+def _atlas_route(shape):
+    """Counts' polynomial-level families and the dimension tables of ``shape``,
+    by the route that walks every tableau into cells, then compares and weighs
+    the cell sets."""
+    atlas = ShapeTableaux(shape)
+    n, r = shape.n, shape.r_subset.elements
+    dsets = {p: atlas.demazure_cells(p) for p in enumerate_rperms(n, r)}
+    ssets = {a: atlas.row_bound_cells(a) for a in enumerate_tuples(n, r, "increasing")}
+    families = {
+        "demazure_polynomials": len(
+            {Polynomial._of(n, atlas.weights(d)) for p, d in dsets.items() if is_r312_avoiding(p)}
+        ),
+        "flag_schur_polynomials": len(
+            {
+                Polynomial._of(n, atlas.weights(atlas.row_bound_cells(phi)))
+                for phi in enumerate_tuples(n, r, "flag")
+            }
+        ),
+        "coincident_pairs": len(set(ssets.values()) & set(dsets.values())),
+    }
+    tables = {
+        "shape": list(shape.parts),
+        "n": n,
+        "demazure": [{"pi": str(p), "size": _size(atlas, d)} for p, d in dsets.items()],
+        "row_bound": [{"alpha": str(a), "size": _size(atlas, c)} for a, c in ssets.items()],
+    }
+    return families, tables
+
+
+def test_counts_and_dimension_tables_agree_with_the_atlas(monkeypatch):
+    # every carrel set at n <= 6: each polynomial-level family, and each size
+    seen = {}
+    check = verify._Run.check
+
+    def record(run, ok, **payload):
+        seen[payload["n"], payload.get("R"), payload["family"]] = payload.get("count")
+        check(run, ok, **payload)
+
+    monkeypatch.setattr(verify._Run, "check", record)
+    assert suite_counts(6, poly_max_n=6).passed
+    for shape in shapes_in_range(6, 5):
+        families, tables = _atlas_route(shape)
+        for family, count in families.items():
+            assert seen[shape.n, shape.r_subset.elements, family] == count, (shape, family)
+        assert dimension_tables(shape) == tables, shape
+
+
+def test_dimension_tables_agree_with_the_atlas_on_every_shape():
+    for shape in shapes_in_range(5, 4, all_shapes=True):
+        assert dimension_tables(shape) == _atlas_route(shape)[1], shape
+
+
+def test_counts_weigh_a_maximum_that_is_no_convex_key_by_its_ideal(monkeypatch):
+    # (2;2;3) is a flag of R = (1, 2) whose row-bound maximum is this key; read
+    # as non-convex, its polynomial comes from its ideal, so only the
+    # coincident pairs lose one
+    from parakat import tableaux
+
+    wrong = ((1, 2), (2,))
+    monkeypatch.setattr(
+        verify, "count_ideal", lambda y: tableaux.count_ideal(y) + (y.columns == wrong)
+    )
+    weighed = []
+    monkeypatch.setattr(verify, "ideal", lambda t: weighed.append(t.columns) or tableaux.ideal(t))
+    report = suite_counts(3, poly_max_n=3)
+    assert weighed == [wrong]
+    assert report.counterexamples == (
+        {"n": 3, "R": [1, 2], "cnr": 5, "family": "coincident_pairs", "count": 4},
+    )
 
 
 def _atlas_checks(shapes):
@@ -247,8 +339,9 @@ def _atlas_checks(shapes):
                 d = atlas.demazure_cells(p)
                 indexing.setdefault(d, []).append(p)
                 avoiding = is_r312_avoiding(p)
-                convex = atlas.size(d) == count_ideal(y)
-                is_ideal = convex and atlas.cell_of(y) in d
+                convex = _size(atlas, d) == count_ideal(y)
+                flat_y = tuple(v for col in scanning(y).columns for v in col)
+                is_ideal = convex and (flat_y, row_end_list(y).entries) in d
                 out["convexity"].append((
                     convex == avoiding == is_ideal,
                     dict(base, pi=p, avoiding=avoiding, convex=convex, equals_ideal=is_ideal),
