@@ -460,7 +460,9 @@ def row_bound_set(b: RTuple, shape: Shape) -> TableauSet:
 
 def row_bound_max(b: RTuple, shape: Shape) -> Tableau:
     """The largest tableau obeying the row bounds (the row-end max of b's core)."""
-    _require_bound(b, shape)
+    _require_over(b, shape, "tuple")
+    if not is_upper(b):
+        raise NotUpper(f"row bounds must be upper: {b}")
     return _below_row_ends(b.entries, shape)
 
 
@@ -473,12 +475,6 @@ def _below_row_ends(bounds: Sequence[int], shape: Shape) -> Tableau:
     lengths = shape.column_lengths
     tops = {z: _staircase_below(bounds[:z], (0, z)) for z in set(lengths)}
     return _unchecked(Tableau, shape=shape, columns=tuple(map(tops.__getitem__, lengths)))
-
-
-def _require_bound(b: RTuple, shape: Shape) -> None:
-    _require_over(b, shape, "tuple")
-    if not is_upper(b):
-        raise NotUpper(f"row bounds must be upper: {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +569,9 @@ class ShapeTableaux:
 
     A cell is the set of tableaux that share a right key (their scanning
     tableau) and a row-end list; the cells partition SSYT(shape), none empty,
-    and each keeps only its size and content tally, with each content packed
-    into one int.  The column walk of SSYT(shape) carries each tableau's
-    right key, row ends and content, so no tableau is scanned on its own.
+    and each keeps only its content tally, with each content packed into one
+    int.  The column walk of SSYT(shape) carries each tableau's right key,
+    row ends and content, so no tableau is scanned on its own.
     A Demazure set is a union of atoms (one right key each) and a row-bound
     set a union of row-end classes, read without ``core``, so each is a set
     of cells, and two sets are equal exactly when their cells are.  The sets
@@ -583,24 +579,23 @@ class ShapeTableaux:
     :func:`row_bound_set`), which stay the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
-    >>> len(atlas.cells), sum(size for size, _ in atlas.cells.values())
+    >>> len(atlas.cells), sum(tally.total() for tally in atlas.cells.values())
     (7, 8)
     """
 
     def __init__(self, shape: Shape):
         _require_within_cap(shape)
         self.shape = shape
-        self.cells: dict = {}  # (flat right key, row-end list) -> [size, packed content -> count]
+        self.cells: dict = {}  # (flat right key, row-end list) -> packed content -> count
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
         top = _below_row_ends((shape.n,) * shape.n, shape)
         for _, key, ends, weight in _column_walk(top, _with_cell(shape), ((), (), (), 0)):
             cell = key, ends + empty_rows
-            entry = self.cells.get(cell)
-            if entry is None:
-                entry = self.cells[cell] = [0, Counter()]
-            entry[0] += 1
-            entry[1][weight] += 1
+            tally = self.cells.get(cell)
+            if tally is None:  # not setdefault, which builds a Counter per tableau
+                tally = self.cells[cell] = Counter()
+            tally[weight] += 1
         self._contents: dict = {}  # packed content -> its vector, one tuple each
 
     def demazure_cells(self, p: RPermutation) -> frozenset:
@@ -610,14 +605,13 @@ class ShapeTableaux:
 
     def row_bound_cells(self, b: RTuple) -> frozenset:
         """The cells whose row-end list lies entrywise below ``b``; never via ``core``."""
-        _require_bound(b, self.shape)
         return frozenset(c for c in self.cells if all(map(le, c[1], b.entries)))
 
     def weights(self, cells: Iterable) -> dict:
         """Content vector -> how many tableaux of ``cells`` have it."""
         packed = Counter()
         for c in cells:
-            packed.update(self.cells[c][1])
+            packed.update(self.cells[c])
         new = {w: w for w in packed if w not in self._contents}
         unpacked = _unpack(new, self.shape.n, _width(self.shape.parts[0]))
         self._contents.update((w, exp) for exp, w in unpacked.items())

@@ -440,17 +440,17 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                     owner == (shape_key, p), **base, pi=p, law="demazure polynomials are faithful"
                 )
 
-            s_cells = {delta.entries: atlas.row_bound_cells(delta) for delta, _ in cores}
-            s_polys = {e: Polynomial._of(n, atlas.weights(c)) for e, c in s_cells.items()}
+            # one scan per upper bound: cores, rank tuples and gapless-core bounds are
+            # all upper, and a bound's set is read off its row ends, never through its core
+            s_cells = {b.entries: atlas.row_bound_cells(b) for b, _ in bounds}
+            s_polys = {d: Polynomial._of(n, atlas.weights(s_cells[d.entries])) for d, _ in cores}
             for b, core_entries in bounds:
-                # every bound's set is its core's set, so the core scan is exhaustive;
-                # the bound's set is read off its row ends, never through its core
                 run.check(
-                    atlas.row_bound_cells(b) == s_cells[core_entries],
+                    s_cells[b.entries] == s_cells[core_entries],
                     **base, beta=b, law="bounds and their core agree",
                 )
             for delta, _ in cores:
-                h = s_polys[delta.entries]
+                h = s_polys[delta]
                 run.check(
                     h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
                     **base, core=delta, law="degree and leading weight",
@@ -462,12 +462,12 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
             for p, psi in ranks.items():
                 run.check(
-                    d_cells[p] == atlas.row_bound_cells(psi),
+                    d_cells[p] == s_cells[psi.entries],
                     **base, pi=p, law="avoiding index matches its rank bounds",
                 )
             for eta, p in images:
                 run.check(
-                    atlas.row_bound_cells(eta) == d_cells[p],
+                    s_cells[eta.entries] == d_cells[p],
                     **base, eta=eta, law="gapless-core bounds match an index",
                 )
 
@@ -477,9 +477,9 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                 perms_of.setdefault(d_polys[p], []).append(p)
             cores_of: dict = {}
             for delta, _ in cores:
-                cores_of.setdefault(s_polys[delta.entries], []).append(delta)
+                cores_of.setdefault(s_polys[delta], []).append(delta)
             for delta, gapless in cores:
-                h = s_polys[delta.entries]
+                h = s_polys[delta]
                 for p in perms_of.get(h, ()):
                     ok = (
                         p in ranks
@@ -637,16 +637,17 @@ def suite_tables() -> SuiteReport:
 
 def dimension_tables(shape: Shape) -> dict:
     """Sizes of every Demazure set and every row-bound set class on a shape."""
-    sizes = {p: sum(terms.values()) for p, _, _, terms in _convexity(shape)}  # κ_p(1, ..., 1)
-    r_elements = shape.r_subset.elements
-    demazure = [{"pi": str(p), "size": sizes[p]} for p in enumerate_rperms(shape.n, r_elements)]
+    _require_within_cap(shape)
+    sizes = {w: sum(terms.values()) for w, terms in _demazure_walk(shape)}  # κ_w(1, ..., 1)
+    n, r_elements = shape.n, shape.r_subset.elements
+    demazure = [{"pi": str(p), "size": sizes[p.entries]} for p in enumerate_rperms(n, r_elements)]
     row_bound = [  # a row-bound set is the ideal of its maximum
         {"alpha": str(a), "size": count_ideal(row_bound_max(a, shape))}
-        for a in enumerate_tuples(shape.n, r_elements, "increasing")
+        for a in enumerate_tuples(n, r_elements, "increasing")
     ]
     return {
         "shape": list(shape.parts),
-        "n": shape.n,
+        "n": n,
         "demazure": demazure,
         "row_bound": row_bound,
     }

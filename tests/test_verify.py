@@ -242,13 +242,31 @@ def test_convexity_and_coincidence_build_no_tableau(monkeypatch):
     for suite in (suite_convexity, suite_coincidence):
         assert suite(4, 3, all_shapes=True).passed
     assert suite_counts(5, poly_max_n=5).passed
+    # the dimension tables read κ off the walk alone: no convexity, no key per index
+    monkeypatch.setattr(verify, "_convexity", refused)
+    monkeypatch.setattr(verify, "key_of_perm", refused)
     for shape in shapes_in_range(4, 3, all_shapes=True):
         dimension_tables(shape)
 
 
+def test_polynomials_scan_each_row_bound_set_once_per_shape(monkeypatch):
+    scan = ShapeTableaux.row_bound_cells
+    calls = []
+    monkeypatch.setattr(
+        ShapeTableaux, "row_bound_cells", lambda atlas, b: calls.append(b) or scan(atlas, b)
+    )
+    assert suite_polynomials(4, 3, all_shapes=True).passed
+    # one scan per upper tuple of each shape; the cores, rank tuples and
+    # gapless-core bounds are read off those scans
+    shapes = shapes_in_range(4, 3, all_shapes=True)
+    assert len(calls) == sum(
+        sum(1 for _ in enumerate_tuples(s.n, s.r_subset.elements, "upper")) for s in shapes
+    ) == 984
+
+
 def _size(atlas, cells):
     """The number of tableaux in ``cells``."""
-    return sum(atlas.cells[c][0] for c in cells)
+    return sum(atlas.cells[c].total() for c in cells)
 
 
 def _atlas_route(shape):
