@@ -569,9 +569,9 @@ class ShapeTableaux:
 
     A cell is the set of tableaux that share a right key (their scanning
     tableau) and a row-end list; the cells partition SSYT(shape), none empty,
-    and each keeps only its content tally, with each content packed into one
-    int.  The column walk of SSYT(shape) carries each tableau's right key,
-    row ends and content, so no tableau is scanned on its own.
+    and each keeps only its members' contents, each packed into one int.
+    The column walk of SSYT(shape) carries each tableau's right key, row ends
+    and content, so no tableau is scanned on its own.
     A Demazure set is a union of atoms (one right key each) and a row-bound
     set a union of row-end classes, read without ``core``, so each is a set
     of cells, and two sets are equal exactly when their cells are.  The sets
@@ -579,28 +579,24 @@ class ShapeTableaux:
     :func:`row_bound_set`), which stay the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
-    >>> len(atlas.cells), sum(tally.total() for tally in atlas.cells.values())
+    >>> len(atlas.cells), sum(map(len, atlas.cells.values()))
     (7, 8)
     """
 
     def __init__(self, shape: Shape):
         _require_within_cap(shape)
         self.shape = shape
-        self.cells: dict = {}  # (flat right key, row-end list) -> packed content -> count
+        self.cells: dict = {}  # (flat right key, row-end list) -> each member's packed content
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
         top = _below_row_ends((shape.n,) * shape.n, shape)
         for _, key, ends, weight in _column_walk(top, _with_cell(shape), ((), (), (), 0)):
-            cell = key, ends + empty_rows
-            tally = self.cells.get(cell)
-            if tally is None:  # not setdefault, which builds a Counter per tableau
-                tally = self.cells[cell] = Counter()
-            tally[weight] += 1
+            self.cells.setdefault((key, ends + empty_rows), []).append(weight)
         self._contents: dict = {}  # packed content -> its vector, one tuple each
 
-    def demazure_cells(self, p: RPermutation) -> frozenset:
-        """The cells whose right key lies entrywise below the key of ``p``."""
-        top = tuple(itertools.chain.from_iterable(key_of_perm(p, self.shape).columns))
+    def demazure_cells(self, y: Tableau) -> frozenset:
+        """The cells whose right key lies entrywise below the key ``y`` of the shape."""
+        top = tuple(itertools.chain.from_iterable(y.columns))
         return frozenset(c for c in self.cells if all(map(le, c[0], top)))
 
     def row_bound_cells(self, b: RTuple) -> frozenset:
@@ -609,9 +605,7 @@ class ShapeTableaux:
 
     def weights(self, cells: Iterable) -> dict:
         """Content vector -> how many tableaux of ``cells`` have it."""
-        packed = Counter()
-        for c in cells:
-            packed.update(self.cells[c])
+        packed = Counter(itertools.chain.from_iterable(map(self.cells.__getitem__, cells)))
         new = {w: w for w in packed if w not in self._contents}
         unpacked = _unpack(new, self.shape.n, _width(self.shape.parts[0]))
         self._contents.update((w, exp) for exp, w in unpacked.items())

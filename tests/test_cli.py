@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import functools
 import hashlib
@@ -865,6 +866,20 @@ def test_readme_command_line_examples(capsys):
     assert len(examples) == 5
     for argv, expected in examples:
         assert run_cli(capsys, *argv) == (0, expected + "\n"), argv
+
+
+def test_readme_library_quick_tour():
+    # the README's python block runs, and each line with a comment evaluates to
+    # the value the comment opens with
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    scope: dict = {}
+    exec(block, scope)
+    stated = [line.split("#", 1) for line in block.splitlines() if "#" in line]
+    assert len(stated) == 4
+    for code, comment in stated:
+        assert eval(code, scope) == ast.literal_eval(comment.split()[0]), code
 
 
 def _captured(call, *args):

@@ -6,8 +6,9 @@ import pytest
 
 from parakat import verify
 from parakat.errors import CapExceeded
-from parakat.rperms import _pi_map, enumerate_rperms, is_r312_avoiding
-from parakat.rtuples import core, critical_list, enumerate_tuples, is_gapless
+from parakat.cli import main
+from parakat.rperms import RPermutation, _pi_map, enumerate_rperms, is_r312_avoiding
+from parakat.rtuples import RTuple, core, critical_list, enumerate_tuples, is_gapless
 from parakat.polys import Polynomial
 from parakat.tableaux import (
     Shape,
@@ -266,7 +267,7 @@ def test_polynomials_scan_each_row_bound_set_once_per_shape(monkeypatch):
 
 def _size(atlas, cells):
     """The number of tableaux in ``cells``."""
-    return sum(atlas.cells[c].total() for c in cells)
+    return sum(len(atlas.cells[c]) for c in cells)
 
 
 def _atlas_route(shape):
@@ -275,7 +276,7 @@ def _atlas_route(shape):
     the cell sets."""
     atlas = ShapeTableaux(shape)
     n, r = shape.n, shape.r_subset.elements
-    dsets = {p: atlas.demazure_cells(p) for p in enumerate_rperms(n, r)}
+    dsets = {p: atlas.demazure_cells(key_of_perm(p, shape)) for p in enumerate_rperms(n, r)}
     ssets = {a: atlas.row_bound_cells(a) for a in enumerate_tuples(n, r, "increasing")}
     families = {
         "demazure_polynomials": len(
@@ -323,21 +324,112 @@ def test_dimension_tables_agree_with_the_atlas_on_every_shape():
 
 def test_counts_weigh_a_maximum_that_is_no_convex_key_by_its_ideal(monkeypatch):
     # (2;2;3) is a flag of R = (1, 2) whose row-bound maximum is this key; read
-    # as non-convex, its polynomial comes from its ideal, so only the
-    # coincident pairs lose one
+    # as non-convex, its polynomial comes from the tableaux of its ideal, so
+    # the flag family keeps its count and only the coincident pairs lose one
     from parakat import tableaux
 
     wrong = ((1, 2), (2,))
     monkeypatch.setattr(
         verify, "count_ideal", lambda y: tableaux.count_ideal(y) + (y.columns == wrong)
     )
-    weighed = []
-    monkeypatch.setattr(verify, "ideal", lambda t: weighed.append(t.columns) or tableaux.ideal(t))
+    walked, below = [], tableaux._set_below
+    monkeypatch.setattr(
+        tableaux, "_set_below", lambda top, *step: walked.append(top.columns) or below(top, *step)
+    )
+    flag_counts, check = {}, verify._Run.check
+
+    def record(run, ok, **payload):
+        if payload.get("family") == "flag_schur_polynomials":
+            flag_counts[payload["R"]] = payload["count"], payload["cnr"]
+        check(run, ok, **payload)
+
+    monkeypatch.setattr(verify._Run, "check", record)
     report = suite_counts(3, poly_max_n=3)
-    assert weighed == [wrong]
+    assert walked == [wrong]
+    assert flag_counts[1, 2] == (5, 5)
     assert report.counterexamples == (
         {"n": 3, "R": [1, 2], "cnr": 5, "family": "coincident_pairs", "count": 4},
     )
+
+
+def test_counts_read_kappa_only_where_it_is_compared(monkeypatch):
+    # the κ of an index that is neither convex nor avoiding enters no count,
+    # so reading it fails
+    convexity, skipped = verify._convexity, []
+
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError("read the κ of an index that is neither convex nor avoiding")
+
+    def marked(shape):
+        for p, y, convex, terms in convexity(shape):
+            if not (convex or is_r312_avoiding(p)):
+                skipped.append(p)
+                terms = Unread()
+            yield p, y, convex, terms
+
+    monkeypatch.setattr(verify, "_convexity", marked)
+    assert suite_counts(5, poly_max_n=5).passed
+    assert skipped
+
+
+def test_polynomials_build_each_key_once_per_shape(monkeypatch):
+    from parakat import tableaux
+
+    calls = []
+    monkeypatch.setattr(
+        verify, "key_of_perm",
+        lambda p, shape: calls.append((shape, p)) or tableaux.key_of_perm(p, shape),
+    )
+    assert suite_polynomials(4, 3, all_shapes=True).passed
+    # the 340 R-permutations of the 69 shapes, each keyed once
+    shapes = shapes_in_range(4, 3, all_shapes=True)
+    assert len(calls) == len(set(calls)) == sum(
+        1 for s in shapes for _ in enumerate_rperms(s.n, s.r_subset.elements)
+    ) == 340
+
+
+def _failed_laws(capsys, argv):
+    """The exit code of ``parakat verify argv --json`` and the laws its counterexamples name."""
+    code = main(["verify", *argv, "--json"])
+    (report,) = json.loads(capsys.readouterr().out)
+    return code, [c["law"] for c in report["counterexamples"]]
+
+
+def test_bijections_report_a_rank_tuple_that_is_not_gapless(monkeypatch, capsys):
+    # ψ of one avoiding index made non-gapless: π(ψ) = id fails as a check,
+    # and ψ(π) = id on that index's rank tuple fails with it
+    from parakat import rperms
+
+    p, gamma = RPermutation.of(3, (1,), (2, 1, 3)), RTuple.of(3, (1,), (2, 2, 3))
+    instances = suite_bijections(3).instances
+    wrong = RTuple.of(3, (1,), (1, 3, 3))
+    assert not is_gapless(wrong) and rperms.rank_tuple(p) == gamma
+    monkeypatch.setattr(verify, "rank_tuple", lambda q: wrong if q == p else rperms.rank_tuple(q))
+    report = suite_bijections(3)
+    assert report.instances == instances
+    assert report.counterexamples == (
+        {"n": 3, "R": [1], "gamma": "(2;2,3)", "law": "psi(pi)=id"},
+        {"n": 3, "R": [1], "pi": "(2;1,3)", "law": "pi(psi)=id"},
+    )
+    assert _failed_laws(capsys, ["bijections", "--max-n", "3"]) == (2, ["psi(pi)=id", "pi(psi)=id"])
+
+
+def test_polynomials_report_a_core_image_that_is_no_index(monkeypatch, capsys):
+    # π of one gapless core made a permutation over another carrel set: the
+    # bounds with that core match no index, each a failing check
+    from parakat import rperms
+
+    delta, stray = RTuple.of(3, (1,), (2, 2, 3)), RPermutation.of(3, (2,), (1, 3, 2))
+    instances = suite_polynomials(3, 2).instances
+    monkeypatch.setattr(verify, "_pi_map", lambda g: stray if g == delta else rperms._pi_map(g))
+    report = suite_polynomials(3, 2)
+    assert report.instances == instances
+    law = "gapless-core bounds match an index"
+    assert report.counterexamples == tuple(
+        {"shape": [1, 0, 0], "n": 3, "eta": eta, "law": law} for eta in ["(2;2,3)", "(2;3,3)"]
+    )
+    assert _failed_laws(capsys, ["polynomials", "--max-n", "3", "--max-col", "2"]) == (2, [law, law])
 
 
 def _atlas_checks(shapes):
@@ -354,7 +446,7 @@ def _atlas_checks(shapes):
             indexing = {}  # each Demazure set -> its indexes, in enumeration order
             for p in perms:
                 y = key_of_perm(p, shape)
-                d = atlas.demazure_cells(p)
+                d = atlas.demazure_cells(y)
                 indexing.setdefault(d, []).append(p)
                 avoiding = is_r312_avoiding(p)
                 convex = _size(atlas, d) == count_ideal(y)
