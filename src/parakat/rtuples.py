@@ -20,8 +20,9 @@ ceiling flag.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainMismatch, NotFlagCriticalList, NotGapless, NotUpper
@@ -758,15 +759,47 @@ def _ruled_segments(
         yield seg, low, (high if rule else n)
 
 
+def _carrel_critical_lists(n: int, lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every list of critical pairs of carrel (lo, hi] over [n], in lexicographic
+    order, built from the index/entry constraints alone."""
+    # each list is built right to left; its last pair (x, y) is its leftmost
+    todo = [((hi, y),) for y in range(hi, n + 1)]
+    out = []
+    while todo:
+        pairs = todo.pop()
+        out.append(pairs[::-1])
+        x, y = pairs[-1]
+        # an entry at nx must sit strictly below the staircase through (x, y)
+        for nx in range(lo + 1, x):
+            todo += [pairs + ((nx, ny),) for ny in range(nx, y - (x - nx))]
+    return sorted(out)
+
+
+@lru_cache(maxsize=1)
+def _carrel_lists(n: int) -> _Memo:
+    """The pieces of each carrel over [n] that the walks read, listed once per n
+    and keyed by ``(lo, hi, family)``: a family's :func:`_ruled_segments`, or with
+    family None the carrel's critical lists, each as ``((pairs,), 0, first
+    critical entry)``, the interval that makes a list of them a flag."""
+
+    def pieces(key: tuple) -> list:
+        lo, hi, family = key
+        if family is None:
+            return [((pairs,), 0, pairs[0][1]) for pairs in _carrel_critical_lists(n, lo, hi)]
+        return list(_ruled_segments(n, lo, hi, family))
+
+    return _Memo(pieces)
+
+
 def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator[RTuple]:
     """All members of a family, each once, in lexicographic entry order.
 
     The walk goes carrel by carrel (see ``_WALKS``): the first carrel's kept
-    segments stream, each later carrel's are listed once with their boundary
-    intervals, and a later segment follows a tuple's start only where its
-    interval holds the start's last entry.  The first carrel's kept segments
-    all follow the empty start, whose last entry reads as 0.  Every tuple
-    built is a member, so it is built unchecked.
+    segments stream, each later carrel's are listed once per n with their
+    boundary intervals (:func:`_carrel_lists`), and a later segment follows a
+    tuple's start only where its interval holds the start's last entry.  The
+    first carrel's kept segments all follow the empty start, whose last entry
+    reads as 0.  Every tuple built is a member, so it is built unchecked.
 
     >>> sum(1 for _ in enumerate_tuples(4, (1, 2, 3), "gapless"))
     14
@@ -777,7 +810,8 @@ def enumerate_tuples(n: int, r_elements: Sequence[int], family: str) -> Iterator
     # an upper tuple meets no condition tied to its carrels, so the upper
     # family walks [n] as one carrel
     (_, q), *rest = ((0, n),) if family == "upper" else r.carrels
-    later = [list(_ruled_segments(n, lo, hi, family)) for lo, hi in rest]
+    lists = _carrel_lists(n)
+    later = [lists[lo, hi, family] for lo, hi in rest]
     # without a rule every boundary value is 0, inside every interval, so one
     # list of a carrel's segments serves every start
     last = (lambda acc: acc[-1]) if _WALKS[family][1] else (lambda acc: 0)
@@ -796,24 +830,65 @@ def enumerate_critical_lists(
     at least the previous carrel's last, which makes the list a flag.
     """
     r = RSubset(n, tuple(r_elements))
-
-    def carrel_options(lo: int, hi: int) -> list[tuple[tuple[tuple[int, int], ...]]]:
-        # each list is built right to left; its last pair (x, y) is its leftmost
-        todo = [((hi, y),) for y in range(hi, n + 1)]
-        out = []
-        while todo:
-            pairs = todo.pop()
-            out.append(pairs[::-1])
-            x, y = pairs[-1]
-            # an entry at nx must sit strictly below the staircase through (x, y)
-            for nx in range(lo + 1, x):
-                todo += [pairs + ((nx, ny),) for ny in range(nx, y - (x - nx))]
-        # one piece of the walk per list: its carrel's entry in the critical list
-        return [(pairs,) for pairs in sorted(out)]
-
-    first, *rest = (carrel_options(lo, hi) for lo, hi in r.carrels)
+    lists = _carrel_lists(n)
+    first, *later = (lists[lo, hi, None] for lo, hi in r.carrels)
     # a piece admits the last critical entries up to its first; a prefix's boundary value its last
-    later = [[(p, 0, p[0][0][1]) for p in pieces] for pieces in rest]
     last = (lambda acc: acc[-1][-1][1]) if flag_only else (lambda acc: 0)
-    for carrels in _ruled_chains(first, later, last):
+    for carrels in _ruled_chains((p for p, _, _ in first), later, last):
         yield _unchecked(CriticalList, r_subset=r, carrels=carrels)
+
+
+@lru_cache(maxsize=1)
+def _carrel_tallies(n: int) -> _Memo:
+    """Each carrel over [n] as :func:`_boundary_count` reads it, tallied once
+    per n: at ``(lo, hi, family, classes)`` a ``Counter`` of its pieces'
+    ``(last entry, low, high)``.  A family's pieces are its segments, read
+    off :func:`_carrel_lists` on a later carrel and streamed on the first,
+    so the upper family's n! segments are never held; with family None they
+    are the carrel's critical lists.  With ``classes`` they are the distinct
+    critical pairs of the segments, streamed once, each with the largest
+    upper end among its segments: exact where every interval starts at 0,
+    as for gapless cores ("critical") and upper flags ("first").
+    """
+    lists = _carrel_lists(n)
+
+    def tally(key: tuple) -> Counter:
+        lo, hi, family, classes = key
+        if family is None:
+            return Counter((pairs[-1][1], low, high) for (pairs,), low, high in lists[lo, hi, None])
+        if not classes:
+            pieces = lists[lo, hi, family] if lo else _ruled_segments(n, lo, hi, family)
+            return Counter((seg[-1], low, high) for seg, low, high in pieces)
+        critical = _WALKS[family][1] == "critical"
+        highs: dict = {}
+        for seg in _kept_segments(n, lo, hi, family):
+            pairs = _critical_pairs(seg, lo)
+            high = pairs[0][1] if critical else seg[0]
+            highs[pairs] = max(high, highs.get(pairs, 0))
+        return Counter((pairs[-1][1], 0, high) for pairs, high in highs.items())
+
+    return _Memo(tally)
+
+
+def _boundary_count(
+    n: int, r_elements: Sequence[int], family: str | None, classes: bool = False
+) -> int:
+    """How many members a family has (:func:`enumerate_tuples`), or with
+    ``classes`` distinct critical lists among them, or with family None flag
+    critical lists (:func:`enumerate_critical_lists`), counted without one.
+
+    One number per boundary value, the prefixes ending there, crosses the
+    carrels: a piece ``(last, low, high)`` extends those ending in [low, high]
+    to ``last``.  Every first carrel's piece follows the empty prefix, at 0,
+    so its interval must hold 0: a floor segment repeats its opening entry
+    only after a divider.
+    """
+    r = RSubset(n, tuple(r_elements))
+    tallies = _carrel_tallies(n)
+    ending = [1] + [0] * n
+    for lo, hi in ((0, n),) if family == "upper" else r.carrels:
+        at_most = [0, *itertools.accumulate(ending)]  # at_most[v]: prefixes ending below v
+        ending = [0] * (n + 1)
+        for (last, low, high), ways in tallies[lo, hi, family, classes].items():
+            ending[last] += ways * (at_most[high + 1] - at_most[low])
+    return sum(ending)

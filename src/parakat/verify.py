@@ -35,18 +35,15 @@ from .rperms import (
     rank_tuple,
 )
 from .rtuples import (
-    _WALKS,
     RTuple,
-    _critical_pairs,
+    _boundary_count,
     _from_critical_list,
-    _kept_segments,
     _unchecked,
     _upper_critical_list,
     ceiling_map,
     classify,
     core,
     critical_list,
-    enumerate_critical_lists,
     enumerate_tuples,
     floor_map,
     is_gapless,
@@ -238,43 +235,17 @@ def suite_bijections(max_n: int = 6) -> SuiteReport:
     return run.report()
 
 
-def _class_count(n: int, r_elements: tuple[int, ...], family: str) -> int:
-    """The number of classes among a family's members: their distinct critical lists.
-
-    A carrel's critical pairs depend on its segment alone, so each carrel's
-    segments are listed once and grouped by their pairs.  For a family whose
-    boundary intervals all start at 0, as those of gapless cores and upper
-    flags do, each group keeps the largest upper end among its segments; a
-    list of pairs then follows a prefix exactly when that end is at least
-    the prefix's last entry, which is its last critical entry.  So the count
-    carries one number per such boundary value: how many distinct
-    critical-list prefixes end there.
-    """
-    critical = _WALKS[family][1] == "critical"
-    ending = [1] + [0] * n  # before the first carrel, one empty prefix at 0
-    for lo, hi in RSubset(n, r_elements).carrels:
-        keys: dict = {}
-        for seg in _kept_segments(n, lo, hi, family):
-            pairs = _critical_pairs(seg, lo)
-            # the boundary interval's upper end (``rtuples._ruled_segments``)
-            key = pairs[0][1] if critical else seg[0]
-            keys[pairs] = max(key, keys.get(pairs, 0))
-        at_most = list(itertools.accumulate(ending))
-        ending = [0] * (n + 1)
-        for pairs, key in keys.items():
-            ending[pairs[-1][1]] += at_most[key]
-    return sum(ending)
-
-
 def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
     """Equinumerosity of the families counted by the parabolic Catalan number.
 
     Tuple-level families run to max_n; the polynomial-level counts (distinct
     Demazure and flag Schur polynomials, coincident pairs) are far costlier
-    and run to poly_max_n on the canonical shape of each carrel set.  Every
-    family is compared with the number of avoiding R-permutations that the
-    pruned walk ``enumerate_rperms(..., avoiding_only=True)`` yields for its
-    R, and each n's total over all R with the transfer-matrix :func:`count_total`.
+    and run to poly_max_n on the canonical shape of each carrel set.  Each
+    tuple-level family is sized by a boundary transfer that builds no member
+    (``rtuples._boundary_count``), and compared with the number of avoiding
+    R-permutations that the pruned walk ``enumerate_rperms(...,
+    avoiding_only=True)`` yields for its R, and each n's total over all R
+    with the transfer-matrix :func:`count_total`.
     """
     _check_ranges(max_n, poly_max_n=poly_max_n)
     run = _Run("counts", max_n=max_n, poly_max_n=poly_max_n)
@@ -285,15 +256,13 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
             total_by_filter += cnr
             base = {"n": n, "R": r_elements, "cnr": cnr}
             counts = {
-                "gapless": sum(1 for _ in enumerate_tuples(n, r_elements, "gapless")),
-                "flag_critical_lists": sum(
-                    1 for _ in enumerate_critical_lists(n, r_elements, flag_only=True)
-                ),
-                "canopy": sum(1 for _ in enumerate_tuples(n, r_elements, "canopy")),
-                "floor": sum(1 for _ in enumerate_tuples(n, r_elements, "floor")),
-                "ceiling": sum(1 for _ in enumerate_tuples(n, r_elements, "ceiling")),
-                "classes_gapless_core": _class_count(n, r_elements, "gapless-core"),
-                "classes_upper_flags": _class_count(n, r_elements, "flag"),
+                "gapless": _boundary_count(n, r_elements, "gapless"),
+                "flag_critical_lists": _boundary_count(n, r_elements, None),
+                "canopy": _boundary_count(n, r_elements, "canopy"),
+                "floor": _boundary_count(n, r_elements, "floor"),
+                "ceiling": _boundary_count(n, r_elements, "ceiling"),
+                "classes_gapless_core": _boundary_count(n, r_elements, "gapless-core", classes=True),
+                "classes_upper_flags": _boundary_count(n, r_elements, "flag", classes=True),
             }
             if n <= poly_max_n:
                 counts.update(_polynomial_counts(canonical_shape(n, r_elements)))
@@ -318,7 +287,7 @@ def _polynomial_counts(shape: Shape) -> dict:
     kappa_of, avoiding = {}, set()  # each convex key -> its κ; the κ of avoiding indexes
     for p, y, convex, terms in _convexity(shape):
         avoids = is_r312_avoiding(p)
-        kappa = frozenset(terms.items()) if convex or avoids else None  # no other κ is compared
+        kappa = _terms_key(terms) if convex or avoids else None  # no other κ is compared
         if convex:
             kappa_of[y.columns] = kappa
         if avoids:
@@ -330,11 +299,18 @@ def _polynomial_counts(shape: Shape) -> dict:
         "demazure_polynomials": len(avoiding),
         "flag_schur_polynomials": len({
             kappa_of.get(top.columns)
-            or frozenset(Counter(_pack(content(t), width) for t in ideal(top)).items())
+            or _terms_key(Counter(_pack(content(t), width) for t in ideal(top)))
             for top in flags
         }),
         "coincident_pairs": len(maxima & kappa_of.keys()),
     }
+
+
+def _terms_key(terms: dict) -> tuple:
+    """Packed terms as one flat tuple of their sorted (monomial, coefficient)
+    items: equal exactly when the polynomials are, and far lighter to hold
+    than a frozenset of pairs."""
+    return tuple(itertools.chain.from_iterable(sorted(terms.items())))
 
 
 def _convexity(shape: Shape):
@@ -449,7 +425,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             s_polys = {d: Polynomial._of(n, atlas.weights(s_cells[d.entries])) for d, _ in cores}
             for b, core_entries in bounds:
                 run.check(
-                    s_cells[b.entries] == s_cells[core_entries],
+                    s_cells[b.entries] == s_cells.get(core_entries),
                     **base, beta=b, law="bounds and their core agree",
                 )
             for delta, _ in cores:
@@ -465,7 +441,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
             for p, psi in ranks.items():
                 run.check(
-                    d_cells[p] == s_cells[psi.entries],
+                    d_cells[p] == s_cells.get(psi.entries),
                     **base, pi=p, law="avoiding index matches its rank bounds",
                 )
             for eta, p in images:

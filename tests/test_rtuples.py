@@ -13,6 +13,7 @@ from parakat.rtuples import (
     RSubset,
     RTuple,
     _Memo,
+    _boundary_count,
     _staircase_below,
     ceiling_map,
     class_interval,
@@ -258,6 +259,26 @@ def test_critical_list_enumeration_counts():
             flags = sum(1 for _ in enumerate_critical_lists(n, r, flag_only=True))
             gapless = sum(1 for _ in enumerate_tuples(n, r, "gapless"))
             assert flags == gapless
+
+
+def test_boundary_count_is_the_size_of_each_walk():
+    # the transfer against every member the walk builds; the upper family
+    # streams all n! upper tuples at every R, and the shell family at R = (),
+    # so they stop at n = 5
+    for n in range(1, 7):
+        for r in all_r_subsets(n):
+            for family in FAMILIES:
+                if n == 6 and family in ("upper", "shell"):
+                    continue
+                walked = sum(1 for _ in enumerate_tuples(n, r, family))
+                assert _boundary_count(n, r, family) == walked, (n, r, family)
+
+
+def test_boundary_count_of_the_flag_critical_lists_is_their_walk():
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            walked = sum(1 for _ in enumerate_critical_lists(n, r, flag_only=True))
+            assert _boundary_count(n, r, None) == walked, (n, r)
 
 
 def test_distinct_core_counts():

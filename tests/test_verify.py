@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,14 @@ from parakat import verify
 from parakat.errors import CapExceeded
 from parakat.cli import main
 from parakat.rperms import RPermutation, _pi_map, enumerate_rperms, is_r312_avoiding
-from parakat.rtuples import RTuple, core, critical_list, enumerate_tuples, is_gapless
+from parakat.rtuples import (
+    RTuple,
+    _boundary_count,
+    core,
+    critical_list,
+    enumerate_tuples,
+    is_gapless,
+)
 from parakat.polys import Polynomial
 from parakat.tableaux import (
     Shape,
@@ -21,7 +29,6 @@ from parakat.tableaux import (
 )
 from parakat.verify import (
     _Run,
-    _class_count,
     canonical_shape,
     catalan,
     dimension_tables,
@@ -189,7 +196,33 @@ def test_class_count_is_the_number_of_distinct_member_critical_lists():
         for r in subsets_of_interval(n):
             for family in ("gapless-core", "flag"):
                 expected = len({critical_list(t) for t in enumerate_tuples(n, r, family)})
-                assert _class_count(n, r, family) == expected, (n, r, family)
+                assert _boundary_count(n, r, family, classes=True) == expected, (n, r, family)
+
+
+def test_counts_build_no_member_and_walk_each_carrel_once(monkeypatch):
+    # every family is sized by the boundary transfer: no enumeration runs, and
+    # a carrel's segments are walked once per n however many R share it
+    from parakat import rtuples
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counts enumerated a family")
+
+    for module in (verify, rtuples):
+        for name in ("enumerate_tuples", "enumerate_critical_lists"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    walks = Counter()
+    kept = rtuples._kept_segments
+
+    def counted(n, lo, hi, family):
+        walks[n, lo, hi, family] += 1
+        return kept(n, lo, hi, family)
+
+    monkeypatch.setattr(rtuples, "_kept_segments", counted)
+    rtuples._carrel_lists.cache_clear()
+    rtuples._carrel_tallies.cache_clear()
+    report = suite_counts(6, poly_max_n=0)
+    assert (report.verdict, report.instances) == ("pass", 453)
+    assert walks and max(walks.values()) == 1
 
 
 def test_counts_total_route_catches_a_wrong_transfer_count(monkeypatch):
@@ -430,6 +463,42 @@ def test_polynomials_report_a_core_image_that_is_no_index(monkeypatch, capsys):
         {"shape": [1, 0, 0], "n": 3, "eta": eta, "law": law} for eta in ["(2;2,3)", "(2;3,3)"]
     )
     assert _failed_laws(capsys, ["polynomials", "--max-n", "3", "--max-col", "2"]) == (2, [law, law])
+
+
+def test_polynomials_report_a_rank_tuple_that_is_not_upper(monkeypatch, capsys):
+    # ψ of one avoiding index made a tuple that is not upper, so no bound has
+    # its entries: the index matches no rank bounds, and its polynomial's
+    # core is no longer its rank tuple, each a failing check
+    from parakat import rperms
+
+    p, wrong = RPermutation.of(3, (1,), (2, 1, 3)), RTuple.of(3, (1,), (2, 1, 3))
+    instances = suite_polynomials(3, 2).instances
+    monkeypatch.setattr(verify, "rank_tuple", lambda q: wrong if q == p else rperms.rank_tuple(q))
+    report = suite_polynomials(3, 2)
+    assert report.instances == instances
+    laws = ["polynomial coincidence forces the set coincidence", "avoiding index matches its rank bounds"]
+    assert report.counterexamples == (
+        {"shape": [1, 0, 0], "n": 3, "core": "(2;2,3)", "pi": "(2;1,3)", "law": laws[0]},
+        {"shape": [1, 0, 0], "n": 3, "pi": "(2;1,3)", "law": laws[1]},
+    )
+    assert _failed_laws(capsys, ["polynomials", "--max-n", "3", "--max-col", "2"]) == (2, laws)
+
+
+def test_polynomials_report_a_core_that_is_not_upper(monkeypatch, capsys):
+    # the core of one bound that is no gapless core made a tuple that is not
+    # upper, so no bound has its entries: that bound's check fails
+    from parakat import rtuples
+
+    b, wrong = RTuple.of(3, (1, 2), (3, 2, 3)), RTuple.of(3, (1, 2), (1, 1, 1))
+    instances = suite_polynomials(3, 2).instances
+    monkeypatch.setattr(verify, "core", lambda t: wrong if t == b else rtuples.core(t))
+    report = suite_polynomials(3, 2)
+    assert report.instances == instances
+    law = "bounds and their core agree"
+    assert report.counterexamples == (
+        {"shape": [2, 1, 0], "n": 3, "beta": "(3;2;3)", "law": law},
+    )
+    assert _failed_laws(capsys, ["polynomials", "--max-n", "3", "--max-col", "2"]) == (2, [law])
 
 
 def _atlas_checks(shapes):
