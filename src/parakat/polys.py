@@ -253,15 +253,18 @@ def demazure_poly_dd(p: RPermutation, shape: Shape) -> Polynomial:
     return Polynomial._of(n, _unpack(terms, n, width))
 
 
-def _demazure_walk(shape: Shape) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
+def _demazure_walk(
+    shape: Shape, width: int | None = None
+) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
     """The entries of every R-permutation w over the shape's carrel set, with
-    κ_w packed as :func:`demazure_poly_dd` packs it, one divided difference each.
+    κ_w packed ``width`` bits per value, by default as :func:`demazure_poly_dd`
+    packs it, one divided difference each.
 
     κ_w = π_i(κ_u) for ``(i, u) = rperms._lower_cover(w)``, so the walk runs
     the tree of lower covers depth first from the identity's x^λ, and only the
     polynomials on the path and those that pending children read stay alive.
     """
-    n, width = shape.n, _width(shape.parts[0])
+    n, width = shape.n, width or _width(shape.parts[0])
     carrel = [h for h, (lo, hi) in enumerate(shape.r_subset.carrels) for _ in range(lo, hi)]
     stack = [(tuple(range(1, n + 1)), 0, {_pack(shape.parts, width): 1})]
     while stack:

@@ -18,7 +18,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, le
+from operator import and_, attrgetter, getitem, le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, NotIncreasingUpper, NotUpper, ShapeMismatch
@@ -326,6 +326,37 @@ def count_ideal(t: Tableau) -> int:
     return sum(ways.values())
 
 
+def _ideal_weights(t: Tableau, width: int) -> dict[int, int]:
+    """The generating polynomial of the tableaux entrywise below ``t``, packed
+    ``width`` bits per value (:func:`_pack`): :func:`count_ideal`'s transfer,
+    with each state carrying the packed contents of the fillings from it
+    rightwards, each with its count, in place of their number."""
+    below, packed = _columns_below(t.n), _column_contents(t.n, width)
+    ways = {(): {0: 1}}  # the column on the right -> the fillings from it rightwards
+    for top in reversed(t.columns):
+        placed: dict = {}
+        for right, terms in ways.items():
+            for c in below(top, right):
+                into = placed.get(c)
+                if into is None:
+                    placed[c] = dict(terms)
+                else:
+                    for w, m in terms.items():
+                        into[w] = into.get(w, 0) + m
+        ways = {c: {w + packed[c]: m for w, m in terms.items()} for c, terms in placed.items()}
+    out: dict = {}
+    for terms in ways.values():
+        for w, m in terms.items():
+            out[w] = out.get(w, 0) + m
+    return out
+
+
+def _column_contents(n: int, width: int) -> _Memo:
+    """Column -> its content, packed ``width`` bits per value of [n]."""
+    values = range(1, n + 1)
+    return _Memo(lambda c: _pack([v in c for v in values], width))
+
+
 def _place(cols: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
     """The plain step: keep every column; the state is the columns placed."""
     return (c, *cols)
@@ -541,12 +572,11 @@ def _scanning_below(y: Tableau) -> Callable:
     return step
 
 
-def _with_cell(shape: Shape) -> Callable:
+def _with_cell(shape: Shape, width: int) -> Callable:
     """The atlas step: keep every column; the state, from ``((), (), (), 0)``, is
     ``(columns, flat right key, ends of the nonempty rows, packed content)``.
     """
-    width, values = _width(shape.parts[0]), range(1, shape.n + 1)
-    packed = _Memo(lambda c: _pack([v in c for v in values], width))  # column -> its content
+    packed = _column_contents(shape.n, width)
 
     def step(state: tuple, c: tuple[int, ...], right: tuple[int, ...]) -> tuple:
         cols, key, ends, weight = state
@@ -565,51 +595,67 @@ def ideal(t: Tableau) -> TableauSet:
 
 
 class ShapeTableaux:
-    """SSYT(shape), walked once and kept as cells.
+    """SSYT(shape), walked once and kept as numbered cells.
 
     A cell is the set of tableaux that share a right key (their scanning
     tableau) and a row-end list; the cells partition SSYT(shape), none empty,
-    and each keeps only its members' contents, each packed into one int.
+    and each keeps only its members' contents, each packed into one int of
+    ``width`` bits per value (by default the shape's own, :func:`_width`).
     The column walk of SSYT(shape) carries each tableau's right key, row ends
     and content, so no tableau is scanned on its own.
     A Demazure set is a union of atoms (one right key each) and a row-bound
     set a union of row-end classes, read without ``core``, so each is a set
-    of cells, and two sets are equal exactly when their cells are.  The sets
+    of cells, held as an int whose bit i stands for the i-th cell of
+    ``cells``.  Two tables of masks, by value v, hold the cells whose right
+    key has at most v at one box and those whose row end is at most v in one
+    row; a set is the AND of one mask per box of its key or per row of its
+    bound, and two sets are equal exactly when their masks are.  The sets
     are those of the walks below a maximum (:func:`demazure_set`,
     :func:`row_bound_set`), which stay the route for a single set.
 
     >>> atlas = ShapeTableaux(Shape.of(3, (2, 1)))
-    >>> len(atlas.cells), sum(map(len, atlas.cells.values()))
+    >>> len(atlas.cells), sum(atlas.weights(atlas.all_cells).values())
     (7, 8)
     """
 
-    def __init__(self, shape: Shape):
+    def __init__(self, shape: Shape, width: int | None = None):
         _require_within_cap(shape)
-        self.shape = shape
+        self.shape, self.width = shape, width or _width(shape.parts[0])
         self.cells: dict = {}  # (flat right key, row-end list) -> each member's packed content
         # the walk yields the ends of the nonempty rows; an empty row i reads i
         empty_rows = tuple(range(shape.n - shape.parts.count(0) + 1, shape.n + 1))
-        top = _below_row_ends((shape.n,) * shape.n, shape)
-        for _, key, ends, weight in _column_walk(top, _with_cell(shape), ((), (), (), 0)):
+        top, step = _below_row_ends((shape.n,) * shape.n, shape), _with_cell(shape, self.width)
+        for _, key, ends, weight in _column_walk(top, step, ((), (), (), 0)):
             self.cells.setdefault((key, ends + empty_rows), []).append(weight)
-        self._contents: dict = {}  # packed content -> its vector, one tuple each
+        self.all_cells = (1 << len(self.cells)) - 1
+        keys, ends = zip(*self.cells)
+        self._key_masks = _masks_at_most(keys, shape.n)  # flat key position -> value -> cells
+        self._end_masks = _masks_at_most(ends, shape.n)  # row -> value -> cells
 
-    def demazure_cells(self, y: Tableau) -> frozenset:
+    def demazure_cells(self, y: Tableau) -> int:
         """The cells whose right key lies entrywise below the key ``y`` of the shape."""
-        top = tuple(itertools.chain.from_iterable(y.columns))
-        return frozenset(c for c in self.cells if all(map(le, c[0], top)))
+        flat = itertools.chain.from_iterable(y.columns)
+        return functools.reduce(and_, map(getitem, self._key_masks, flat), self.all_cells)
 
-    def row_bound_cells(self, b: RTuple) -> frozenset:
+    def row_bound_cells(self, b: RTuple) -> int:
         """The cells whose row-end list lies entrywise below ``b``; never via ``core``."""
-        return frozenset(c for c in self.cells if all(map(le, c[1], b.entries)))
+        return functools.reduce(and_, map(getitem, self._end_masks, b.entries), self.all_cells)
 
-    def weights(self, cells: Iterable) -> dict:
-        """Content vector -> how many tableaux of ``cells`` have it."""
-        packed = Counter(itertools.chain.from_iterable(map(self.cells.__getitem__, cells)))
-        new = {w: w for w in packed if w not in self._contents}
-        unpacked = _unpack(new, self.shape.n, _width(self.shape.parts[0]))
-        self._contents.update((w, exp) for exp, w in unpacked.items())
-        return {self._contents[w]: m for w, m in packed.items()}
+    def weights(self, cells: int) -> Counter:
+        """Packed content -> how many tableaux of ``cells`` have it."""
+        chosen = bin(cells)[:1:-1].encode().translate(_BITS)  # byte i is bit i
+        members = itertools.compress(self.cells.values(), chosen)
+        return Counter(itertools.chain.from_iterable(members))
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _masks_at_most(rows: Sequence[tuple[int, ...]], n: int) -> list[list[int]]:
+    """Per position j of the rows, ``masks[v]`` for v = 0..n: bit i is set when
+    ``rows[i][j] <= v``.  Each mask is read off one bytes translation."""
+    digits = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(n + 1)]  # byte x -> x <= v
+    return [[int(at.translate(d), 2) for d in digits] for at in map(bytes, zip(*reversed(rows)))]
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,8 @@ from .rtuples import (
 from .tableaux import (
     Shape,
     ShapeTableaux,
+    _below_row_ends,
+    _ideal_weights,
     _pack,
     _require_within_cap,
     _unpack,
@@ -61,8 +63,6 @@ from .tableaux import (
     in_demazure_set,
     is_key,
     key_of_perm,
-    row_bound_max,
-    row_end_max,
 )
 
 MAX_SUITE_N = 8
@@ -293,8 +293,11 @@ def _polynomial_counts(shape: Shape) -> dict:
         if avoids:
             avoiding.add(kappa)
     n, r_elements, width = shape.n, shape.r_subset.elements, _width(shape.parts[0])
-    flags = (row_bound_max(phi, shape) for phi in enumerate_tuples(n, r_elements, "flag"))
-    maxima = {row_bound_max(a, shape).columns for a in enumerate_tuples(n, r_elements, "increasing")}
+    flags = (_below_row_ends(phi.entries, shape) for phi in enumerate_tuples(n, r_elements, "flag"))
+    maxima = {
+        _below_row_ends(a.entries, shape).columns
+        for a in enumerate_tuples(n, r_elements, "increasing")
+    }
     return {
         "demazure_polynomials": len(avoiding),
         "flag_schur_polynomials": len({
@@ -362,7 +365,7 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             convex_keys = {y.columns: p for p, y, convex, _ in _convexity(shape) if convex}
             gapless_maxima = {}
             for b, delta, p in bounds:
-                top = row_bound_max(b, shape)
+                top = _below_row_ends(b.entries, shape)
                 matches = [convex_keys[top.columns]] if top.columns in convex_keys else []
                 if p is None:
                     ok = matches == []
@@ -379,9 +382,14 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
 def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) -> SuiteReport:
     """Polynomial-level laws: oracle agreement, set-level coincidences,
-    injectivity of the two indexings, and content shape-detection."""
+    injectivity of the two indexings, and content shape-detection.
+
+    Every polynomial is packed at one width for the whole range, so equal
+    polynomials of any two shapes have equal flat terms (:func:`_terms_key`),
+    and the owner tables find them by that key."""
     _check_ranges(max_n, max_col=max_col)
     run = _Run("polynomials", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
+    width = _width(max_col)  # no shape in range has a part above max_col
     s_poly_owner: dict = {}
     d_poly_owner: dict = {}
     for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
@@ -397,23 +405,25 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         flags = list(enumerate_tuples(n, r_elements, "flag"))
         for shape in shapes:
             shape_key = (n, shape.parts)
-            atlas = ShapeTableaux(shape)
+            atlas = ShapeTableaux(shape, width)
             keys = {p: key_of_perm(p, shape) for p in perms}
             d_cells = {p: atlas.demazure_cells(y) for p, y in keys.items()}
-            d_polys = {p: Polynomial._of(n, atlas.weights(d_cells[p])) for p in perms}
             base = {"shape": shape.parts, "n": n}
 
             # the polynomials that convexity and coincidence size their sets by
-            walked, width = dict(_demazure_walk(shape)), _width(shape.parts[0])
+            walked = dict(_demazure_walk(shape, width))
+            d_polys = {}  # each index's Demazure polynomial, as its flat terms
             for p in perms:
-                dd = Polynomial._of(n, _unpack(walked[p.entries], n, width))
+                terms = atlas.weights(d_cells[p])
                 run.check(
-                    d_polys[p] == dd, **base, pi=p, law="scanning route equals recursion route"
+                    terms == walked[p.entries], **base, pi=p,
+                    law="scanning route equals recursion route",
                 )
                 run.check(
                     compose_alpha(p, shape) == content(keys[p]),
                     **base, pi=p, law="key content is the placed composition",
                 )
+                d_polys[p] = _terms_key(terms)
                 owner = d_poly_owner.setdefault((n, d_polys[p]), (shape_key, p))
                 run.check(
                     owner == (shape_key, p), **base, pi=p, law="demazure polynomials are faithful"
@@ -422,19 +432,21 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             # one scan per upper bound: cores, rank tuples and gapless-core bounds are
             # all upper, and a bound's set is read off its row ends, never through its core
             s_cells = {b.entries: atlas.row_bound_cells(b) for b, _ in bounds}
-            s_polys = {d: Polynomial._of(n, atlas.weights(s_cells[d.entries])) for d, _ in cores}
             for b, core_entries in bounds:
                 run.check(
                     s_cells[b.entries] == s_cells.get(core_entries),
                     **base, beta=b, law="bounds and their core agree",
                 )
+            s_polys = {}  # each core's row bound sum, as its flat terms
             for delta, _ in cores:
-                h = s_polys[delta]
+                terms = atlas.weights(s_cells[delta.entries])
+                h = Polynomial._of(n, _unpack(terms, n, width))
                 run.check(
                     h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
                     **base, core=delta, law="degree and leading weight",
                 )
-                owner = s_poly_owner.setdefault((n, h), shape_key)
+                s_polys[delta] = _terms_key(terms)
+                owner = s_poly_owner.setdefault((n, s_polys[delta]), shape_key)
                 run.check(
                     owner == shape_key, **base, core=delta, law="row bound sums detect the shape"
                 )
@@ -464,7 +476,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                         p in ranks
                         and gapless
                         and delta == ranks[p]
-                        and row_end_max(delta, shape) == keys[p]
+                        and _below_row_ends(delta.entries, shape) == keys[p]
                         and s_cells[delta.entries] == d_cells[p]
                     )
                     run.check(
@@ -483,7 +495,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
             for phi in flags:
                 run.check(
-                    is_key(row_bound_max(phi, shape)),
+                    is_key(_below_row_ends(phi.entries, shape)),
                     **base, phi=phi, law="row bound max of a flag is a key",
                 )
     return run.report()
@@ -541,6 +553,11 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     Only bounds outside the gapless-core family can participate, so the scan
     runs over non-gapless cores; a find is reported as a counterexample
     payload (it would answer an open search, so it is never suppressed).
+    A row-bound set is the ideal of its maximum, so each sum is its packed
+    transfer (:func:`tableaux._ideal_weights`) and no tableau is built.  The
+    sums are grouped by the hash of their terms, and only cores whose sums
+    share a hash are weighed again and grouped by the terms themselves, so
+    no shape holds all its sums at once.
     """
     _check_ranges(max_n, max_col=max_col)
     run = _Run("accidental", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
@@ -548,16 +565,39 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         increasing = enumerate_tuples(n, r_elements, "increasing")
         non_gapless = [delta for delta in increasing if not is_gapless(delta)]
         for shape in shapes:
-            atlas = ShapeTableaux(shape)
-            by_poly: dict = {}
+            _require_within_cap(shape)
+            by_hash: dict = {}
             for delta in non_gapless:
-                poly = Polynomial._of(n, atlas.weights(atlas.row_bound_cells(delta)))
-                by_poly.setdefault(poly, []).append(delta)
-            for poly, deltas in by_poly.items():
-                run.check(
-                    len(deltas) == 1, shape=shape.parts, n=n, cores=deltas, polynomial=poly
-                )
+                by_hash.setdefault(hash(_row_bound_terms(delta, shape)), []).append(delta)
+            for alike in by_hash.values():
+                by_poly: dict = {}  # the terms -> their cores, where two sums share a hash
+                for delta in alike:
+                    terms = _row_bound_terms(delta, shape) if len(alike) > 1 else None
+                    by_poly.setdefault(terms, []).append(delta)
+                for deltas in by_poly.values():
+                    run.check(
+                        len(deltas) == 1, shape=shape.parts, n=n, cores=deltas,
+                        polynomial=_RowBoundSum(deltas[0], shape),
+                    )
     return run.report()
+
+
+def _row_bound_terms(delta: RTuple, shape: Shape) -> frozenset:
+    """The row-bound sum of ``delta`` on ``shape``, as its packed terms."""
+    top = _below_row_ends(delta.entries, shape)
+    return frozenset(_ideal_weights(top, _width(shape.parts[0])).items())
+
+
+class _RowBoundSum:
+    """A row-bound sum whose text, that of its :class:`Polynomial`, is
+    weighed only when a payload is written."""
+
+    def __init__(self, delta: RTuple, shape: Shape):
+        self.delta, self.shape = delta, shape
+
+    def __str__(self) -> str:
+        n, terms = self.shape.n, dict(_row_bound_terms(self.delta, self.shape))
+        return str(Polynomial._of(n, _unpack(terms, n, _width(self.shape.parts[0]))))
 
 
 def suite_tables() -> SuiteReport:
@@ -621,7 +661,7 @@ def dimension_tables(shape: Shape) -> dict:
     n, r_elements = shape.n, shape.r_subset.elements
     demazure = [{"pi": str(p), "size": sizes[p.entries]} for p in enumerate_rperms(n, r_elements)]
     row_bound = [  # a row-bound set is the ideal of its maximum
-        {"alpha": str(a), "size": count_ideal(row_bound_max(a, shape))}
+        {"alpha": str(a), "size": count_ideal(_below_row_ends(a.entries, shape))}
         for a in enumerate_tuples(n, r_elements, "increasing")
     ]
     return {

@@ -200,16 +200,19 @@ def test_dd_matches_the_definition_across_pack_widths(size):
 def test_the_cover_walk_matches_the_reduced_word_recursion():
     # one divided difference per cover against a whole reduced word per index,
     # on every index of every shape, each index yielded once
+    # at the shape's own packing width and at a wider one, as the polynomials
+    # suite packs every shape of its range
     for shape in shapes_up_to(5, 3):
-        n, width = shape.n, _width(shape.parts[0])
-        walked = {}
-        for entries, terms in _demazure_walk(shape):
-            assert entries not in walked
-            walked[entries] = Polynomial._of(n, _unpack(terms, n, width))
-        perms = list(enumerate_rperms(n, shape.r_subset.elements))
-        assert len(walked) == len(perms), shape
-        for p in perms:
-            assert walked[p.entries] == demazure_poly_dd(p, shape), (shape, p)
+        n = shape.n
+        for width in (None, 3):
+            walked = {}
+            for entries, terms in _demazure_walk(shape, width):
+                assert entries not in walked
+                walked[entries] = Polynomial._of(n, _unpack(terms, n, width or _width(shape.parts[0])))
+            perms = list(enumerate_rperms(n, shape.r_subset.elements))
+            assert len(walked) == len(perms), shape
+            for p in perms:
+                assert walked[p.entries] == demazure_poly_dd(p, shape), (shape, p)
 
 
 def test_divided_difference_of_mixed_degrees_and_of_a_cancelling_input():

@@ -59,9 +59,13 @@ from parakat.tableaux import (
     _column_pairs,
     _column_walk,
     _ending_in,
+    _ideal_weights,
+    _pack,
     _place,
     _scanning_below,
     _set_below,
+    _unpack,
+    _width,
     _with_cell,
 )
 from parakat.verify import canonical_shape, shapes_in_range, subsets_of_interval
@@ -443,7 +447,7 @@ def test_walks_and_counts_share_one_listing_per_n(monkeypatch):
     try:
         sh = Shape.of(6, (5, 4, 3, 2, 1))
         atlas = ShapeTableaux(sh)
-        assert _size(atlas, atlas.cells) == 2**15
+        assert _size(atlas, atlas.all_cells) == 2**15
         perms = list(enumerate_rperms(6, sh.r_subset.elements))
         counts = [count_ideal(key_of_perm(p, sh)) for p in perms]
         assert min(counts) == 1 and max(counts) == 2**15
@@ -512,16 +516,23 @@ def test_z_walk_costs_what_it_yields():
 
 def test_shape_tableaux_cells_match_a_per_tableau_build():
     # the atlas reads each cell and content off its column walk; rebuild both per
-    # tableau.  λ1 = 4 is the first shape whose packed fields are 3 bits wide
-    for sh in [*SMALL_SHAPES, Shape.of(3, ()), Shape.of(3, (4, 2))]:
+    # tableau.  λ1 = 4 is the first shape whose packed fields are 3 bits wide,
+    # and a wider packing than the shape's own weighs the same contents
+    for sh, width in [
+        *((sh, None) for sh in SMALL_SHAPES), (Shape.of(3, ()), None),
+        (Shape.of(3, (4, 2)), None), (Shape.of(3, (2, 1)), 3), (Shape.of(4, (1, 1)), 5),
+    ]:
         built: dict = {}
         for t in enumerate_tableaux(sh):
             built.setdefault(_cell(t), Counter())[content(t)] += 1
-        atlas = ShapeTableaux(sh)
+        atlas = ShapeTableaux(sh, width)
+        assert atlas.width == (width or max(sh.parts[0], 1).bit_length())
         assert atlas.cells.keys() == built.keys()
-        for cell, tally in built.items():
-            assert _size(atlas, [cell]) == sum(tally.values())
-            assert atlas.weights([cell]) == tally
+        for i, cell in enumerate(atlas.cells):
+            packed = Counter({_pack(exp, atlas.width): m for exp, m in built[cell].items()})
+            assert atlas.weights(1 << i) == packed
+        assert _size(atlas, atlas.all_cells) == count_tableaux(sh)
+        assert atlas.weights(0) == Counter()
 
 
 def _cell(t):
@@ -530,8 +541,56 @@ def _cell(t):
 
 
 def _size(atlas, cells):
-    """The number of tableaux in ``cells``."""
-    return sum(len(atlas.cells[c]) for c in cells)
+    """The number of tableaux in the cell mask ``cells``."""
+    return sum(atlas.weights(cells).values())
+
+
+def _as_cells(atlas, mask):
+    """The cells of a mask: bit i is the i-th cell of ``atlas.cells``."""
+    return frozenset(c for i, c in enumerate(atlas.cells) if mask >> i & 1)
+
+
+def _scanned_demazure_cells(atlas, y):
+    """The scan route the masks replace: every cell whose right key lies below the key ``y``."""
+    top = _cell(y)[0]
+    return frozenset(c for c in atlas.cells if all(map(operator.le, c[0], top)))
+
+
+def _scanned_row_bound_cells(atlas, b):
+    """The scan route the masks replace: every cell whose row ends lie below ``b``."""
+    return frozenset(c for c in atlas.cells if all(map(operator.le, c[1], b.entries)))
+
+
+def test_shape_tableaux_masks_equal_the_scan_of_every_cell():
+    # every key and every upper bound on every shape with n <= 4 and at most 3
+    # columns, zero parts and the shapes without boxes included
+    shapes = shapes_in_range(4, 3, all_shapes=True)
+    assert any(0 in sh.parts[:-1] for sh in shapes) and Shape.of(4, ()) in shapes
+    for sh in shapes:
+        r = sh.r_subset.elements
+        atlas = ShapeTableaux(sh)
+        for p in enumerate_rperms(sh.n, r):
+            y = key_of_perm(p, sh)
+            assert _as_cells(atlas, atlas.demazure_cells(y)) == _scanned_demazure_cells(atlas, y)
+        for b in enumerate_tuples(sh.n, r, "upper"):
+            assert _as_cells(atlas, atlas.row_bound_cells(b)) == _scanned_row_bound_cells(atlas, b)
+
+
+def test_ideal_weights_equal_the_generating_polynomial_of_the_ideal():
+    # the packed transfer against the tableaux of the ideal, on every row-bound
+    # maximum of every shape with n <= 4 and col <= 3, and of the n = 5 staircase
+    shapes = [*shapes_in_range(4, 3, all_shapes=True), Shape.of(5, (4, 3, 2, 1))]
+    seen = 0
+    for sh in shapes:
+        bounds = enumerate_tuples(sh.n, sh.r_subset.elements, "upper")
+        tops = {row_bound_max(b, sh) for b in bounds}
+        for t in tops:
+            for width in {_width(sh.parts[0]), 3}:
+                terms = _ideal_weights(t, width)
+                assert Polynomial(sh.n, _unpack(terms, sh.n, width)) == gen_fn(ideal(t)).poly
+                assert sum(terms.values()) == count_ideal(t)
+        seen += len(tops)
+    assert seen == 460
 
 
 def test_shape_tableaux_match_the_walk_builders():
@@ -541,9 +600,10 @@ def test_shape_tableaux_match_the_walk_builders():
         atlas = ShapeTableaux(sh)
 
         def agree(cells, walked):
-            assert {_cell(t) for t in walked} == cells
+            assert {_cell(t) for t in walked} == _as_cells(atlas, cells)
             assert _size(atlas, cells) == len(walked)
-            assert Polynomial(sh.n, atlas.weights(cells)) == gen_fn(walked).poly
+            terms = _unpack(atlas.weights(cells), sh.n, atlas.width)
+            assert Polynomial(sh.n, terms) == gen_fn(walked).poly
 
         perms = list(enumerate_rperms(sh.n, r))
         for p in perms:
@@ -561,7 +621,7 @@ def test_shape_tableaux_match_the_walk_builders():
         assert keys == {_cell(key_of_perm(p, sh))[0] for p in perms}
         increasing = {a.entries for a in enumerate_tuples(sh.n, r, "increasing")}
         assert {ends for _, ends in atlas.cells} == increasing
-        assert _size(atlas, atlas.cells) == count_tableaux(sh)
+        assert _size(atlas, atlas.all_cells) == count_tableaux(sh)
 
 
 def test_shape_tableaux_read_convexity_from_the_key():
@@ -573,7 +633,7 @@ def test_shape_tableaux_read_convexity_from_the_key():
             y = key_of_perm(p, sh)
             d = atlas.demazure_cells(y)
             assert (_size(atlas, d) == len(ideal(y))) == is_convex(demazure_set(p, sh))
-            assert _cell(y) in d
+            assert _cell(y) in _as_cells(atlas, d)
 
 
 def test_shape_tableaux_validate_as_the_walk_builders_do(monkeypatch):
@@ -584,7 +644,7 @@ def test_shape_tableaux_validate_as_the_walk_builders_do(monkeypatch):
     # the cap counts every tableau of the shape, before any is walked
     monkeypatch.setenv("PARAKAT_CAP", "8")
     atlas = ShapeTableaux(sh)
-    assert _size(atlas, atlas.cells) == count_tableaux(sh) == 8
+    assert _size(atlas, atlas.all_cells) == count_tableaux(sh) == 8
     monkeypatch.setenv("PARAKAT_CAP", "7")
     with pytest.raises(CapExceeded, match="has 8 tableaux, over the cap of 7"):
         ShapeTableaux(sh)
@@ -730,7 +790,7 @@ def test_walks_leave_no_reference_cycles():
         functools.partial(_column_walk, top, _place, ()),
         functools.partial(_column_walk, y, _scanning_below(y), ()),
         functools.partial(_column_walk, row_end_max(a, sh), _ending_in(a.entries), ()),
-        functools.partial(_column_walk, top, _with_cell(sh), ((), (), (), 0)),
+        functools.partial(_column_walk, top, _with_cell(sh, 2), ((), (), (), 0)),
         functools.partial(demazure_set, p, sh),
         functools.partial(z_set, a, sh),
         functools.partial(enumerate_rperms, 5, (2, 4)),

@@ -17,10 +17,11 @@ from parakat.rtuples import (
     enumerate_tuples,
     is_gapless,
 )
-from parakat.polys import Polynomial
 from parakat.tableaux import (
     Shape,
     ShapeTableaux,
+    _pack,
+    _width,
     count_ideal,
     key_of_perm,
     row_bound_max,
@@ -283,24 +284,88 @@ def test_convexity_and_coincidence_build_no_tableau(monkeypatch):
         dimension_tables(shape)
 
 
+def test_accidental_builds_no_tableau(monkeypatch):
+    # each row-bound sum is its maximum's packed transfer: no atlas, no set
+    from parakat import tableaux
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the search built tableaux")
+
+    monkeypatch.setattr(verify, "ShapeTableaux", refused)
+    monkeypatch.setattr(tableaux, "_set_below", refused)
+    monkeypatch.setattr(tableaux, "enumerate_tableaux", refused)
+    report = search_accidental(4, 3, all_shapes=True)
+    assert (report.verdict, report.instances) == ("pass", 50)
+
+
+def test_accidental_groups_by_terms_where_hashes_collide(monkeypatch):
+    # every sum given one hash: each shape's cores are weighed again and
+    # grouped by their terms, so the report is the same
+    expected = dataclasses.replace(search_accidental(4, 3, all_shapes=True), wall_time=0)
+    monkeypatch.setattr(verify, "hash", lambda terms: 0, raising=False)
+    assert dataclasses.replace(search_accidental(4, 3, all_shapes=True), wall_time=0) == expected
+    # every sum made 2*x4: each shape's non-gapless cores form one find, whose
+    # payload names them and their polynomial
+    monkeypatch.setattr(verify, "_ideal_weights", lambda top, width: {1: 2})
+    report = search_accidental(4, 2)
+    assert report.instances == 4
+    assert report.counterexamples == tuple(
+        {"shape": shape, "n": 4, "cores": cores, "polynomial": "2*x4"}
+        for shape, cores in [
+            ([2, 2, 1, 0], ["(1,4;3;4)", "(2,4;3;4)", "(3,4;3;4)"]),
+            ([2, 1, 1, 0], ["(3;2,4;4)", "(4;2,3;4)", "(4;2,4;4)"]),
+            ([2, 1, 0, 0], ["(3;2;3,4)", "(4;2;3,4)", "(4;3;3,4)"]),
+        ]
+    )
+
+
+def test_polynomials_owner_tables_find_equal_sums_across_packing_widths(monkeypatch):
+    # every cell set weighed as x1: each shape after the first of its n then
+    # repeats a row bound sum, which "row bound sums detect the shape" must
+    # report.  The shapes' first parts are 0, 1 and 2, of bit lengths 1 and 2,
+    # so owner keys packed at each shape's own width would miss the repeats
+    # on the shapes whose first part is 0 or 1
+    monkeypatch.setattr(
+        ShapeTableaux, "weights",
+        lambda atlas, cells: Counter({_pack((1,) + (0,) * (atlas.shape.n - 1), atlas.width): 1}),
+    )
+    report = suite_polynomials(2, 2, all_shapes=True)
+    law = "row bound sums detect the shape"
+    failed = {(c["n"], tuple(c["shape"])) for c in report.counterexamples if c["law"] == law}
+    shapes = shapes_in_range(2, 2, all_shapes=True)
+    firsts = {shape.n: shape for shape in reversed(shapes)}
+    assert failed == {(s.n, s.parts) for s in shapes if s != firsts[s.n]}
+    assert {_width(s.parts[0]) for s in shapes} == {1, 2}
+
+
 def test_polynomials_scan_each_row_bound_set_once_per_shape(monkeypatch):
     scan = ShapeTableaux.row_bound_cells
     calls = []
-    monkeypatch.setattr(
-        ShapeTableaux, "row_bound_cells", lambda atlas, b: calls.append(b) or scan(atlas, b)
-    )
+
+    def recorded(atlas, b):
+        mask = scan(atlas, b)
+        calls.append((b, mask))
+        return mask
+
+    monkeypatch.setattr(ShapeTableaux, "row_bound_cells", recorded)
     assert suite_polynomials(4, 3, all_shapes=True).passed
-    # one scan per upper tuple of each shape; the cores, rank tuples and
-    # gapless-core bounds are read off those scans
+    # one read of the row-end masks per upper tuple of each shape; the cores,
+    # rank tuples and gapless-core bounds are read off those masks
     shapes = shapes_in_range(4, 3, all_shapes=True)
+    assert all(type(mask) is int and mask > 0 for _, mask in calls)
     assert len(calls) == sum(
         sum(1 for _ in enumerate_tuples(s.n, s.r_subset.elements, "upper")) for s in shapes
     ) == 984
 
 
 def _size(atlas, cells):
-    """The number of tableaux in ``cells``."""
-    return sum(len(atlas.cells[c]) for c in cells)
+    """The number of tableaux in the cell mask ``cells``."""
+    return sum(atlas.weights(cells).values())
+
+
+def _terms(atlas, cells):
+    """The packed polynomial of the cell mask ``cells``, as a hashable value."""
+    return frozenset(atlas.weights(cells).items())
 
 
 def _atlas_route(shape):
@@ -313,11 +378,11 @@ def _atlas_route(shape):
     ssets = {a: atlas.row_bound_cells(a) for a in enumerate_tuples(n, r, "increasing")}
     families = {
         "demazure_polynomials": len(
-            {Polynomial._of(n, atlas.weights(d)) for p, d in dsets.items() if is_r312_avoiding(p)}
+            {_terms(atlas, d) for p, d in dsets.items() if is_r312_avoiding(p)}
         ),
         "flag_schur_polynomials": len(
             {
-                Polynomial._of(n, atlas.weights(atlas.row_bound_cells(phi)))
+                _terms(atlas, atlas.row_bound_cells(phi))
                 for phi in enumerate_tuples(n, r, "flag")
             }
         ),
@@ -520,7 +585,8 @@ def _atlas_checks(shapes):
                 avoiding = is_r312_avoiding(p)
                 convex = _size(atlas, d) == count_ideal(y)
                 flat_y = tuple(v for col in scanning(y).columns for v in col)
-                is_ideal = convex and (flat_y, row_end_list(y).entries) in d
+                cell = list(atlas.cells).index((flat_y, row_end_list(y).entries))
+                is_ideal = convex and bool(d >> cell & 1)
                 out["convexity"].append((
                     convex == avoiding == is_ideal,
                     dict(base, pi=p, avoiding=avoiding, convex=convex, equals_ideal=is_ideal),
