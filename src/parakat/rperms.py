@@ -11,6 +11,8 @@ carrel by carrel from the gapless tuples, and ``enumerate_rperms(...,
 avoiding_only=True)``, which prunes every block that would complete a
 pattern, is kept as its oracle.  Filtering the whole enumeration with
 :func:`is_r312_avoiding` is in turn the tests' oracle for that pruned walk.
+The walks read their blocks from one memo per n, and ``_avoiding_count``
+sizes the pruned walk by sharing the subtrees of starts with equal values.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .rtuples import (
     RSubset,
     RTuple,
     _carrel_text,
+    _Memo,
     _chains,
     _check_n,
     _is_int_array,
@@ -499,27 +502,60 @@ def enumerate_rperms(
     unused, as that value comes later.  So an avoiding walk keeps only
     blocks whose entries below m are the largest unused values below m;
     the largest unused values always form one, so the walk never dead-ends
-    and costs what it yields.  The unpruned walk reads m as 0.
+    and costs what it yields.  The unpruned walk reads m as 0.  Every R over
+    [n] reads its blocks from one memo per n (:func:`_block_lists`).
     """
     r = RSubset(n, tuple(r_elements))
     sizes = r.block_sizes
+    blocks, bits = _block_lists(n), [1 << v for v in range(n + 1)]  # bit v: v is placed
 
-    def options(h: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        left = [v for v in range(1, n + 1) if v not in acc]
-        size = sizes[h]
-        cut = bisect.bisect_left(left, max(acc, default=0)) if avoiding_only else 0
-        if not cut:  # no unused value below m, so every block is admissible
-            return itertools.combinations(left, size)
-        # a block takes the k largest unused values below m, and any values
-        # above it; the larger k, the smaller its first entry
-        below, above = tuple(left[:cut]), left[cut:]
-        return itertools.chain.from_iterable(
-            map(below[cut - k :].__add__, itertools.combinations(above, size - k))
-            for k in range(min(cut, size), -1, -1)
-        )
+    def options(h: int, acc: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return blocks[avoiding_only, sizes[h], sum(map(bits.__getitem__, acc))]
 
     for entries in _chains(len(sizes), options):
         yield _unchecked(RPermutation, r_subset=r, entries=entries)
+
+
+@functools.lru_cache(maxsize=1)
+def _block_lists(n: int) -> _Memo:
+    """The blocks :func:`enumerate_rperms` may place next over [n], in its order, at
+    ``(avoiding_only, size, placed)``, where bit v of ``placed`` marks v placed."""
+
+    def blocks(key: tuple[bool, int, int]) -> list[tuple[int, ...]]:
+        avoiding_only, size, placed = key
+        left = [v for v in range(1, n + 1) if not placed >> v & 1]
+        # m is placed's top bit, -1 if none is set; a block takes the k largest
+        # unused values below m and any above it, and the larger k comes first
+        cut = bisect.bisect_left(left, placed.bit_length() - 1) if avoiding_only else 0
+        return [
+            tuple(left[cut - k : cut]) + rest
+            for k in range(min(cut, size), -1, -1)
+            for rest in itertools.combinations(left[cut:], size - k)
+        ]
+
+    return _Memo(blocks)
+
+
+@functools.lru_cache(maxsize=1)
+def _avoiding_tallies(n: int) -> _Memo:
+    """How many avoiding R-permutations over [n] complete a start, at the sizes of
+    its blocks left and its ``placed`` mask: starts with one key share a subtree."""
+    blocks = _block_lists(n)
+
+    def tally(key: tuple[tuple[int, ...], int]) -> int:
+        (size, *rest), placed = key
+        if not rest:  # the last block, the unused values, is always admissible
+            return 1
+        rest = tuple(rest)
+        return sum(ways[rest, placed | sum(1 << v for v in b)] for b in blocks[True, size, placed])
+
+    ways = _Memo(tally)
+    return ways
+
+
+def _avoiding_count(n: int, r_elements: Sequence[int]) -> int:
+    """The size of ``enumerate_rperms(n, r_elements, avoiding_only=True)``, unbuilt."""
+    return _avoiding_tallies(n)[RSubset(n, tuple(r_elements)).block_sizes, 0]
 
 
 def count_cnr(n: int, r_elements: Sequence[int]) -> int:

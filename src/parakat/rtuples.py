@@ -647,7 +647,8 @@ def ceiling_map(g: RTuple) -> RTuple:
 
 # family: (segment kind, boundary rule, segment filter).  A segment is the
 # entries of one carrel, each at least its position, of any order ("upper"),
-# weakly increasing ("weak") or strictly increasing ("strict").  The boundary
+# weakly increasing ("weak"), strictly increasing ("strict") or with its
+# entries below n strictly increasing, as a shell's are ("sparse").  The boundary
 # rule gives each segment the interval that the previous carrel's last entry
 # must lie in, 0 before the first carrel.  Its upper end is the segment's
 # first entry ("first") or first critical entry ("critical"): that makes the
@@ -668,8 +669,8 @@ _WALKS = {
     "gapless-core": ("upper", "critical", None),
     "floor": ("weak", "plateau", _is_floor_segment),
     "ceiling": ("weak", "first", _over_own_pairs(_is_ceiling_over)),
-    "shell": ("upper", None, _over_own_pairs(_is_shell_over)),
-    "canopy": ("upper", "critical", _over_own_pairs(_is_shell_over)),
+    "shell": ("sparse", None, _over_own_pairs(_is_shell_over)),
+    "canopy": ("sparse", "critical", _over_own_pairs(_is_shell_over)),
 }
 
 FAMILIES = tuple(_WALKS)
@@ -731,8 +732,10 @@ def _carrel_entries(n: int, lo: int, hi: int, kind: str) -> Iterator[tuple[int, 
         return itertools.product(*(range(i, n + 1) for i in range(lo + 1, hi + 1)))
     if kind == "strict":  # a strictly increasing segment from lo + 1 up is upper
         return itertools.combinations(range(lo + 1, n + 1), hi - lo)
-    # weak: nondecreasing, each entry at least its position
     singles = [(v,) for v in range(n + 1)]
+    if kind == "sparse":  # an entry below n lies above every earlier one below n
+        return _chains(hi - lo, lambda h, s: singles[max(lo + h, 0, *(v for v in s if v < n)) + 1:])
+    # weak: nondecreasing, each entry at least its position
     return _chains(hi - lo, lambda h, seg: singles[max(lo + 1 + h, seg[-1] if seg else 0):])
 
 

@@ -28,7 +28,10 @@ from parakat.rperms import (
     rank_tuple,
     reduced_word,
     to_chain,
+    _avoiding_count,
+    _avoiding_tallies,
     _avoids_312,
+    _block_lists,
     _lift_blocks,
     _lower_cover,
     _pi_map,
@@ -407,6 +410,52 @@ def test_avoiding_walk_is_the_avoidance_filter():
             assert walked == filtered, (n, r)
     for r in all_r_subsets(8):
         assert sum(1 for _ in enumerate_rperms(8, r, avoiding_only=True)) == count_cnr(8, r), r
+
+
+def test_walk_is_the_carrel_sorted_permutations():
+    # an oracle that shares no code with the walk: every permutation of [n] in
+    # lexicographic order, kept where it rises inside each carrel, and for the
+    # pruned walk where it avoids R-312 as well
+    for n in range(1, 8):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for r in all_r_subsets(n):
+            rs = RSubset(n, r)
+            rises = [i for i in range(n - 1) if i + 1 not in r]
+            sorted_ = [w for w in perms if all(w[i] < w[i + 1] for i in rises)]
+            avoiding = [w for w in sorted_ if is_r312_avoiding(RPermutation(rs, w))]
+            assert [p.entries for p in enumerate_rperms(n, r)] == sorted_, (n, r)
+            walked = [p.entries for p in enumerate_rperms(n, r, avoiding_only=True)]
+            assert walked == avoiding, (n, r)
+
+
+def test_avoiding_count_is_the_size_of_the_pruned_walk():
+    for n in range(1, 9):
+        for r in all_r_subsets(n):
+            walked = sum(1 for _ in enumerate_rperms(n, r, avoiding_only=True))
+            assert _avoiding_count(n, r) == walked, (n, r)
+
+
+def test_avoiding_count_sums_to_count_total():
+    for n in range(1, 11):
+        assert sum(_avoiding_count(n, r) for r in all_r_subsets(n)) == count_total(n), n
+
+
+def test_avoiding_count_validates_r_like_the_constructor():
+    for n, r in [(0, ()), (4, (0,)), (4, (4,)), (4, (2, 2)), (4, (3, 1))]:
+        with pytest.raises(ValueError) as expected:
+            RSubset(n, r)
+        with pytest.raises(ValueError) as got:
+            _avoiding_count(n, r)
+        assert str(got.value) == str(expected.value)
+
+
+def test_avoiding_count_shares_subtrees():
+    # every R at n = 9 from empty memos; the walk would build 275,808 permutations
+    _block_lists.cache_clear()
+    _avoiding_tallies.cache_clear()
+    started = time.perf_counter()
+    assert sum(_avoiding_count(9, r) for r in all_r_subsets(9)) == 275_808
+    assert time.perf_counter() - started < 1.0
 
 
 def test_avoiding_walk_costs_what_it_yields():

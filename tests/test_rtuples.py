@@ -14,6 +14,9 @@ from parakat.rtuples import (
     RTuple,
     _Memo,
     _boundary_count,
+    _carrel_entries,
+    _is_shell_over,
+    _over_own_pairs,
     _staircase_below,
     ceiling_map,
     class_interval,
@@ -227,6 +230,17 @@ def test_carrel_walk_matches_the_brute_filter():
                 assert list(enumerate_tuples(n, r, family)) == [
                     t for t in uppers if pred(t)
                 ], (n, r, family)
+
+
+def test_sparse_candidates_keep_every_shell_segment():
+    # the shell filter over the sparse candidates against the same filter over
+    # every upper segment, on each carrel, in the same order
+    keep = _over_own_pairs(_is_shell_over)
+    for n in range(1, 9):
+        for lo, hi in itertools.combinations(range(n + 1), 2):
+            sparse = [s for s in _carrel_entries(n, lo, hi, "sparse") if keep(s, n, lo)]
+            upper = [s for s in _carrel_entries(n, lo, hi, "upper") if keep(s, n, lo)]
+            assert sparse == upper, (n, lo, hi)
 
 
 def test_floor_walk_is_the_flag_walk_filtered_by_the_plateau_rule():

@@ -201,15 +201,16 @@ def test_class_count_is_the_number_of_distinct_member_critical_lists():
 
 
 def test_counts_build_no_member_and_walk_each_carrel_once(monkeypatch):
-    # every family is sized by the boundary transfer: no enumeration runs, and
-    # a carrel's segments are walked once per n however many R share it
-    from parakat import rtuples
+    # every family is sized by the boundary transfer and the avoiding
+    # permutations by their tree's tally: no enumeration runs, and a carrel's
+    # segments are walked once per n however many R share it
+    from parakat import rperms, rtuples
 
     def refuse(*args, **kwargs):
         raise AssertionError("counts enumerated a family")
 
-    for module in (verify, rtuples):
-        for name in ("enumerate_tuples", "enumerate_critical_lists"):
+    for module in (verify, rtuples, rperms):
+        for name in ("enumerate_tuples", "enumerate_critical_lists", "enumerate_rperms"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     walks = Counter()
     kept = rtuples._kept_segments
