@@ -66,7 +66,7 @@ from .tableaux import (
     scanning,
     z_set,
 )
-from .verify import SUITE_NAMES, SUITES, run_suite
+from .verify import MAX_SUITE_N, SUITE_NAMES, SUITES, run_suite
 
 USAGE_EXIT = 64
 DOMAIN_EXIT = 65
@@ -302,6 +302,9 @@ def _cmd_verify(args) -> tuple[list, int, list]:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     jobs = [(name, _suite_kwargs(name, args)) for name in names]
+    if args.suite == "all" and (args.max_n or 0) > MAX_SUITE_N:
+        # the tableau suites refuse it, so refuse it before the tuple suites walk it
+        raise CapExceeded(f"suite range n={args.max_n} exceeds the cap of {MAX_SUITE_N}")
     if args.jobs > 1 and len(jobs) > 1:
         # imported here: it loads multiprocessing, which other commands never need
         from concurrent.futures import ProcessPoolExecutor

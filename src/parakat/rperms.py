@@ -21,6 +21,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -179,13 +180,9 @@ def is_312_avoiding(word: Sequence[int]) -> bool:
 
 
 def inversions(word: Sequence[int]) -> int:
-    """Coxeter length of a permutation in one-line notation."""
-    return sum(
-        1
-        for a in range(len(word))
-        for b in range(a + 1, len(word))
-        if word[a] > word[b]
-    )
+    """Coxeter length of a permutation in one-line notation: its pairs of
+    positions whose entries fall."""
+    return sum(itertools.starmap(operator.gt, itertools.combinations(word, 2)))
 
 
 def reduced_word(word: Sequence[int]) -> tuple[int, ...]:
@@ -233,15 +230,17 @@ def r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
     """
     # a word of another length would lose or miss entries in the carrels
     _require_permutation(sigma, r_subset.n)
-    return _r_projection(sigma, r_subset)
+    return _unchecked(RPermutation, r_subset=r_subset, entries=_sorted_carrels(sigma, r_subset.qs))
 
 
-def _r_projection(sigma: Sequence[int], r_subset: RSubset) -> RPermutation:
-    """:func:`r_projection` of a permutation of [n]."""
-    entries: list[int] = []
-    for lo, hi in r_subset.carrels:
-        entries.extend(sorted(sigma[lo:hi]))
-    return _unchecked(RPermutation, r_subset=r_subset, entries=tuple(entries))
+def _sorted_carrels(sigma: Sequence[int], qs: Sequence[int]) -> tuple[int, ...]:
+    """The R-projection of ``sigma`` over carrel bounds ``qs``."""
+    out: list[int] = []
+    lo = 0
+    for hi in qs[1:]:
+        out += sorted(sigma[lo:hi])
+        lo = hi
+    return tuple(out)
 
 
 def is_r312_avoiding(p: RPermutation) -> bool:
@@ -316,11 +315,23 @@ def rank_tuple(p: RPermutation) -> RTuple:
     >>> str(rank_tuple(RPermutation.of(9, (3, 8), (2, 4, 6, 1, 5, 7, 8, 9, 3))))
     '(2,4,6;5,6,7,8,9;9)'
     """
-    entries: list[int] = []
-    for lo, hi in p.r_subset.carrels:
-        # the (hi - i + 1)-th largest of the first hi entries is the i-th smallest
-        entries.extend(sorted(p.entries[:hi])[lo:hi])
-    return _unchecked(RTuple, r_subset=p.r_subset, entries=tuple(entries))
+    return _unchecked(RTuple, r_subset=p.r_subset, entries=_ranks(p.entries, p.r_subset.qs))
+
+
+def _ranks(e: Sequence[int], qs: Sequence[int]) -> tuple[int, ...]:
+    """The rank tuple of ``e`` over carrel bounds ``qs``: the (hi - i + 1)-th
+    largest of the first hi entries, at position i of the carrel ending at
+    hi, is their i-th smallest.  ``seen`` holds them sorted, and each
+    carrel's entries merge into it as one more run."""
+    out: list[int] = []
+    seen: list[int] = []
+    lo = 0
+    for hi in qs[1:]:
+        seen += e[lo:hi]
+        seen.sort()
+        out += seen[lo:hi]
+        lo = hi
+    return tuple(out)
 
 
 def pi_map(g: RTuple) -> RPermutation:
@@ -339,15 +350,18 @@ def pi_map(g: RTuple) -> RPermutation:
 
 
 def _pi_map(g: RTuple) -> RPermutation:
-    """:func:`pi_map` of a tuple known to be gapless.
+    """:func:`pi_map` of a tuple known to be gapless."""
+    return _unchecked(RPermutation, r_subset=g.r_subset, entries=_pi_entries(g.entries, g.r_subset.qs))
+
+
+def _pi_entries(e: tuple[int, ...], qs: Sequence[int]) -> tuple[int, ...]:
+    """The entries of :func:`pi_map` of the gapless ``e`` over carrel bounds ``qs``.
 
     One pass over the carrels, with a bitmask of the values placed so far:
     where the entry drops from a to b at a boundary, the next carrel opens
     with the a - b + 1 largest unplaced values up to a, read off the mask's
     top bits, and goes on with its own entries past that run.
     """
-    e = g.entries
-    qs = g.r_subset.qs
     q = qs[1]
     entries = e[:q]
     placed = 0  # bit v is set once the value v is placed
@@ -369,7 +383,7 @@ def _pi_map(g: RTuple) -> RPermutation:
             placed |= 1 << v
         entries += block
         q = q_next
-    return _unchecked(RPermutation, r_subset=g.r_subset, entries=entries)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +650,12 @@ def project_rank_core(sigma: Sequence[int], r_subset: RSubset) -> RTuple:
     '(2,4;3,4)'
     """
     _require_permutation(sigma, r_subset.n)
-    return _project_rank_core(sigma, r_subset)
+    return _unchecked(RTuple, r_subset=r_subset, entries=_projected_core(sigma, r_subset.qs))
 
 
-def _project_rank_core(sigma: Sequence[int], r_subset: RSubset) -> RTuple:
-    """:func:`project_rank_core` of a permutation of [n]: its full rank tuple,
-    with every position its own carrel, is its running maximum, and the core
-    lowers each carrel of R to the largest increasing segment below it."""
-    psi = tuple(itertools.accumulate(sigma, max))
-    return _unchecked(RTuple, r_subset=r_subset, entries=_staircase_below(psi, r_subset.qs))
+def _projected_core(sigma: Sequence[int], qs: Sequence[int]) -> tuple[int, ...]:
+    """The entries of :func:`project_rank_core` of a permutation of [n] over
+    carrel bounds ``qs``: its full rank tuple, with every position its own
+    carrel, is its running maximum, and the core lowers each carrel to the
+    largest increasing segment below it."""
+    return _staircase_below(tuple(itertools.accumulate(sigma, max)), qs)

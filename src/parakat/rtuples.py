@@ -418,15 +418,19 @@ def from_critical_list(c: CriticalList, kind: str) -> RTuple:
     return _from_critical_list(c.r_subset, c.carrels, kind)
 
 
-def _from_critical_list(
-    r: RSubset, carrels: tuple[tuple[tuple[int, int], ...], ...], kind: str
-) -> RTuple:
+def _from_critical_list(r: RSubset, carrels: Sequence, kind: str) -> RTuple:
     """:func:`from_critical_list` of the critical list with these ``carrels``
     over R, for a kind that it admits."""
-    n = r.n
+    return _unchecked(RTuple, r_subset=r, entries=_fill(carrels, r.qs, kind))
+
+
+def _fill(carrels: Sequence, qs: Sequence[int], kind: str) -> tuple[int, ...]:
+    """The entries of :func:`from_critical_list`'s tuple of ``kind`` whose
+    critical list has these ``carrels`` of pairs, over carrel bounds ``qs``."""
+    n = qs[-1]
     if kind in ("increasing", "gapless", "floor"):
         entries = [0] * n
-        for c, (lo, _) in zip(carrels, r.carrels):
+        for c, lo in zip(carrels, qs):
             prev = lo
             for x, y in c:
                 for i in range(prev + 1, x + 1):
@@ -441,7 +445,7 @@ def _from_critical_list(
                 entries[x - 1] = y
         if kind == "ceiling":  # the greatest flag below the shell: its running min from the right
             entries = tuple(itertools.accumulate(reversed(entries), min))[::-1]
-    return _unchecked(RTuple, r_subset=r, entries=tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +504,12 @@ def is_gapless_core(t: RTuple) -> bool:
 
 
 def is_gapless(t: RTuple) -> bool:
-    """Increasing on each carrel, upper, with a flag critical list.
+    """Increasing on each carrel, upper, with a flag critical list (:func:`_gapless`)."""
+    return _gapless(t.entries, t.r_subset.qs)
+
+
+def _gapless(e: Sequence[int], qs: Sequence[int]) -> bool:
+    """Whether ``e`` is gapless over carrel bounds ``qs``.
 
     One scan per carrel from its right end reads the three conditions: each
     entry lies below the one on its right; the first entry is at least its
@@ -510,8 +519,6 @@ def is_gapless(t: RTuple) -> bool:
     increasing carrel the critical entries end its runs of consecutive
     values, so the first is the last entry that the scan sees below a gap.
     """
-    e = t.entries
-    qs = t.r_subset.qs
     for lo, hi in zip(qs, qs[1:]):
         first_critical = right = e[hi - 1]
         for i in range(hi - 2, lo - 1, -1):

@@ -20,13 +20,15 @@ from .errors import CapExceeded
 from .polys import Polynomial, _demazure_walk, compose_alpha
 from .rperms import (
     RPermutation,
-    RSubset,
     _all_lifts,
     _avoiding_count,
+    _avoids_312,
     _minimal_lift,
+    _pi_entries,
     _pi_map,
-    _project_rank_core,
-    _r_projection,
+    _projected_core,
+    _ranks,
+    _sorted_carrels,
     count_total,
     enumerate_rperms,
     inversions,
@@ -38,9 +40,11 @@ from .rperms import (
 from .rtuples import (
     RTuple,
     _boundary_count,
-    _from_critical_list,
+    _critical_pairs,
+    _fill,
+    _gapless,
+    _staircase_below,
     _unchecked,
-    _upper_critical_list,
     ceiling_map,
     classify,
     core,
@@ -67,6 +71,8 @@ from .tableaux import (
 )
 
 MAX_SUITE_N = 8
+# bijections, lifts and counts' tuple level build no tableau, and run one n further
+_MAX_TUPLE_SUITE_N = 9
 
 
 @dataclass(frozen=True)
@@ -145,16 +151,16 @@ class _Run:
         )
 
 
-def _check_ranges(max_n: int, **bounds: int) -> None:
+def _check_ranges(max_n: int, cap: int = MAX_SUITE_N, **bounds: int) -> None:
     """Refuse a bound not of type int (a bool is not), an empty n range, one
-    past the cap, and a negative bound."""
+    past ``cap``, and a negative bound."""
     for name, value in {"max_n": max_n, **bounds}.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
     if max_n < 1:
         raise ValueError(f"suite range n={max_n} is empty; it must be at least 1")
-    if max_n > MAX_SUITE_N:
-        raise CapExceeded(f"suite range n={max_n} exceeds the cap of {MAX_SUITE_N}")
+    if max_n > cap:
+        raise CapExceeded(f"suite range n={max_n} exceeds the cap of {cap}")
     for name, value in bounds.items():
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -217,22 +223,31 @@ def catalan(n: int) -> int:
 
 
 def suite_bijections(max_n: int = 6) -> SuiteReport:
-    """Rank tuple vs its inverse, and core vs floor/ceiling, are mutual inverses."""
-    _check_ranges(max_n)
+    """Rank tuple vs its inverse, and core vs floor/ceiling, are mutual inverses.
+
+    Each map runs as its kernel on the enumerated objects' entries and the
+    carrel bounds, so no other tuple, permutation or critical list is built."""
+    _check_ranges(max_n, _MAX_TUPLE_SUITE_N)
     run = _Run("bijections", max_n=max_n)
     for n in range(1, max_n + 1):
         for r_elements in subsets_of_interval(n):
-            base = {"n": n, "R": r_elements}
+            qs = (0, *r_elements, n)
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
-                psi = rank_tuple(p)
-                run.check(is_gapless(psi) and _pi_map(psi) == p, **base, pi=p, law="pi(psi)=id")
+                e = p.entries
+                psi = _ranks(e, qs)
+                run.check(
+                    _gapless(psi, qs) and _pi_entries(psi, qs) == e,
+                    n=n, R=r_elements, pi=p, law="pi(psi)=id",
+                )
             for g in enumerate_tuples(n, r_elements, "gapless"):
-                pairs = _upper_critical_list(g).carrels
-                floor = _from_critical_list(g.r_subset, pairs, "floor")
-                ceiling = _from_critical_list(g.r_subset, pairs, "ceiling")
-                run.check(rank_tuple(_pi_map(g)) == g, **base, gamma=g, law="psi(pi)=id")
-                run.check(core(floor) == g, **base, gamma=g, law="core(floor)=id")
-                run.check(core(ceiling) == g, **base, gamma=g, law="core(ceiling)=id")
+                e = g.entries
+                pairs = [_critical_pairs(e[lo:hi], lo) for lo, hi in zip(qs, qs[1:])]
+                floor, ceiling = _fill(pairs, qs, "floor"), _fill(pairs, qs, "ceiling")
+                run.check(_ranks(_pi_entries(e, qs), qs) == e, n=n, R=r_elements, gamma=g, law="psi(pi)=id")
+                run.check(_staircase_below(floor, qs) == e, n=n, R=r_elements, gamma=g, law="core(floor)=id")
+                run.check(
+                    _staircase_below(ceiling, qs) == e, n=n, R=r_elements, gamma=g, law="core(ceiling)=id"
+                )
     return run.report()
 
 
@@ -248,7 +263,10 @@ def suite_counts(max_n: int = 6, poly_max_n: int = 4) -> SuiteReport:
     (``rperms._avoiding_count``), and each n's total over all R with the
     transfer-matrix :func:`count_total`.  n <= 8 with no polynomials: 0.3 s.
     """
-    _check_ranges(max_n, poly_max_n=poly_max_n)
+    _check_ranges(max_n, _MAX_TUPLE_SUITE_N, poly_max_n=poly_max_n)
+    poly_n = min(max_n, poly_max_n)  # the polynomial level keeps the tableau suites' cap
+    if poly_n > MAX_SUITE_N:
+        raise CapExceeded(f"polynomial range n={poly_n} exceeds the cap of {MAX_SUITE_N}")
     run = _Run("counts", max_n=max_n, poly_max_n=poly_max_n)
     for n in range(1, max_n + 1):
         total_by_filter = 0
@@ -503,8 +521,12 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
 
 def suite_lifts(max_n: int = 5) -> SuiteReport:
-    """Minimal and general 312-avoiding lifts of avoiding carrel permutations."""
-    _check_ranges(max_n)
+    """Minimal and general 312-avoiding lifts of avoiding carrel permutations.
+
+    The projections, avoidance and rank cores run as kernels on entry tuples
+    and the carrel bounds, and the lifts are grouped by their projection's
+    entries."""
+    _check_ranges(max_n, _MAX_TUPLE_SUITE_N)
     run = _Run("lifts", max_n=max_n)
     for n in range(1, max_n + 1):
         perms312 = [
@@ -513,37 +535,37 @@ def suite_lifts(max_n: int = 5) -> SuiteReport:
             if is_312_avoiding(w)
         ]
         for r_elements in subsets_of_interval(n):
-            rs = RSubset(n, r_elements)
-            base = {"n": n, "R": r_elements}
+            qs = (0, *r_elements, n)
             # projection -> the avoiding permutations projecting to it; each
             # list is sorted, since itertools.permutations yields them in
             # lexicographic order
             lifts_of: dict = {}
             for w in perms312:
-                image = _r_projection(w, rs)
+                image = _sorted_carrels(w, qs)
                 lifts_of.setdefault(image, []).append(w)
                 run.check(
-                    is_r312_avoiding(image), **base, sigma=w, law="projection preserves avoidance"
+                    _avoids_312(image, qs),
+                    n=n, R=r_elements, sigma=w, law="projection preserves avoidance",
                 )
             for p in enumerate_rperms(n, r_elements, avoiding_only=True):
+                e = p.entries
                 ml = _minimal_lift(p)
                 lifts = list(_all_lifts(p))
-                oracle = lifts_of.get(p, [])
-                run.check(lifts == oracle, **base, pi=p, law="lift recipe equals filter")
+                oracle = lifts_of.get(e, [])
+                run.check(lifts == oracle, n=n, R=r_elements, pi=p, law="lift recipe equals filter")
                 run.check(
-                    is_312_avoiding(ml) and _r_projection(ml, rs) == p,
-                    **base, pi=p, law="minimal lift is an avoiding lift",
+                    is_312_avoiding(ml) and _sorted_carrels(ml, qs) == e,
+                    n=n, R=r_elements, pi=p, law="minimal lift is an avoiding lift",
                 )
                 lm = inversions(ml)
                 run.check(
-                    ml in set(lifts)
-                    and all(inversions(w) > lm for w in lifts if w != ml),
-                    **base, pi=p, law="minimal lift has strictly least length",
+                    ml in lifts and all(inversions(w) > lm for w in lifts if w != ml),
+                    n=n, R=r_elements, pi=p, law="minimal lift has strictly least length",
                 )
-                psi = rank_tuple(p)
+                psi = _ranks(e, qs)
                 run.check(
-                    all(_project_rank_core(w, rs) == psi for w in lifts),
-                    **base, pi=p, law="all lifts share the projected rank core",
+                    all(_projected_core(w, qs) == psi for w in lifts),
+                    n=n, R=r_elements, pi=p, law="all lifts share the projected rank core",
                 )
     return run.report()
 

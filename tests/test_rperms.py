@@ -35,7 +35,7 @@ from parakat.rperms import (
     _lift_blocks,
     _lower_cover,
     _pi_map,
-    _project_rank_core,
+    _projected_core,
 )
 from parakat.rtuples import RTuple, core, enumerate_tuples
 from parakat.verify import catalan
@@ -543,6 +543,14 @@ def test_reduced_word_rebuilds_permutation():
             assert x == sorted(x)
 
 
+def test_inversions_count_the_falling_pairs_of_every_permutation():
+    # the pair-count definition: positions a < b with word[a] > word[b]
+    for n in range(1, 8):
+        for w in itertools.permutations(range(1, n + 1)):
+            falling = sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
+            assert inversions(w) == falling, w
+
+
 def full_rank_tuple(sigma: Sequence[int]) -> RTuple:
     """Rank tuple of a plain permutation (every position its own carrel)."""
     n = len(sigma)
@@ -582,7 +590,7 @@ def test_project_rank_core_matches_the_per_carrel_staircase_on_every_permutation
             for w in itertools.permutations(range(1, n + 1)):
                 psi = tuple(itertools.accumulate(w, max))
                 expected = tuple(v for lo, hi in rs.carrels for v in staircase(psi[lo:hi]))
-                assert _project_rank_core(w, rs).entries == expected, (w, r)
+                assert _projected_core(w, rs.qs) == expected, (w, r)
 
 
 def test_project_rank_core_refuses_a_word_that_is_no_permutation_of_n():

@@ -103,6 +103,35 @@ def test_suite_cap():
         suite_convexity(99, 3)
 
 
+class _Started(Exception):
+    """Raised where a suite opens its run, past its range checks."""
+
+
+def test_tuple_suites_take_n_9_and_the_others_refuse_it(monkeypatch, capsys):
+    # bijections, lifts and counts' tuple level build no tableau and run one n
+    # further than the tableau suites and counts' polynomial level; a suite
+    # that takes its range stops as it opens its run, so no walk at n = 9 runs
+    def started(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(verify, "_Run", started)
+    taken = [["bijections"], ["lifts"], ["counts"], ["counts", "--poly-max-n", "8"],
+             ["counts", "--poly-max-n", "0"]]
+    for argv in taken:
+        with pytest.raises(_Started):
+            main(["verify", *argv, "--max-n", "9"])
+    with pytest.raises(_Started):  # the polynomial level runs only to max_n
+        main(["verify", "counts", "--max-n", "8", "--poly-max-n", "9"])
+    refused = [["convexity"], ["coincidence"], ["polynomials"], ["accidental"],
+               ["counts", "--poly-max-n", "9"], ["all"]]
+    for argv in refused:
+        assert main(["verify", *argv, "--max-n", "9"]) == 3, argv
+        assert capsys.readouterr().err.startswith("CapExceeded"), argv
+    for name in ("bijections", "lifts", "counts"):
+        assert main(["verify", name, "--max-n", "10"]) == 3, name
+        assert capsys.readouterr().err.startswith("CapExceeded: suite range n=10 exceeds the cap of 9")
+
+
 # the suites that take a range, and the bound each takes besides max_n
 _RANGED_SUITES = [
     "bijections", "counts", "convexity", "coincidence", "polynomials", "lifts", "accidental"
@@ -496,15 +525,19 @@ def _failed_laws(capsys, argv):
 
 
 def test_bijections_report_a_rank_tuple_that_is_not_gapless(monkeypatch, capsys):
-    # ψ of one avoiding index made non-gapless: π(ψ) = id fails as a check,
-    # and ψ(π) = id on that index's rank tuple fails with it
+    # ψ of one avoiding index made non-gapless, through the rank kernel that
+    # the suite runs on entries: π(ψ) = id fails as a check, and ψ(π) = id on
+    # that index's rank tuple fails with it
     from parakat import rperms
 
     p, gamma = RPermutation.of(3, (1,), (2, 1, 3)), RTuple.of(3, (1,), (2, 2, 3))
     instances = suite_bijections(3).instances
     wrong = RTuple.of(3, (1,), (1, 3, 3))
     assert not is_gapless(wrong) and rperms.rank_tuple(p) == gamma
-    monkeypatch.setattr(verify, "rank_tuple", lambda q: wrong if q == p else rperms.rank_tuple(q))
+    at_p = (p.entries, p.r_subset.qs)
+    monkeypatch.setattr(
+        verify, "_ranks", lambda e, qs: wrong.entries if (e, qs) == at_p else rperms._ranks(e, qs)
+    )
     report = suite_bijections(3)
     assert report.instances == instances
     assert report.counterexamples == (
@@ -512,6 +545,33 @@ def test_bijections_report_a_rank_tuple_that_is_not_gapless(monkeypatch, capsys)
         {"n": 3, "R": [1], "pi": "(2;1,3)", "law": "pi(psi)=id"},
     )
     assert _failed_laws(capsys, ["bijections", "--max-n", "3"]) == (2, ["psi(pi)=id", "pi(psi)=id"])
+
+
+def test_lifts_report_a_projection_that_is_not_avoiding(monkeypatch, capsys):
+    # the R-projection of one 312-avoiding word over R = {1, 2} sent to the
+    # R-312 pattern (3;1;2), through the kernel that the suite runs on entries:
+    # the image is not avoiding, the word's true image misses it as a lift, and
+    # that image's minimal lift, the word itself, no longer projects onto it
+    from parakat import rperms
+
+    w, qs = (1, 3, 2), (0, 1, 2, 3)
+    instances = suite_lifts(3).instances
+    monkeypatch.setattr(
+        verify,
+        "_sorted_carrels",
+        lambda s, q: (3, 1, 2) if (s, q) == (w, qs) else rperms._sorted_carrels(s, q),
+    )
+    report = suite_lifts(3)
+    assert report.instances == instances
+    assert report.counterexamples == (
+        {"n": 3, "R": [1, 2], "pi": "(1;3;2)", "law": "lift recipe equals filter"},
+        {"n": 3, "R": [1, 2], "pi": "(1;3;2)", "law": "minimal lift is an avoiding lift"},
+        {"n": 3, "R": [1, 2], "sigma": [1, 3, 2], "law": "projection preserves avoidance"},
+    )
+    assert _failed_laws(capsys, ["lifts", "--max-n", "3"]) == (
+        2,
+        ["lift recipe equals filter", "minimal lift is an avoiding lift", "projection preserves avoidance"],
+    )
 
 
 def test_polynomials_report_a_core_image_that_is_no_index(monkeypatch, capsys):
