@@ -308,32 +308,74 @@ def _column_walk(top: Tableau, step: Callable, start) -> Iterator:
 
 
 def count_ideal(t: Tableau) -> int:
-    """The number of tableaux entrywise below ``t``, by column transfer.
-
-    The columns are those :func:`_column_walk` fills below ``t``, but the
-    state is only the column placed on the right, which is all the next
-    column reads; each state carries the number of fillings from it
-    rightwards, so no tableau is built.
-    """
-    below = _columns_below(t.n)
-    ways = {(): 1}  # the column on the right -> the fillings from it rightwards
-    for top in reversed(t.columns):
-        placed: Counter = Counter()
-        for right, count in ways.items():
-            for c in below(top, right):
-                placed[c] += count
-        ways = placed
-    return sum(ways.values())
+    """The number of tableaux entrywise below ``t``: :func:`_count_ideals` of ``t`` alone."""
+    return next(_count_ideals(t.n, [t.columns]))[1]
 
 
 def _ideal_weights(t: Tableau, width: int) -> dict[int, int]:
     """The generating polynomial of the tableaux entrywise below ``t``, packed
-    ``width`` bits per value (:func:`_pack`): :func:`count_ideal`'s transfer,
-    with each state carrying the packed contents of the fillings from it
-    rightwards, each with its count, in place of their number."""
-    below, packed = _columns_below(t.n), _column_contents(t.n, width)
-    ways = {(): {0: 1}}  # the column on the right -> the fillings from it rightwards
-    for top in reversed(t.columns):
+    ``width`` bits per value: :func:`_weigh_ideals` of ``t`` alone."""
+    return next(_weigh_ideals(t.n, [t.columns], width))[1]
+
+
+def _transfers(tops: Iterable[tuple], start, step: Callable, last: Callable) -> Iterator:
+    """``(top, value)`` for each distinct top of ``tops``, tuples of columns of one
+    shape, by column transfers that share their common levels.
+
+    A transfer fills the columns that :func:`_column_walk` fills below a top,
+    from the rightmost leftwards, but its state is only the column placed on
+    the right, which is all the next column reads, mapped to what the fillings
+    from it rightwards carry, so no tableau is built.  From ``{(): start}``,
+    ``step(state, column)`` places a column below ``column``, and ``last(state,
+    column)`` places the leftmost one and gives the value.  The tops are
+    visited in the order of their reversed columns, with one state per level
+    on a stack, so tops that share their k rightmost columns share those k
+    levels.
+    """
+    states, placed = [{(): start}], ()  # states[k]: after the k rightmost columns of placed
+    for top, _ in itertools.groupby(sorted(tops, key=lambda top: top[::-1])):
+        if not top:  # a shape without columns has one filling
+            yield top, start
+            continue
+        columns, shared = top[::-1], 0
+        for column, before in zip(columns[:-1], placed):
+            if column != before:
+                break
+            shared += 1
+        del states[shared + 1 :]
+        for column in columns[shared:-1]:
+            states.append(step(states[-1], column))
+        yield top, last(states[-1], columns[-1])
+        placed = columns
+
+
+def _count_ideals(n: int, tops: Iterable[tuple]) -> Iterator[tuple[tuple, int]]:
+    """``(top, size of its ideal)`` for each distinct top over [n]: :func:`_transfers`
+    with each state carrying the number of fillings from it rightwards."""
+    below = _columns_below(n)
+
+    def step(ways: dict, top: tuple) -> dict:
+        placed: dict = {}
+        get = placed.get
+        for right, count in ways.items():
+            for c in below(top, right):
+                placed[c] = get(c, 0) + count
+        return placed
+
+    def last(ways: dict, top: tuple) -> int:
+        return sum(count * len(below(top, right)) for right, count in ways.items())
+
+    return _transfers(tops, 1, step, last)
+
+
+def _weigh_ideals(n: int, tops: Iterable[tuple], width: int) -> Iterator[tuple[tuple, dict]]:
+    """``(top, generating polynomial of its ideal)`` for each distinct top over [n],
+    packed ``width`` bits per value (:func:`_pack`): :func:`_transfers` with each
+    state carrying the packed contents of the fillings from it rightwards, each
+    with its count, in place of their number."""
+    below, packed = _columns_below(n), _column_contents(n, width)
+
+    def step(ways: dict, top: tuple) -> dict:
         placed: dict = {}
         for right, terms in ways.items():
             for c in below(top, right):
@@ -343,12 +385,20 @@ def _ideal_weights(t: Tableau, width: int) -> dict[int, int]:
                 else:
                     for w, m in terms.items():
                         into[w] = into.get(w, 0) + m
-        ways = {c: {w + packed[c]: m for w, m in terms.items()} for c, terms in placed.items()}
-    out: dict = {}
-    for terms in ways.values():
-        for w, m in terms.items():
-            out[w] = out.get(w, 0) + m
-    return out
+        return {c: {w + packed[c]: m for w, m in terms.items()} for c, terms in placed.items()}
+
+    def last(ways: dict, top: tuple) -> dict:
+        out: dict = {}
+        get = out.get
+        for right, terms in ways.items():
+            for c in below(top, right):
+                shift = packed[c]
+                for w, m in terms.items():
+                    w += shift
+                    out[w] = get(w, 0) + m
+        return out
+
+    return _transfers(tops, {0: 1}, step, last)
 
 
 def _column_contents(n: int, width: int) -> _Memo:
@@ -386,8 +436,13 @@ def _set_below(top: Tableau, step: Callable = _place) -> TableauSet:
 
 def is_key(t: Tableau) -> bool:
     """Column value-sets weakly nest leftward."""
-    sets = [set(c) for c in t.columns]
-    return all(sets[j] >= sets[j + 1] for j in range(len(sets) - 1))
+    return _nests(t.columns)
+
+
+def _nests(columns: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the value sets of ``columns`` weakly nest leftward."""
+    sets = list(map(set, columns))
+    return all(map(set.issuperset, sets, sets[1:]))
 
 
 def _require_over(value, shape: Shape, what: str) -> None:
@@ -400,9 +455,14 @@ def key_of_perm(p: RPermutation, shape: Shape) -> Tableau:
     """The key of an R-permutation: a column of length z holds the first z
     entries of ``p`` in increasing order (1..n when z = n)."""
     _require_over(p, shape, "permutation")
-    lengths = shape.column_lengths
-    firsts = {z: tuple(sorted(p.entries[:z])) for z in set(lengths)}
-    return _unchecked(Tableau, shape=shape, columns=tuple(map(firsts.__getitem__, lengths)))
+    return _unchecked(Tableau, shape=shape, columns=_key_columns(p.entries, shape.column_lengths))
+
+
+def _key_columns(entries: Sequence[int], lengths: Sequence[int]) -> tuple:
+    """The columns of the key of the permutation ``entries`` on the column
+    ``lengths`` of a shape; each distinct length is sorted once."""
+    firsts = {z: tuple(sorted(entries[:z])) for z in set(lengths)}
+    return tuple(map(firsts.__getitem__, lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +481,13 @@ def row_end_list(t: Tableau) -> RTuple:
 
 def content(t: Tableau) -> tuple[int, ...]:
     """How many times each value occurs; exponent vector of the weight monomial."""
-    counts = [0] * t.n
-    for col in t.columns:
+    return _content(t.columns, t.n)
+
+
+def _content(columns: Iterable[tuple[int, ...]], n: int) -> tuple[int, ...]:
+    """:func:`content` of the columns of a tableau over [n]."""
+    counts = [0] * n
+    for col in columns:
         for v in col:
             counts[v - 1] += 1
     return tuple(counts)
@@ -501,11 +566,16 @@ def _below_row_ends(bounds: Sequence[int], shape: Shape) -> Tableau:
     """The largest tableau whose row i holds values at most ``bounds[i - 1]``.
 
     A column of length z is the largest strictly increasing column below
-    ``bounds[:z]``; each distinct length is built once.
+    ``bounds[:z]``.
     """
-    lengths = shape.column_lengths
+    return _unchecked(Tableau, shape=shape, columns=_row_end_columns(bounds, shape.column_lengths))
+
+
+def _row_end_columns(bounds: Sequence[int], lengths: Sequence[int]) -> tuple:
+    """The columns of :func:`_below_row_ends` on the column ``lengths`` of a
+    shape; each distinct length is built once."""
     tops = {z: _staircase_below(bounds[:z], (0, z)) for z in set(lengths)}
-    return _unchecked(Tableau, shape=shape, columns=tuple(map(tops.__getitem__, lengths)))
+    return tuple(map(tops.__getitem__, lengths))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +616,18 @@ def _scan_column(col: tuple[int, ...], right: tuple[tuple[int, ...], ...]) -> tu
 
 def in_demazure_set(t: Tableau, y: Tableau) -> bool:
     """Streaming membership test against a key: scanning result below the key."""
-    return entrywise_le(scanning(t), y)
+    if t.shape != y.shape:
+        raise ShapeMismatch("cannot compare tableaux of different shapes")
+    return _scans_below(t.columns, y.columns)
+
+
+def _scans_below(columns: tuple, tops: tuple) -> bool:
+    """Whether the scanning tableau of ``columns`` lies entrywise below ``tops``,
+    the columns of a tableau of the same shape."""
+    return all(
+        all(map(le, _scan_column(c, columns[j + 1 :]), top))
+        for j, (c, top) in enumerate(zip(columns, tops))
+    )
 
 
 def demazure_set(p: RPermutation, shape: Shape) -> TableauSet:
@@ -632,9 +713,10 @@ class ShapeTableaux:
         self._key_masks = _masks_at_most(keys, shape.n)  # flat key position -> value -> cells
         self._end_masks = _masks_at_most(ends, shape.n)  # row -> value -> cells
 
-    def demazure_cells(self, y: Tableau) -> int:
-        """The cells whose right key lies entrywise below the key ``y`` of the shape."""
-        flat = itertools.chain.from_iterable(y.columns)
+    def demazure_cells(self, key: tuple) -> int:
+        """The cells whose right key lies entrywise below ``key``, the columns of
+        a key of the shape."""
+        flat = itertools.chain.from_iterable(key)
         return functools.reduce(and_, map(getitem, self._key_masks, flat), self.all_cells)
 
     def row_bound_cells(self, b: RTuple) -> int:

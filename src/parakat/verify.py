@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -43,6 +42,7 @@ from .rtuples import (
     _critical_pairs,
     _fill,
     _gapless,
+    _Memo,
     _staircase_below,
     _unchecked,
     ceiling_map,
@@ -56,18 +56,17 @@ from .rtuples import (
 from .tableaux import (
     Shape,
     ShapeTableaux,
-    _below_row_ends,
-    _ideal_weights,
+    _content,
+    _count_ideals,
+    _key_columns,
+    _nests,
     _pack,
     _require_within_cap,
+    _row_end_columns,
+    _scans_below,
     _unpack,
+    _weigh_ideals,
     _width,
-    content,
-    count_ideal,
-    ideal,
-    in_demazure_set,
-    is_key,
-    key_of_perm,
 )
 
 MAX_SUITE_N = 8
@@ -302,28 +301,25 @@ def _polynomial_counts(shape: Shape) -> dict:
     """Counts' polynomial-level families on a canonical shape.  D(p) is an ideal
     exactly when it is convex, and then the ideal of key(p); a row-bound set is
     the ideal of its maximum.  So a maximum that is a convex key has that key's κ,
-    and any other is weighed by its ideal: no flag's polynomial is assumed."""
+    and any other is weighed by the transfer over its ideal: no flag's
+    polynomial is assumed."""
     kappa_of, avoiding = {}, set()  # each convex key -> its κ; the κ of avoiding indexes
     for p, y, convex, terms in _convexity(shape):
         avoids = is_r312_avoiding(p)
         kappa = _terms_key(terms) if convex or avoids else None  # no other κ is compared
         if convex:
-            kappa_of[y.columns] = kappa
+            kappa_of[y] = kappa
         if avoids:
             avoiding.add(kappa)
-    n, r_elements, width = shape.n, shape.r_subset.elements, _width(shape.parts[0])
-    flags = (_below_row_ends(phi.entries, shape) for phi in enumerate_tuples(n, r_elements, "flag"))
-    maxima = {
-        _below_row_ends(a.entries, shape).columns
-        for a in enumerate_tuples(n, r_elements, "increasing")
-    }
+    n, r_elements, lengths = shape.n, shape.r_subset.elements, shape.column_lengths
+    flags = {_row_end_columns(phi.entries, lengths) for phi in enumerate_tuples(n, r_elements, "flag")}
+    maxima = {_row_end_columns(a.entries, lengths) for a in enumerate_tuples(n, r_elements, "increasing")}
+    weighed = _weigh_ideals(n, flags - kappa_of.keys(), _width(shape.parts[0]))
     return {
         "demazure_polynomials": len(avoiding),
-        "flag_schur_polynomials": len({
-            kappa_of.get(top.columns)
-            or _terms_key(Counter(_pack(content(t), width) for t in ideal(top)))
-            for top in flags
-        }),
+        "flag_schur_polynomials": len(
+            {kappa_of[top] for top in flags & kappa_of.keys()} | {_terms_key(w) for _, w in weighed}
+        ),
         "coincident_pairs": len(maxima & kappa_of.keys()),
     }
 
@@ -336,15 +332,21 @@ def _terms_key(terms: dict) -> tuple:
 
 
 def _convexity(shape: Shape):
-    """Each index p of a shape within the cap, its key y, whether D(p) is the
-    ideal of y, and κ_p, packed.  D(p) lies in that ideal (t <= scanning(t) <=
-    y for each member), so it is the ideal when the sizes agree; |D(p)| is
-    κ_p(1, ..., 1) by the Demazure character formula, which polynomials checks."""
+    """Each index p of a shape within the cap, the columns y of its key, whether
+    D(p) is the ideal of y, and κ_p, packed.  D(p) lies in that ideal (t <=
+    scanning(t) <= y for each member), so it is the ideal when the sizes agree;
+    |D(p)| is κ_p(1, ..., 1) by the Demazure character formula, which
+    polynomials checks.  Every key is counted in one transfer before the walk,
+    and the keys held share their columns."""
     _require_within_cap(shape)
+    n, r_subset, lengths = shape.n, shape.r_subset, shape.column_lengths
+    columns: dict = {}
+    keys = (_key_columns(p.entries, lengths) for p in enumerate_rperms(n, r_subset.elements))
+    sizes = dict(_count_ideals(n, (tuple(map(columns.setdefault, y, y)) for y in keys)))
     for entries, terms in _demazure_walk(shape):
-        p = _unchecked(RPermutation, r_subset=shape.r_subset, entries=entries)
-        y = key_of_perm(p, shape)
-        yield p, y, sum(terms.values()) == count_ideal(y), terms
+        y = _key_columns(entries, lengths)
+        p = _unchecked(RPermutation, r_subset=r_subset, entries=entries)
+        yield p, y, sum(terms.values()) == sizes[y], terms
 
 
 def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) -> SuiteReport:
@@ -355,7 +357,7 @@ def suite_convexity(max_n: int = 4, max_col: int = 3, all_shapes: bool = False) 
     for shape in shapes_in_range(max_n, max_col, all_shapes):
         for p, y, convex, _ in _convexity(shape):
             avoiding = is_r312_avoiding(p)
-            is_ideal = convex and in_demazure_set(y, y)
+            is_ideal = convex and _scans_below(y, y)
             run.check(
                 convex == avoiding == is_ideal,
                 shape=shape.parts, n=shape.n, pi=p,
@@ -380,16 +382,16 @@ def suite_coincidence(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             delta = core(b)
             bounds.append((b, delta, _pi_map(delta) if is_gapless(delta) else None))
         for shape in shapes:
-            base = {"shape": shape.parts, "n": n}
-            convex_keys = {y.columns: p for p, y, convex, _ in _convexity(shape) if convex}
+            base, lengths = {"shape": shape.parts, "n": n}, shape.column_lengths
+            convex_keys = {y: p for p, y, convex, _ in _convexity(shape) if convex}
             gapless_maxima = {}
             for b, delta, p in bounds:
-                top = _below_row_ends(b.entries, shape)
-                matches = [convex_keys[top.columns]] if top.columns in convex_keys else []
+                top = _row_end_columns(b.entries, lengths)
+                matches = [convex_keys[top]] if top in convex_keys else []
                 if p is None:
                     ok = matches == []
                 else:
-                    ok = matches == [p] and top == key_of_perm(p, shape)
+                    ok = matches == [p] and top == _key_columns(p.entries, lengths)
                     gapless_maxima[delta.entries] = top
                 run.check(ok, **base, beta=b, core=delta, matches=matches)
             run.check(
@@ -409,6 +411,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     _check_ranges(max_n, max_col=max_col)
     run = _Run("polynomials", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
     width = _width(max_col)  # no shape in range has a part above max_col
+    degree_law = _degree_law(width)
     s_poly_owner: dict = {}
     d_poly_owner: dict = {}
     for (n, r_elements), shapes in _by_carrel_set(shapes_in_range(max_n, max_col, all_shapes)):
@@ -421,11 +424,16 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         images = [  # each gapless-core bound and the image of its core
             (eta, _pi_map(core(eta))) for eta in enumerate_tuples(n, r_elements, "gapless-core")
         ]
-        flags = list(enumerate_tuples(n, r_elements, "flag"))
+        # a flag's row-bound maximum is a key exactly when its distinct columns
+        # nest: the columns of the lengths in R, as one of length n holds all of [n]
+        flags = [
+            (phi, _nests(_row_end_columns(phi.entries, r_elements[::-1])))
+            for phi in enumerate_tuples(n, r_elements, "flag")
+        ]
         for shape in shapes:
-            shape_key = (n, shape.parts)
+            shape_key, lengths = (n, shape.parts), shape.column_lengths
             atlas = ShapeTableaux(shape, width)
-            keys = {p: key_of_perm(p, shape) for p in perms}
+            keys = {p: _key_columns(p.entries, lengths) for p in perms}
             d_cells = {p: atlas.demazure_cells(y) for p, y in keys.items()}
             base = {"shape": shape.parts, "n": n}
 
@@ -439,7 +447,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                     law="scanning route equals recursion route",
                 )
                 run.check(
-                    compose_alpha(p, shape) == content(keys[p]),
+                    compose_alpha(p, shape) == _content(keys[p], n),
                     **base, pi=p, law="key content is the placed composition",
                 )
                 d_polys[p] = _terms_key(terms)
@@ -459,11 +467,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             s_polys = {}  # each core's row bound sum, as its flat terms
             for delta, _ in cores:
                 terms = atlas.weights(s_cells[delta.entries])
-                h = Polynomial._of(n, _unpack(terms, n, width))
-                run.check(
-                    h.total_degrees() <= {shape.size} and h.coefficient(shape.parts) == 1,
-                    **base, core=delta, law="degree and leading weight",
-                )
+                run.check(degree_law(terms, shape), **base, core=delta, law="degree and leading weight")
                 s_polys[delta] = _terms_key(terms)
                 owner = s_poly_owner.setdefault((n, s_polys[delta]), shape_key)
                 run.check(
@@ -495,7 +499,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                         p in ranks
                         and gapless
                         and delta == ranks[p]
-                        and _below_row_ends(delta.entries, shape) == keys[p]
+                        and _row_end_columns(delta.entries, lengths) == keys[p]
                         and s_cells[delta.entries] == d_cells[p]
                     )
                     run.check(
@@ -512,12 +516,23 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                         law="gapless-core sums admit no accidental equals",
                     )
 
-            for phi in flags:
-                run.check(
-                    is_key(_below_row_ends(phi.entries, shape)),
-                    **base, phi=phi, law="row bound max of a flag is a key",
-                )
+            for phi, nests in flags:
+                run.check(nests, **base, phi=phi, law="row bound max of a flag is a key")
     return run.report()
+
+
+def _degree_law(width: int):
+    """The "degree and leading weight" law on polynomials packed ``width`` bits
+    per value: every term of a shape's row-bound sum has degree |λ|, and x^λ
+    has coefficient 1.  Each monomial's degree, its digit sum, is kept."""
+    mask = (1 << width) - 1
+    degrees = _Memo(lambda w: (w & mask) + degrees[w >> width] if w else 0)
+
+    def law(terms: dict, shape: Shape) -> bool:
+        size = shape.size
+        return all(degrees[w] == size for w in terms) and terms.get(_pack(shape.parts, width)) == 1
+
+    return law
 
 
 def suite_lifts(max_n: int = 5) -> SuiteReport:
@@ -576,11 +591,12 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     Only bounds outside the gapless-core family can participate, so the scan
     runs over non-gapless cores; a find is reported as a counterexample
     payload (it would answer an open search, so it is never suppressed).
-    A row-bound set is the ideal of its maximum, so each sum is its packed
-    transfer (:func:`tableaux._ideal_weights`) and no tableau is built.  The
-    sums are grouped by the hash of their terms, and only cores whose sums
-    share a hash are weighed again and grouped by the terms themselves, so
-    no shape holds all its sums at once.
+    A row-bound set is the ideal of its maximum, so each shape's sums are one
+    packed transfer over its cores' maxima (:func:`tableaux._weigh_ideals`)
+    and no tableau is built.  Each sum is hashed as it is finished, the cores
+    are grouped by hash, and only cores whose sums share a hash are weighed
+    again and grouped by the terms themselves, so no shape holds all its
+    sums at once.
     """
     _check_ranges(max_n, max_col=max_col)
     run = _Run("accidental", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
@@ -589,9 +605,14 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         non_gapless = [delta for delta in increasing if not is_gapless(delta)]
         for shape in shapes:
             _require_within_cap(shape)
+            lengths, width = shape.column_lengths, _width(shape.parts[0])
+            tops = {delta: _row_end_columns(delta.entries, lengths) for delta in non_gapless}
+            hashes = {  # each sum hashed as it is finished, so none is held
+                top: hash(frozenset(terms.items())) for top, terms in _weigh_ideals(n, tops.values(), width)
+            }
             by_hash: dict = {}
             for delta in non_gapless:
-                by_hash.setdefault(hash(_row_bound_terms(delta, shape)), []).append(delta)
+                by_hash.setdefault(hashes[tops[delta]], []).append(delta)
             for alike in by_hash.values():
                 by_poly: dict = {}  # the terms -> their cores, where two sums share a hash
                 for delta in alike:
@@ -607,8 +628,9 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
 
 def _row_bound_terms(delta: RTuple, shape: Shape) -> frozenset:
     """The row-bound sum of ``delta`` on ``shape``, as its packed terms."""
-    top = _below_row_ends(delta.entries, shape)
-    return frozenset(_ideal_weights(top, _width(shape.parts[0])).items())
+    top = _row_end_columns(delta.entries, shape.column_lengths)
+    ((_, terms),) = _weigh_ideals(shape.n, [top], _width(shape.parts[0]))
+    return frozenset(terms.items())
 
 
 class _RowBoundSum:
@@ -683,10 +705,10 @@ def dimension_tables(shape: Shape) -> dict:
     sizes = {w: sum(terms.values()) for w, terms in _demazure_walk(shape)}  # κ_w(1, ..., 1)
     n, r_elements = shape.n, shape.r_subset.elements
     demazure = [{"pi": str(p), "size": sizes[p.entries]} for p in enumerate_rperms(n, r_elements)]
-    row_bound = [  # a row-bound set is the ideal of its maximum
-        {"alpha": str(a), "size": count_ideal(_below_row_ends(a.entries, shape))}
-        for a in enumerate_tuples(n, r_elements, "increasing")
-    ]
+    increasing = list(enumerate_tuples(n, r_elements, "increasing"))
+    maxima = [_row_end_columns(a.entries, shape.column_lengths) for a in increasing]
+    ideal_sizes = dict(_count_ideals(n, maxima))  # a row-bound set is the ideal of its maximum
+    row_bound = [{"alpha": str(a), "size": ideal_sizes[top]} for a, top in zip(increasing, maxima)]
     return {
         "shape": list(shape.parts),
         "n": n,

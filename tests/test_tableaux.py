@@ -58,13 +58,17 @@ from parakat.tableaux import (
     z_set,
     _column_pairs,
     _column_walk,
+    _count_ideals,
     _ending_in,
     _ideal_weights,
+    _key_columns,
     _pack,
     _place,
+    _row_end_columns,
     _scanning_below,
     _set_below,
     _unpack,
+    _weigh_ideals,
     _width,
     _with_cell,
 )
@@ -571,7 +575,7 @@ def test_shape_tableaux_masks_equal_the_scan_of_every_cell():
         atlas = ShapeTableaux(sh)
         for p in enumerate_rperms(sh.n, r):
             y = key_of_perm(p, sh)
-            assert _as_cells(atlas, atlas.demazure_cells(y)) == _scanned_demazure_cells(atlas, y)
+            assert _as_cells(atlas, atlas.demazure_cells(y.columns)) == _scanned_demazure_cells(atlas, y)
         for b in enumerate_tuples(sh.n, r, "upper"):
             assert _as_cells(atlas, atlas.row_bound_cells(b)) == _scanned_row_bound_cells(atlas, b)
 
@@ -593,6 +597,26 @@ def test_ideal_weights_equal_the_generating_polynomial_of_the_ideal():
     assert seen == 460
 
 
+def test_batch_transfers_equal_the_transfer_of_each_top():
+    # the shared transfer against a transfer per top, on every key and every
+    # increasing maximum (keys among them when convex, so tops repeat) of every
+    # canonical shape with n <= 6 and every shape with n <= 4, in order and shuffled
+    shuffle = random.Random(0).shuffle
+    shapes = dict.fromkeys([*shapes_in_range(6, 5), *shapes_in_range(4, 3, all_shapes=True)])
+    for sh in shapes:
+        n, r, lengths, width = sh.n, sh.r_subset.elements, sh.column_lengths, _width(sh.parts[0])
+        tops = [_key_columns(p.entries, lengths) for p in enumerate_rperms(n, r)]
+        tops += [_row_end_columns(a.entries, lengths) for a in enumerate_tuples(n, r, "increasing")]
+        alone = {top: Tableau(sh, top) for top in tops}
+        counts = {top: count_ideal(t) for top, t in alone.items()}
+        weights = {top: _ideal_weights(t, width) for top, t in alone.items()}
+        for _ in range(2):
+            assert dict(_count_ideals(n, tops)) == counts, sh
+            assert dict(_weigh_ideals(n, tops, width)) == weights, sh
+            shuffle(tops)
+        assert all(sum(weights[top].values()) == count for top, count in counts.items())
+
+
 def test_shape_tableaux_match_the_walk_builders():
     # the walks below a maximum stay the oracle for the sets read as cells
     for sh in SMALL_SHAPES:
@@ -607,7 +631,7 @@ def test_shape_tableaux_match_the_walk_builders():
 
         perms = list(enumerate_rperms(sh.n, r))
         for p in perms:
-            agree(atlas.demazure_cells(key_of_perm(p, sh)), demazure_set(p, sh))
+            agree(atlas.demazure_cells(key_of_perm(p, sh).columns), demazure_set(p, sh))
         for b in enumerate_tuples(sh.n, r, "upper"):
             walked = row_bound_set(b, sh)
             agree(atlas.row_bound_cells(b), walked)
@@ -631,7 +655,7 @@ def test_shape_tableaux_read_convexity_from_the_key():
         atlas = ShapeTableaux(sh)
         for p in enumerate_rperms(sh.n, sh.r_subset.elements):
             y = key_of_perm(p, sh)
-            d = atlas.demazure_cells(y)
+            d = atlas.demazure_cells(y.columns)
             assert (_size(atlas, d) == len(ideal(y))) == is_convex(demazure_set(p, sh))
             assert _cell(y) in _as_cells(atlas, d)
 
@@ -640,7 +664,7 @@ def test_shape_tableaux_validate_as_the_walk_builders_do(monkeypatch):
     sh = Shape.of(3, (2, 1))
     atlas = ShapeTableaux(sh)
     with pytest.raises(ShapeMismatch):
-        atlas.demazure_cells(key_of_perm(RPermutation.of(3, (1,), (3, 1, 2)), sh))
+        atlas.demazure_cells(key_of_perm(RPermutation.of(3, (1,), (3, 1, 2)), sh).columns)
     # the cap counts every tableau of the shape, before any is walked
     monkeypatch.setenv("PARAKAT_CAP", "8")
     atlas = ShapeTableaux(sh)

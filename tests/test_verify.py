@@ -8,6 +8,7 @@ import pytest
 from parakat import verify
 from parakat.errors import CapExceeded
 from parakat.cli import main
+from parakat.polys import Polynomial
 from parakat.rperms import RPermutation, _pi_map, enumerate_rperms, is_r312_avoiding
 from parakat.rtuples import (
     RTuple,
@@ -20,7 +21,9 @@ from parakat.rtuples import (
 from parakat.tableaux import (
     Shape,
     ShapeTableaux,
+    _ideal_weights,
     _pack,
+    _unpack,
     _width,
     count_ideal,
     key_of_perm,
@@ -266,18 +269,58 @@ def test_counts_total_route_catches_a_wrong_transfer_count(monkeypatch):
     )
 
 
-def test_convexity_sizes_catch_a_wrong_ideal_count(monkeypatch):
+def _miscounted(wrong):
+    """The batch count of ideals, with the count of the top ``wrong`` one too many."""
     from parakat import tableaux
 
+    def count(n, tops):
+        return ((top, size + (top == wrong)) for top, size in tableaux._count_ideals(n, tops))
+
+    return count
+
+
+def test_convexity_sizes_catch_a_wrong_ideal_count(monkeypatch):
     wrong = ((1, 2), (2,))  # the key of (2;1;3) on the shape (2,1,0)
-    monkeypatch.setattr(
-        verify, "count_ideal", lambda y: tableaux.count_ideal(y) + (y.columns == wrong)
-    )
+    monkeypatch.setattr(verify, "_count_ideals", _miscounted(wrong))
     report = suite_convexity(3, 2)
     assert report.counterexamples == (
         {"shape": [2, 1, 0], "n": 3, "pi": "(2;1;3)", "avoiding": True, "convex": False,
          "equals_ideal": False},
     )
+
+
+def test_coincidence_reports_a_key_whose_ideal_is_miscounted(monkeypatch, capsys):
+    # the key of (2;1;3) on (2,1,0) counted one too many: its Demazure set no
+    # longer reads as convex, so the bound whose gapless core maps to (2;1;3)
+    # matches no index
+    instances = suite_coincidence(3, 2).instances
+    monkeypatch.setattr(verify, "_count_ideals", _miscounted(((1, 2), (2,))))
+    report = suite_coincidence(3, 2)
+    expected = ({"shape": [2, 1, 0], "n": 3, "beta": "(2;2;3)", "core": "(2;2;3)", "matches": []},)
+    assert report.instances == instances == 36
+    assert report.counterexamples == expected
+    assert main(["verify", "coincidence", "--max-n", "3", "--max-col", "2", "--json"]) == 2
+    (printed,) = json.loads(capsys.readouterr().out)
+    assert tuple(printed["counterexamples"]) == expected
+
+
+def test_packed_degree_law_agrees_with_the_unpacked_one():
+    # every core's row-bound sum on every shape with n <= 5 and col <= 3, at the
+    # shape's width and a wider one, as it is and with its leading coefficient
+    # doubled, its leading term dropped, or a term of degree 1 added
+    seen = Counter()
+    for sh in shapes_in_range(5, 3, all_shapes=True):
+        for width in {_width(sh.parts[0]), 3}:
+            law, lead = verify._degree_law(width), _pack(sh.parts, width)
+            for delta in enumerate_tuples(sh.n, sh.r_subset.elements, "increasing"):
+                terms = _ideal_weights(row_bound_max(delta, sh), width)
+                dropped = {w: m for w, m in terms.items() if w != lead}
+                for variant in (terms, {**terms, lead: 2}, dropped, {**terms, 1: 1}):
+                    h = Polynomial(sh.n, _unpack(variant, sh.n, width))
+                    unpacked = h.total_degrees() <= {sh.size} and h.coefficient(sh.parts) == 1
+                    assert law(variant, sh) == unpacked, (sh, delta, variant)
+                    seen[unpacked] += 1
+    assert seen[True] and seen[False]
 
 
 def test_tableau_suites_build_the_tuple_side_once_per_carrel_set(monkeypatch):
@@ -297,19 +340,25 @@ def test_tableau_suites_build_the_tuple_side_once_per_carrel_set(monkeypatch):
 
 
 def test_convexity_and_coincidence_build_no_tableau(monkeypatch):
-    from parakat import tableaux
+    from parakat import rtuples, tableaux
 
     def refused(*args, **kwargs):
         raise AssertionError("the suite built tableaux")
 
+    def unchecked(cls, **fields):  # every tableau and tableau set of the library is built here
+        assert cls not in (tableaux.Tableau, tableaux.TableauSet), "the suite built tableaux"
+        return rtuples._unchecked(cls, **fields)
+
     monkeypatch.setattr(verify, "ShapeTableaux", refused)
     monkeypatch.setattr(tableaux, "_set_below", refused)
+    monkeypatch.setattr(tableaux, "_unchecked", unchecked)
+    monkeypatch.setattr(tableaux.Tableau, "__post_init__", refused)
     for suite in (suite_convexity, suite_coincidence):
         assert suite(4, 3, all_shapes=True).passed
     assert suite_counts(5, poly_max_n=5).passed
     # the dimension tables read κ off the walk alone: no convexity, no key per index
     monkeypatch.setattr(verify, "_convexity", refused)
-    monkeypatch.setattr(verify, "key_of_perm", refused)
+    monkeypatch.setattr(verify, "_key_columns", refused)
     for shape in shapes_in_range(4, 3, all_shapes=True):
         dimension_tables(shape)
 
@@ -336,7 +385,9 @@ def test_accidental_groups_by_terms_where_hashes_collide(monkeypatch):
     assert dataclasses.replace(search_accidental(4, 3, all_shapes=True), wall_time=0) == expected
     # every sum made 2*x4: each shape's non-gapless cores form one find, whose
     # payload names them and their polynomial
-    monkeypatch.setattr(verify, "_ideal_weights", lambda top, width: {1: 2})
+    monkeypatch.setattr(
+        verify, "_weigh_ideals", lambda n, tops, width: ((top, {1: 2}) for top in set(tops))
+    )
     report = search_accidental(4, 2)
     assert report.instances == 4
     assert report.counterexamples == tuple(
@@ -404,7 +455,7 @@ def _atlas_route(shape):
     the cell sets."""
     atlas = ShapeTableaux(shape)
     n, r = shape.n, shape.r_subset.elements
-    dsets = {p: atlas.demazure_cells(key_of_perm(p, shape)) for p in enumerate_rperms(n, r)}
+    dsets = {p: atlas.demazure_cells(key_of_perm(p, shape).columns) for p in enumerate_rperms(n, r)}
     ssets = {a: atlas.row_bound_cells(a) for a in enumerate_tuples(n, r, "increasing")}
     families = {
         "demazure_polynomials": len(
@@ -452,18 +503,20 @@ def test_dimension_tables_agree_with_the_atlas_on_every_shape():
 
 def test_counts_weigh_a_maximum_that_is_no_convex_key_by_its_ideal(monkeypatch):
     # (2;2;3) is a flag of R = (1, 2) whose row-bound maximum is this key; read
-    # as non-convex, its polynomial comes from the tableaux of its ideal, so
+    # as non-convex, its polynomial comes from the transfer over its ideal, so
     # the flag family keeps its count and only the coincident pairs lose one
     from parakat import tableaux
 
     wrong = ((1, 2), (2,))
-    monkeypatch.setattr(
-        verify, "count_ideal", lambda y: tableaux.count_ideal(y) + (y.columns == wrong)
-    )
-    walked, below = [], tableaux._set_below
-    monkeypatch.setattr(
-        tableaux, "_set_below", lambda top, *step: walked.append(top.columns) or below(top, *step)
-    )
+    monkeypatch.setattr(verify, "_count_ideals", _miscounted(wrong))
+    walked = []
+
+    def weighed(n, tops, width):
+        tops = list(tops)
+        walked.extend(tops)
+        return tableaux._weigh_ideals(n, tops, width)
+
+    monkeypatch.setattr(verify, "_weigh_ideals", weighed)
     flag_counts, check = {}, verify._Run.check
 
     def record(run, ok, **payload):
@@ -506,8 +559,8 @@ def test_polynomials_build_each_key_once_per_shape(monkeypatch):
 
     calls = []
     monkeypatch.setattr(
-        verify, "key_of_perm",
-        lambda p, shape: calls.append((shape, p)) or tableaux.key_of_perm(p, shape),
+        verify, "_key_columns",
+        lambda entries, lengths: calls.append((lengths, entries)) or tableaux._key_columns(entries, lengths),
     )
     assert suite_polynomials(4, 3, all_shapes=True).passed
     # the 340 R-permutations of the 69 shapes, each keyed once
@@ -641,7 +694,7 @@ def _atlas_checks(shapes):
             indexing = {}  # each Demazure set -> its indexes, in enumeration order
             for p in perms:
                 y = key_of_perm(p, shape)
-                d = atlas.demazure_cells(y)
+                d = atlas.demazure_cells(y.columns)
                 indexing.setdefault(d, []).append(p)
                 avoiding = is_r312_avoiding(p)
                 convex = _size(atlas, d) == count_ideal(y)
