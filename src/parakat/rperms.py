@@ -139,14 +139,9 @@ class ClumpDecomposition:
 
     @classmethod
     def of(cls, values) -> "ClumpDecomposition":
-        vs = sorted(set(values))
-        blocks: list[list[int]] = []
-        for v in vs:
-            if blocks and v == blocks[-1][-1] + 1:
-                blocks[-1].append(v)
-            else:
-                blocks.append([v])
-        return _unchecked(cls, blocks=tuple(tuple(b) for b in blocks))
+        # a run of consecutive values keeps its value minus rank
+        runs = itertools.groupby(enumerate(sorted(set(values))), lambda iv: iv[1] - iv[0])
+        return _unchecked(cls, blocks=tuple(tuple(v for _, v in run) for _, run in runs))
 
     @property
     def support(self) -> frozenset[int]:
@@ -264,13 +259,9 @@ def _avoids_312(e: Sequence[int], qs: Sequence[int]) -> bool:
 
 
 def to_chain(p: RPermutation) -> RChain:
-    """B_h collects the entries of the first h carrels."""
-    sets = []
-    acc: set[int] = set()
-    for (lo, hi), q in zip(p.r_subset.carrels, p.r_subset.elements):
-        acc.update(p.entries[lo:hi])
-        sets.append(frozenset(acc))
-    return _unchecked(RChain, r_subset=p.r_subset, sets=tuple(sets))
+    """B_h collects the entries of the first h carrels, the first q_h entries."""
+    sets = tuple(frozenset(p.entries[:q]) for q in p.r_subset.elements)
+    return _unchecked(RChain, r_subset=p.r_subset, sets=sets)
 
 
 def from_chain(chain: RChain) -> RPermutation:
@@ -281,23 +272,19 @@ def from_chain(chain: RChain) -> RPermutation:
 
 
 def is_rightmost_clump_deleting(chain: RChain) -> bool:
-    """Each step removes whole top clumps plus a top segment of the next clump.
+    """Each step deletes whole top clumps and any elements of the next clump down.
 
     Stepping down from B_{h+1} to B_h, the deleted elements B_{h+1} - B_h
-    must be a union of the highest clumps of B_{h+1} together with a top
-    segment of the next clump down.
+    must hold every element of B_{h+1} above the clump of the least deleted
+    one; from that clump they may take any elements, not only a top segment:
+    (2;1) deletes 1, the bottom of the clump {1, 2}, and avoids R-312.
     """
     for h in range(1, chain.r_subset.r + 1):
-        new = chain.level(h + 1) - chain.level(h)
-        blocks = ClumpDecomposition.of(chain.level(h + 1)).blocks
-        ok = False
-        for e in range(len(blocks)):
-            above = set(itertools.chain.from_iterable(blocks[e + 1 :]))
-            with_e = above | set(blocks[e])
-            if above <= new <= with_e:
-                ok = True
-                break
-        if not ok:
+        upper, kept = chain.level(h + 1), chain.level(h)
+        top = min(upper - kept)  # the least deleted element, then its clump's top
+        while top + 1 in upper:
+            top += 1
+        if any(v > top for v in kept):
             return False
     return True
 
@@ -478,7 +465,7 @@ def _all_lifts(p: RPermutation) -> Iterator[tuple[int, ...]]:
     return _chains(len(choices), lambda h, _: choices[h])
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.cache
 def _arrangements(values: tuple[int, ...], threshold: int | None) -> tuple[tuple[int, ...], ...]:
     """The 312-avoiding arrangements of ascending ``values``, those below
     ``threshold`` decreasing, in lexicographic order.  They grow value by

@@ -420,10 +420,9 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
         cores = [
             (delta, is_gapless(delta)) for delta in enumerate_tuples(n, r_elements, "increasing")
         ]
-        bounds = [(b, core(b).entries) for b in enumerate_tuples(n, r_elements, "upper")]
-        images = [  # each gapless-core bound and the image of its core
-            (eta, _pi_map(core(eta))) for eta in enumerate_tuples(n, r_elements, "gapless-core")
-        ]
+        bounds = [(b, core(b)) for b in enumerate_tuples(n, r_elements, "upper")]
+        # each gapless-core bound, one whose core is gapless, and the image of its core
+        images = [(eta, _pi_map(delta)) for eta, delta in bounds if is_gapless(delta)]
         # a flag's row-bound maximum is a key exactly when its distinct columns
         # nest: the columns of the lengths in R, as one of length n holds all of [n]
         flags = [
@@ -440,6 +439,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             # the polynomials that convexity and coincidence size their sets by
             walked = dict(_demazure_walk(shape, width))
             d_polys = {}  # each index's Demazure polynomial, as its flat terms
+            perms_of: dict = {}  # each polynomial's indices, in enumeration order
             for p in perms:
                 terms = atlas.weights(d_cells[p])
                 run.check(
@@ -451,6 +451,7 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                     **base, pi=p, law="key content is the placed composition",
                 )
                 d_polys[p] = _terms_key(terms)
+                perms_of.setdefault(d_polys[p], []).append(p)
                 owner = d_poly_owner.setdefault((n, d_polys[p]), (shape_key, p))
                 run.check(
                     owner == (shape_key, p), **base, pi=p, law="demazure polynomials are faithful"
@@ -459,16 +460,18 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             # one scan per upper bound: cores, rank tuples and gapless-core bounds are
             # all upper, and a bound's set is read off its row ends, never through its core
             s_cells = {b.entries: atlas.row_bound_cells(b) for b, _ in bounds}
-            for b, core_entries in bounds:
+            for b, delta in bounds:
                 run.check(
-                    s_cells[b.entries] == s_cells.get(core_entries),
+                    s_cells[b.entries] == s_cells.get(delta.entries),
                     **base, beta=b, law="bounds and their core agree",
                 )
             s_polys = {}  # each core's row bound sum, as its flat terms
+            cores_of: dict = {}  # each sum's cores, in enumeration order
             for delta, _ in cores:
                 terms = atlas.weights(s_cells[delta.entries])
                 run.check(degree_law(terms, shape), **base, core=delta, law="degree and leading weight")
                 s_polys[delta] = _terms_key(terms)
+                cores_of.setdefault(s_polys[delta], []).append(delta)
                 owner = s_poly_owner.setdefault((n, s_polys[delta]), shape_key)
                 run.check(
                     owner == shape_key, **base, core=delta, law="row bound sums detect the shape"
@@ -485,13 +488,6 @@ def suite_polynomials(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
                     **base, eta=eta, law="gapless-core bounds match an index",
                 )
 
-            # each polynomial's owners in enumeration order, so equal polynomials are looked up
-            perms_of: dict = {}
-            for p in perms:
-                perms_of.setdefault(d_polys[p], []).append(p)
-            cores_of: dict = {}
-            for delta, _ in cores:
-                cores_of.setdefault(s_polys[delta], []).append(delta)
             for delta, gapless in cores:
                 h = s_polys[delta]
                 for p in perms_of.get(h, ()):
@@ -594,9 +590,9 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
     A row-bound set is the ideal of its maximum, so each shape's sums are one
     packed transfer over its cores' maxima (:func:`tableaux._weigh_ideals`)
     and no tableau is built.  Each sum is hashed as it is finished, the cores
-    are grouped by hash, and only cores whose sums share a hash are weighed
-    again and grouped by the terms themselves, so no shape holds all its
-    sums at once.
+    are grouped by hash, and only the maxima of cores whose sums share a hash
+    are weighed again, together in one transfer, and grouped by the terms
+    themselves, so no shape holds all its sums at once.
     """
     _check_ranges(max_n, max_col=max_col)
     run = _Run("accidental", max_n=max_n, max_col=max_col, all_shapes=all_shapes)
@@ -614,35 +610,31 @@ def search_accidental(max_n: int = 4, max_col: int = 3, all_shapes: bool = False
             for delta in non_gapless:
                 by_hash.setdefault(hashes[tops[delta]], []).append(delta)
             for alike in by_hash.values():
-                by_poly: dict = {}  # the terms -> their cores, where two sums share a hash
+                # where sums share a hash, their maxima are weighed again together
+                weighed = _weigh_ideals(n, [tops[delta] for delta in alike], width) if len(alike) > 1 else ()
+                terms_of = {top: frozenset(terms.items()) for top, terms in weighed}
+                by_poly: dict = {}  # the terms -> their cores
                 for delta in alike:
-                    terms = _row_bound_terms(delta, shape) if len(alike) > 1 else None
-                    by_poly.setdefault(terms, []).append(delta)
+                    by_poly.setdefault(terms_of.get(tops[delta]), []).append(delta)
                 for deltas in by_poly.values():
                     run.check(
                         len(deltas) == 1, shape=shape.parts, n=n, cores=deltas,
-                        polynomial=_RowBoundSum(deltas[0], shape),
+                        polynomial=_RowBoundSum(tops[deltas[0]], shape),
                     )
     return run.report()
 
 
-def _row_bound_terms(delta: RTuple, shape: Shape) -> frozenset:
-    """The row-bound sum of ``delta`` on ``shape``, as its packed terms."""
-    top = _row_end_columns(delta.entries, shape.column_lengths)
-    ((_, terms),) = _weigh_ideals(shape.n, [top], _width(shape.parts[0]))
-    return frozenset(terms.items())
-
-
 class _RowBoundSum:
-    """A row-bound sum whose text, that of its :class:`Polynomial`, is
-    weighed only when a payload is written."""
+    """A row-bound sum, held as the maximum of its set, whose text, that of
+    its :class:`Polynomial`, is weighed only when a payload is written."""
 
-    def __init__(self, delta: RTuple, shape: Shape):
-        self.delta, self.shape = delta, shape
+    def __init__(self, top: tuple, shape: Shape):
+        self.top, self.shape = top, shape
 
     def __str__(self) -> str:
-        n, terms = self.shape.n, dict(_row_bound_terms(self.delta, self.shape))
-        return str(Polynomial._of(n, _unpack(terms, n, _width(self.shape.parts[0]))))
+        n, width = self.shape.n, _width(self.shape.parts[0])
+        ((_, terms),) = _weigh_ideals(n, [self.top], width)
+        return str(Polynomial._of(n, _unpack(terms, n, width)))
 
 
 def suite_tables() -> SuiteReport:

@@ -191,6 +191,80 @@ def test_rightmost_clump_deleting_matches_avoidance():
                 assert rightmost_clump_deleting_variants(chain) == (rcd, rcd, rcd)
 
 
+def test_a_step_may_delete_the_bottom_of_a_clump():
+    # (2;1) deletes 1, the bottom of the clump {1, 2}, not a top segment of it
+    p = RPermutation.of(2, (1,), (2, 1))
+    assert to_chain(p).sets == (frozenset({2}),)
+    assert is_rightmost_clump_deleting(to_chain(p)) and is_r312_avoiding(p)
+
+
+def test_a_step_that_keeps_an_element_above_the_least_deleted_clump_is_refused():
+    # B_2 = {1, 3} down to B_1 = {3} deletes 1 and keeps 3, above the clump {1}
+    chain = RChain(RSubset(4, (1, 2)), ({3}, {1, 3}))
+    assert not is_rightmost_clump_deleting(chain)
+    p = from_chain(chain)
+    assert str(p) == "(3;1;2,4)" and to_chain(p) == chain and not is_r312_avoiding(p)
+
+
+def test_rightmost_clump_deleting_is_avoidance_up_to_seven():
+    seen = 0
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            for p in enumerate_rperms(n, r):
+                assert is_rightmost_clump_deleting(to_chain(p)) == is_r312_avoiding(p), p
+                seen += 1
+    assert seen == 52609
+
+
+def earlier_clumps(values):
+    """ClumpDecomposition.of as first written: runs grown value by value."""
+    blocks: list[list[int]] = []
+    for v in sorted(set(values)):
+        if blocks and v == blocks[-1][-1] + 1:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    return tuple(tuple(b) for b in blocks)
+
+
+def earlier_chain_sets(p):
+    """to_chain as first written: each carrel's entries added to the last set."""
+    sets = []
+    acc: set[int] = set()
+    for lo, hi in p.r_subset.carrels[:-1]:
+        acc.update(p.entries[lo:hi])
+        sets.append(frozenset(acc))
+    return tuple(sets)
+
+
+def earlier_rightmost_clump_deleting(chain):
+    """is_rightmost_clump_deleting as first written: every clump of every level tried."""
+    for h in range(1, chain.r_subset.r + 1):
+        new = chain.level(h + 1) - chain.level(h)
+        blocks = earlier_clumps(chain.level(h + 1))
+        ok = False
+        for e in range(len(blocks)):
+            above = set(itertools.chain.from_iterable(blocks[e + 1 :]))
+            if above <= new <= above | set(blocks[e]):
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+def test_chain_and_clumps_equal_their_earlier_definitions():
+    for k in range(8):
+        for values in itertools.combinations(range(1, 8), k):
+            assert ClumpDecomposition.of(values).blocks == earlier_clumps(values)
+    for n in range(1, 8):
+        for r in all_r_subsets(n):
+            for p in enumerate_rperms(n, r):
+                chain = to_chain(p)
+                assert chain.sets == earlier_chain_sets(p)
+                assert is_rightmost_clump_deleting(chain) == earlier_rightmost_clump_deleting(chain)
+
+
 def test_rank_tuple_examples():
     assert (
         str(rank_tuple(RPermutation.of(9, (3, 8), (2, 4, 6, 1, 5, 7, 8, 9, 3))))
